@@ -30,7 +30,7 @@ from .values import (
 )
 from .types import lub, lub_seq, subtype, type_of
 from .patterns import match, match_all, merge
-from .interp import Evaluator, InitError, init_module
+from .interp import Evaluator, IllFormedModule, InitError, init_module
 from .fuel import HostStackGuard, call_with_stack, eval_expr_fuel, min_sufficient_fuel
 from .parser import ParseError, load_module, parse_expr, parse_module, parse_value
 from .render import render
@@ -41,6 +41,7 @@ __all__ = [
     "Basic",
     "Evaluator",
     "HostStackGuard",
+    "IllFormedModule",
     "InitError",
     "ModuleDef",
     "ParseError",

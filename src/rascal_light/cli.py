@@ -14,10 +14,10 @@ import os
 import sys
 
 from .fuel import HostStackGuard, call_with_stack
-from .interp import Evaluator, InitError, TraceEntry, boundary_result
+from .interp import Evaluator, IllFormedModule, InitError, TraceEntry, boundary_result
 from .parser import ParseError, Parser, SourceFile, load_module, parse_expr
 from .render import render
-from .syntax import ModuleDef, validate_expr, validate_module
+from .syntax import ModuleDef, validate_expr
 from .values import (
     Result,
     Success,
@@ -132,9 +132,11 @@ def _cmd_run(args) -> int:
     else:
         module = ModuleDef()
 
-    errors = validate_module(module)
-    if errors:
-        for err in errors:
+    trace_entries: list[TraceEntry] = []
+    try:
+        ev = Evaluator(module, trace=trace_entries.append if args.trace else None)
+    except IllFormedModule as exc:
+        for err in exc.errors:
             _diag(source, err.span, err.message)
         return EXIT_BAD_INPUT
 
@@ -145,7 +147,7 @@ def _cmd_run(args) -> int:
         except ParseError as exc:
             _diag(None, exc.span, f"parse error in --eval: {exc.message}")
             return EXIT_BAD_INPUT
-        errs = validate_expr(snippet, module)
+        errs = validate_expr(snippet, ev.info)
         if errs:
             for err in errs:
                 _diag(None, err.span, err.message)
@@ -159,7 +161,7 @@ def _cmd_run(args) -> int:
             _diag(None, exc.span, f"bad --call: {exc.message}")
             return EXIT_BAD_INPUT
         fname, argvals = call
-        fd = next((f for f in module.functions if f.name == fname), None)
+        fd = ev.functions.get(fname)
         if fd is None:
             print(f"unknown function {fname!r}", file=sys.stderr)
             return EXIT_BAD_INPUT
@@ -171,9 +173,6 @@ def _cmd_run(args) -> int:
             )
             return EXIT_BAD_INPUT
 
-    trace_entries: list[TraceEntry] = []
-    ev = Evaluator(module, trace=trace_entries.append if args.trace else None)
-
     def go():
         store = ev.init_globals(fuel)
         res = None
@@ -182,10 +181,23 @@ def _cmd_run(args) -> int:
         elif snippet is not None:
             res, store = ev.evaluate(snippet, store, fuel)
             res = boundary_result(res)
-        return res, store
+        # Rendering walks the whole result, so it needs this thread's stack too.
+        if args.format == "tree":
+            doc = {"version": 1}
+            if res is not None:
+                doc.update(result_to_tree(res))
+            if args.print_globals:
+                doc["globals"] = {
+                    g.name: value_to_tree(store.get(g.name)) for g in module.globals
+                }
+            return res, [json.dumps(doc)]
+        lines = [] if res is None else [_render_result(res)]
+        if args.print_globals:
+            lines += [f"global {g.name} = {render(store.get(g.name))}" for g in module.globals]
+        return res, lines
 
     try:
-        res, store = call_with_stack(go)
+        res, lines = call_with_stack(go)
     except InitError as exc:
         print(f"module initialization failed at global {exc.name!r}", file=sys.stderr)
         code = _exit_code(exc.result)
@@ -202,22 +214,8 @@ def _cmd_run(args) -> int:
             changed = (" [" + ", ".join(t.changed) + "]") if t.changed else ""
             print(f"{t.rule} @ {t.span.start}-{t.span.end} -> {t.kind}{changed}", file=sys.stderr)
 
-    if args.format == "tree":
-        doc = {"version": 1}
-        if res is not None:
-            doc.update(result_to_tree(res))
-        if args.print_globals:
-            doc["globals"] = {
-                g.name: value_to_tree(store.get(g.name)) for g in module.globals
-            }
-        print(json.dumps(doc))
-    else:
-        if res is not None:
-            print(_render_result(res))
-        if args.print_globals:
-            for g in module.globals:
-                print(f"global {g.name} = {render(store.get(g.name))}")
-
+    for line in lines:
+        print(line)
     return _exit_code(res) if res is not None else EXIT_OK
 
 

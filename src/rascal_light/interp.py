@@ -15,8 +15,8 @@ from typing import Callable
 from . import syntax as sx
 from . import traversal
 from .patterns import match
-from .syntax import ModuleDef, Span, analyze_module, snippet_assignables
-from .types import Type, subtype, type_of
+from .syntax import ModuleDef, Span, WellFormednessError, analyze_module, snippet_assignables
+from .types import subtype, type_of
 from .values import (
     BREAK,
     Basic,
@@ -47,6 +47,15 @@ from .values import (
     value_order,
     vbool,
 )
+
+
+class IllFormedModule(Exception):
+    """The module failed validation; the evaluator runs only well-formed
+    modules."""
+
+    def __init__(self, errors: list[WellFormednessError]):
+        super().__init__("; ".join(str(err) for err in errors))
+        self.errors = errors
 
 
 class InitError(Exception):
@@ -169,25 +178,30 @@ def apply_binary(op: str, v1: Value, v2: Value) -> Result:
 
 
 class Evaluator:
-    """Evaluates expressions of one module.
+    """Evaluates expressions of one well-formed module.
 
-    A single evaluator owns its trace sink and the module tables; every
-    evaluation call threads its own store, so distinct evaluations of the
-    same module can run independently.
+    A single evaluator owns its trace sink and the module's static tables,
+    none of which change after construction; every evaluation call threads
+    its own store, so one evaluator can serve concurrent calls.  A module
+    that fails validation raises ``IllFormedModule``.
     """
 
     def __init__(self, module: ModuleDef, trace: Callable[[TraceEntry], None] | None = None):
         info = analyze_module(module)
+        if info.errors:
+            raise IllFormedModule(info.errors)
         self.module = module
         self.info = info
         self.constructors = info.constructors
         self.functions = info.functions
         self.global_names = tuple(g.name for g in module.globals)
+        # Declared types for E-Asgn: block locals by Assign node id,
+        # globals by name (validation forbids shadowing them).
+        self.local_types = info.assign_types
+        self.global_types = {g.name: g.type for g in module.globals}
+        # Roots the validator walked; their block locals are in local_types.
+        self.module_roots = {id(fd.body) for fd in module.functions} | {id(g.init) for g in module.globals}
         self.trace = trace
-        self._fn_scopes: dict[str, dict[str, Type]] = {}
-        # Assignable variables (name -> declared type) for the expression
-        # currently under evaluation; swapped at function-call boundaries.
-        self._scope: dict[str, Type] = {g.name: g.type for g in module.globals}
 
     # -- plumbing ------------------------------------------------------
 
@@ -198,36 +212,30 @@ class Evaluator:
             self.trace(TraceEntry(rule, span, kind, pre.changed(post)))
         return res, post
 
-    def _scope_for(self, fd: sx.FunDef) -> dict[str, Type]:
-        cached = self._fn_scopes.get(fd.name)
-        if cached is None:
-            cached = snippet_assignables(fd.body, self.module)
-            self._fn_scopes[fd.name] = cached
-        return cached
+    def _for_roots(self, *roots: sx.Expr) -> Evaluator:
+        """This evaluator, or a per-call copy that also knows the block
+        locals assigned in those ``roots`` that come from outside the module."""
+        local = snippet_assignables(*(r for r in roots if id(r) not in self.module_roots))
+        if not local:
+            return self
+        ev = object.__new__(type(self))
+        vars(ev).update(vars(self), local_types={**self.local_types, **local})
+        return ev
 
     # -- boundaries ----------------------------------------------------
 
     def evaluate(self, e: sx.Expr, store: Store, fuel: int | None = None):
         """Evaluate a standalone expression; timeouts become results."""
-        prev = self._scope
-        self._scope = snippet_assignables(e, self.module)
         try:
-            return self.eval_expr(e, store, fuel)
+            return self._for_roots(e).eval_expr(e, store, fuel)
         except TimeoutSignal as t:
             return TIMEOUT, t.store
-        finally:
-            self._scope = prev
 
     def init_globals(self, fuel: int | None = None) -> Store:
         """Evaluate global initializers in declaration order."""
         store = Store()
         for g in self.module.globals:
-            prev = self._scope
-            self._scope = snippet_assignables(g.init, self.module)
-            try:
-                res, store = self.eval_expr(g.init, store, fuel)
-            finally:
-                self._scope = prev
+            res, store = self.eval_expr(g.init, store, fuel)
             if not isinstance(res, Success):
                 raise InitError(g.name, res)
             vt = type_of(res.value, self.constructors)
@@ -246,17 +254,11 @@ class Evaluator:
 
     def run_cases(self, cases, v: Value, store: Store, fuel: int | None = None):
         cases = tuple(cases)
-        prev = self._scope
-        scope = {g.name: g.type for g in self.module.globals}
-        for c in cases:
-            scope.update(snippet_assignables(c.body, self.module))
-        self._scope = scope
+        ev = self._for_roots(*(c.body for c in cases))
         try:
-            return self.eval_cases(cases, v, store, fuel, sx.DUMMY_SPAN)
+            return ev.eval_cases(cases, v, store, fuel, sx.DUMMY_SPAN)
         except TimeoutSignal as t:
             return TIMEOUT, t.store
-        finally:
-            self._scope = prev
 
     # -- the main judgment ----------------------------------------------
 
@@ -380,7 +382,9 @@ class Evaluator:
             r, s1 = self.eval_expr(e.value, store, n1)
             if is_exres(r):
                 return self.fire("E-Asgn-Exc", e.span, r, store, s1)
-            decl = self._scope.get(e.name)
+            decl = self.local_types.get(id(e))
+            if decl is None:
+                decl = self.global_types.get(e.name)
             if decl is None:
                 return self.fire("stuck", e.span, ERROR, store, s1)
             if not subtype(type_of(r.value, self.constructors), decl):
@@ -616,13 +620,7 @@ class Evaluator:
             callee[y] = gv
         for p, v in zip(fd.params, args):
             callee[p.name] = v
-
-        prev = self._scope
-        self._scope = self._scope_for(fd)
-        try:
-            res, s_out = self.eval_expr(fd.body, Store(callee), n)
-        finally:
-            self._scope = prev
+        res, s_out = self.eval_expr(fd.body, Store(callee), n)
 
         back = store
         for y in self.global_names:

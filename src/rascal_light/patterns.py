@@ -188,11 +188,11 @@ def match(
     if isinstance(p, sx.ListPat):
         if not isinstance(v, VList):
             return []
-        return match_all(p.elements, v.items, store, set(), LIST_CONFIG, constructors)
+        return match_all(p.elements, v.items, store, LIST_CONFIG, constructors)
     if isinstance(p, sx.SetPat):
         if not isinstance(v, VSet):
             return []
-        return match_all(p.elements, v.items, store, set(), SET_CONFIG, constructors)
+        return match_all(p.elements, v.items, store, SET_CONFIG, constructors)
     if isinstance(p, sx.NegPat):
         inner = match(p.pattern, v, store, constructors)
         return [{}] if not inner else []
@@ -210,15 +210,15 @@ def match_all(
     elements: tuple[sx.Pattern, ...],
     vals: ValueSeq,
     store: Store,
-    visited: set,
     cfg: MatchConfig,
     constructors: Mapping[str, tuple[str, tuple[Type, ...]]],
 ) -> list[Env]:
     """Match a sequence of (star) patterns against a value sequence.
 
-    ``visited`` records the selections already tried for the head pattern,
-    so backtracking never retries a partition.  Results are concatenated
-    over all untried partitions in the enumeration order of ``cfg``.
+    Results are concatenated over all partitions of ``vals`` for the head
+    pattern, in the enumeration order of ``cfg``.  No partition repeats a
+    selection: list splits differ in length, and the elements of a
+    canonical set are distinct.
     """
     if not elements:
         return [{}] if not vals else []
@@ -231,24 +231,16 @@ def match_all(
             remainder = cfg.split_known(vals, bound)
             if remainder is None:
                 return []
-            return match_all(rest, remainder, store, set(), cfg, constructors)
+            return match_all(rest, remainder, store, cfg, constructors)
         out: list[Env] = []
-        seen = set(visited)
         for sub, remainder in cfg.partition_sub(vals):
-            if sub in seen:
-                continue
-            seen.add(sub)
-            tail_envs = match_all(rest, remainder, store, set(), cfg, constructors)
+            tail_envs = match_all(rest, remainder, store, cfg, constructors)
             out.extend(merge2([{x: cfg.construct(sub)}], tail_envs))
         return out
 
     out = []
-    seen = set(visited)
     for v1, remainder in cfg.partition_one(vals):
-        if v1 in seen:
-            continue
-        seen.add(v1)
         head_envs = match(head, v1, store, constructors)
-        tail_envs = match_all(rest, remainder, store, set(), cfg, constructors)
+        tail_envs = match_all(rest, remainder, store, cfg, constructors)
         out.extend(merge2(head_envs, tail_envs))
     return out

@@ -599,6 +599,10 @@ class ModuleInfo:
     functions: dict[str, FunDef]
     global_defs: dict[str, GlobalDef]
     errors: list[WellFormednessError]
+    # The declared type of each assignment to a block local, keyed by the
+    # ``id`` of its ``Assign`` node; globals are not listed, they resolve
+    # by name.
+    assign_types: dict[int, Type]
 
 
 class _Scope:
@@ -635,6 +639,7 @@ class _Validator:
         self.constructors: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.functions: dict[str, FunDef] = {}
         self.global_defs: dict[str, GlobalDef] = {}
+        self.assign_types: dict[int, Type] = {}
 
     def error(self, kind: str, name: str, span: Span, message: str) -> None:
         self.errors.append(WellFormednessError(kind, name, span, message))
@@ -700,10 +705,7 @@ class _Validator:
         for g in m.globals:
             self.check_type(g.type, g.span)
 
-        globals_scope = _Scope()
-        for g in m.globals:
-            globals_scope.add(g.name, "global", g.type)
-
+        globals_scope = _Scope({g.name: ("global", g.type) for g in m.globals})
         for g in m.globals:
             # Global initializers run before any function; they see only
             # the globals themselves (plus their own block locals).
@@ -740,6 +742,7 @@ class _Validator:
             functions=self.functions,
             global_defs=self.global_defs,
             errors=self.errors,
+            assign_types=self.assign_types,
         )
 
     def check_type(self, t: Type, span: Span) -> None:
@@ -785,7 +788,9 @@ class _Validator:
                     e.span,
                     f"assignment to undeclared variable {e.name!r}",
                 )
-            elif entry[0] not in ("local", "global"):
+            elif entry[0] == "local":
+                self.assign_types[id(e)] = entry[1]
+            elif entry[0] != "global":
                 self.error(
                     "not-assignable",
                     e.name,
@@ -960,29 +965,36 @@ def validate_module(m: ModuleDef) -> list[WellFormednessError]:
     return analyze_module(m).errors
 
 
-def validate_expr(e: Expr, m: ModuleDef) -> list[WellFormednessError]:
-    """Validate a standalone expression against a module's declarations.
+def validate_expr(e: Expr, info: ModuleInfo) -> list[WellFormednessError]:
+    """Validate a standalone expression against an analysed module.
 
-    Used for snippet evaluation: the expression sees the module's globals
-    (but no function's parameters or locals).
+    Used for snippet evaluation: the expression sees the module's
+    declarations and globals (but no function's parameters or locals).
     """
-    v = _Validator(m)
-    info = v.run()
-    base_errors = len(info.errors)
-    scope = _Scope()
-    for g in m.globals:
-        scope.add(g.name, "global", g.type)
-    assignables = {g.name: g.type for g in m.globals}
-    v.walk(e, scope)
-    v.snippet_assignables = assignables  # type: ignore[attr-defined]
-    return v.errors[base_errors:]
+    v = _Validator(info.module)
+    v.datatypes.update(info.datatypes)
+    v.constructors.update(info.constructors)
+    v.functions.update(info.functions)
+    v.walk(e, _Scope({g.name: ("global", g.type) for g in info.module.globals}))
+    return v.errors
 
 
-def snippet_assignables(e: Expr, m: ModuleDef) -> dict[str, Type]:
-    """Assignable variables (with declared types) for a snippet expression."""
-    out = {g.name: g.type for g in m.globals}
-    for sub in walk_exprs(e):
-        if isinstance(sub, Block):
-            for d in sub.locals:
-                out[d.name] = d.type
+def snippet_assignables(*roots: Expr) -> dict[int, Type]:
+    """Declared types of the block locals assigned in ``roots``, in one walk.
+
+    The counterpart of ``ModuleInfo.assign_types`` for expressions from
+    outside a module: keyed by the ``id`` of each ``Assign`` node, each
+    type is that of the innermost enclosing declaration of the name.
+    Assignments to any other name are left out.
+    """
+    out: dict[int, Type] = {}
+    stack: list[tuple[Expr, dict[str, Type]]] = [(r, {}) for r in roots]
+    while stack:
+        cur, scope = stack.pop()
+        if isinstance(cur, Block) and cur.locals:
+            scope = {**scope, **{d.name: d.type for d in cur.locals}}
+        elif isinstance(cur, Assign) and cur.name in scope:
+            out[id(cur)] = scope[cur.name]
+        for sub in expr_children(cur):
+            stack.append((sub, scope))
     return out

@@ -1,6 +1,6 @@
 """Visit machinery: strategy dispatch, top-down and bottom-up traversals
-(scalar and sequence forms), and the reconstruct/if-fail/vcombine
-auxiliaries.
+of one value, the sequence driver both share, and the
+reconstruct/if-fail/vcombine auxiliaries.
 
 Sequence-shaped successes are represented as plain tuples of values;
 ``FAIL`` and the other exceptional results are shared with the rest of the
@@ -118,39 +118,25 @@ def eval_visit(
     span: Span,
 ):
     fuel_check(fuel, store)
-    n1 = fuel_dec(fuel)
-    if st == Strategy.TOP_DOWN:
-        res, out = td_visit(ev, cases, v, store, BreakMode.NO_BREAK, n1, span)
-        return ev.fire("EV-TD", span, res, store, out)
-    if st == Strategy.TOP_DOWN_BREAK:
-        res, out = td_visit(ev, cases, v, store, BreakMode.BREAK_ON_FIRST, n1, span)
-        return ev.fire("EV-TDB", span, res, store, out)
-    if st == Strategy.BOTTOM_UP:
-        res, out = bu_visit(ev, cases, v, store, BreakMode.NO_BREAK, n1, span)
-        return ev.fire("EV-BU", span, res, store, out)
-    if st == Strategy.BOTTOM_UP_BREAK:
-        res, out = bu_visit(ev, cases, v, store, BreakMode.BREAK_ON_FIRST, n1, span)
-        return ev.fire("EV-BUB", span, res, store, out)
+    one_pass = _ONE_PASS.get(st)
+    if one_pass is not None:
+        visit_one, br, rule = one_pass
+        res, out = visit_one(ev, cases, v, store, br, fuel_dec(fuel), span)
+        return ev.fire(rule, span, res, store, out)
 
-    inner = st == Strategy.INNERMOST
-    one_pass = bu_visit if inner else td_visit
-    rules = ("EV-IM-Eq", "EV-IM-Neq", "EV-IM-Exc") if inner else (
-        "EV-OM-Eq",
-        "EV-OM-Neq",
-        "EV-OM-Exc",
-    )
+    visit_one, (eq, neq, exc) = _FIXPOINT[st]
     cur_v, cur_store, n = v, store, fuel
     while True:
         fuel_check(n, cur_store)
-        res, out = one_pass(ev, cases, cur_v, cur_store, BreakMode.NO_BREAK, fuel_dec(n), span)
+        res, out = visit_one(ev, cases, cur_v, cur_store, BreakMode.NO_BREAK, fuel_dec(n), span)
         if is_exres(res) and res != FAIL:
-            return ev.fire(rules[2], span, res, cur_store, out)
+            return ev.fire(exc, span, res, cur_store, out)
         # A pass that matched nothing leaves the iterate unchanged, which
         # confirms the fixed point; rewrites done by earlier passes are kept.
         new_v = if_fail(res, cur_v)
         if new_v == cur_v:
-            return ev.fire(rules[0], span, Success(cur_v), cur_store, out)
-        ev.fire(rules[1], span, res, cur_store, out)
+            return ev.fire(eq, span, Success(cur_v), cur_store, out)
+        ev.fire(neq, span, res, cur_store, out)
         cur_v, cur_store, n = new_v, out, fuel_dec(n)
 
 
@@ -172,43 +158,13 @@ def td_visit(
         return ev.fire("ETV-Exc1", span, res, store, s2)
     v2 = if_fail(res, v)
     kids = children(v2)
-    star, s1 = td_visit_star(ev, cases, kids, s2, br, n1, span)
+    star, s1 = visit_star(td_visit, ev, cases, kids, s2, br, n1, span)
     if star == FAIL:
         return ev.fire("ETV-Ord-Sucs1", span, res, store, s1)
     if is_exres(star):
         return ev.fire("ETV-Exc2", span, star, store, s1)
     rc = reconstruct(v2, star, ev.constructors)
     return ev.fire("ETV-Ord-Sucs2", span, rc, store, s1)
-
-
-def td_visit_star(
-    ev,
-    cases: tuple[Case, ...],
-    vals: tuple[Value, ...],
-    store: Store,
-    br: BreakMode,
-    fuel: int | None,
-    span: Span,
-):
-    results: list = []
-    cur = store
-    n = fuel
-    for i, v in enumerate(vals):
-        fuel_check(n, cur)
-        res, cur = td_visit(ev, cases, v, cur, br, fuel_dec(n), span)
-        if is_exres(res) and res != FAIL:
-            rule = "ETVS-Exc1" if i == 0 else "ETVS-Exc2"
-            return ev.fire(rule, span, res, store, cur)
-        if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
-            out = tuple(vals[:i]) + (res.value,) + tuple(vals[i + 1 :])
-            return ev.fire("ETVS-Break", span, out, store, cur)
-        results.append(res)
-        n = fuel_dec(n)
-    fuel_check(n, cur)
-    if all(r == FAIL for r in results):
-        return ev.fire("ETVS-Emp" if not vals else "ETVS-More", span, FAIL, store, cur)
-    out = tuple(if_fail(r, v) for r, v in zip(results, vals))
-    return ev.fire("ETVS-More", span, out, store, cur)
 
 
 def bu_visit(
@@ -223,7 +179,7 @@ def bu_visit(
     fuel_check(fuel, store)
     n1 = fuel_dec(fuel)
     kids = children(v)
-    star, s2 = bu_visit_star(ev, cases, kids, store, br, n1, span)
+    star, s2 = visit_star(bu_visit, ev, cases, kids, store, br, n1, span)
     if is_exres(star) and star != FAIL:
         return ev.fire("EBU-Exc", span, star, store, s2)
     if star == FAIL:
@@ -243,7 +199,8 @@ def bu_visit(
     return ev.fire("EBU-No-Break-Sucs", span, out, store, s1)
 
 
-def bu_visit_star(
+def visit_star(
+    visit_one,
     ev,
     cases: tuple[Case, ...],
     vals: tuple[Value, ...],
@@ -252,22 +209,44 @@ def bu_visit_star(
     fuel: int | None,
     span: Span,
 ):
+    """The sequence judgment of both directions: ``visit_one`` (``td_visit``
+    or ``bu_visit``) over ``vals`` left to right, firing the ``ETVS-`` or
+    ``EBUS-`` rules respectively."""
+    prefix = "ETVS" if visit_one is td_visit else "EBUS"
     results: list = []
     cur = store
     n = fuel
     for i, v in enumerate(vals):
         fuel_check(n, cur)
-        res, cur = bu_visit(ev, cases, v, cur, br, fuel_dec(n), span)
+        res, cur = visit_one(ev, cases, v, cur, br, fuel_dec(n), span)
         if is_exres(res) and res != FAIL:
-            rule = "EBUS-Exc1" if i == 0 else "EBUS-Exc2"
-            return ev.fire(rule, span, res, store, cur)
+            rule = "Exc1" if i == 0 else "Exc2"
+            return ev.fire(f"{prefix}-{rule}", span, res, store, cur)
         if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
             out = tuple(vals[:i]) + (res.value,) + tuple(vals[i + 1 :])
-            return ev.fire("EBUS-Break", span, out, store, cur)
+            return ev.fire(f"{prefix}-Break", span, out, store, cur)
         results.append(res)
         n = fuel_dec(n)
     fuel_check(n, cur)
     if all(r == FAIL for r in results):
-        return ev.fire("EBUS-Emp" if not vals else "EBUS-More", span, FAIL, store, cur)
+        rule = "Emp" if not vals else "More"
+        return ev.fire(f"{prefix}-{rule}", span, FAIL, store, cur)
     out = tuple(if_fail(r, v) for r, v in zip(results, vals))
-    return ev.fire("EBUS-More", span, out, store, cur)
+    return ev.fire(f"{prefix}-More", span, out, store, cur)
+
+
+# Strategies that make one traversal pass: the pass, its break mode, and
+# the rule that concludes the visit.
+_ONE_PASS = {
+    Strategy.TOP_DOWN: (td_visit, BreakMode.NO_BREAK, "EV-TD"),
+    Strategy.TOP_DOWN_BREAK: (td_visit, BreakMode.BREAK_ON_FIRST, "EV-TDB"),
+    Strategy.BOTTOM_UP: (bu_visit, BreakMode.NO_BREAK, "EV-BU"),
+    Strategy.BOTTOM_UP_BREAK: (bu_visit, BreakMode.BREAK_ON_FIRST, "EV-BUB"),
+}
+
+# Strategies that repeat a no-break pass to a fixed point: the pass, and
+# the rules for a fixed point, another round, and an exception.
+_FIXPOINT = {
+    Strategy.INNERMOST: (bu_visit, ("EV-IM-Eq", "EV-IM-Neq", "EV-IM-Exc")),
+    Strategy.OUTERMOST: (td_visit, ("EV-OM-Eq", "EV-OM-Neq", "EV-OM-Exc")),
+}

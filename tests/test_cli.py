@@ -276,3 +276,60 @@ def test_exit_codes_are_total_over_results():
     }
     for res, code in table.items():
         assert _exit_code(res) == code
+
+
+SIBLING_BLOCKS = (
+    'int f() = local int r in r = 0; (local int a in a = 1 end); (local str a in a = "x" end); r end;\n',
+    'int f() = local int r in r = 0; (local str a in a = "x" end); (local int a in a = 1 end); r end;\n',
+)
+
+
+@pytest.mark.parametrize("text", SIBLING_BLOCKS, ids=("int-first", "str-first"))
+def test_sibling_blocks_declare_one_name_at_two_types(tmp_path, capsys, text):
+    mod = tmp_path / "siblings.rsl"
+    mod.write_text(text)
+    code, out, _ = run_cli(capsys, "run", str(mod), "--call", "f()")
+    assert code == 0 and out == "0\n"
+
+
+def test_run_eval_analyses_the_module_once(capsys, monkeypatch):
+    from rascal_light import syntax
+
+    runs = []
+    analyse = syntax._Validator.run
+
+    def counted(self):
+        runs.append(self.module)
+        return analyse(self)
+
+    monkeypatch.setattr(syntax._Validator, "run", counted)
+    code, out, _ = run_cli(
+        capsys, "run", program_path("simplifier.rsl"), "--eval", "simplify(plus(intlit(0), intlit(5)))"
+    )
+    assert code == 0 and out == "intlit(5)\n"
+    assert len(runs) == 1
+
+
+NAT = (
+    "data Nat = zero() | succ(Nat pred);\n"
+    "Nat nat(int n) = if n == 0 then zero() else succ(nat(n - 1));\n"
+)
+
+
+def test_deep_result_renders_in_both_formats(tmp_path, capsys):
+    # The process's main thread keeps Python's default recursion limit, as
+    # in a plain `rascal-light` run; rendering needs the worker's stack.
+    mod = tmp_path / "nat.rsl"
+    mod.write_text(NAT)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        text = run_cli(capsys, "run", str(mod), "--call", "nat(1500)")
+        tree = run_cli(capsys, "run", str(mod), "--call", "nat(1500)", "--format", "tree")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == (0, "succ(" * 1500 + "zero()" + ")" * 1500 + "\n", "")
+    value = '{"kind": "cons", "name": "zero", "args": []}'
+    for _ in range(1500):
+        value = '{"kind": "cons", "name": "succ", "args": [' + value + "]}"
+    assert tree == (0, '{"version": 1, "result": "success", "value": ' + value + "}\n", "")

@@ -3,6 +3,7 @@ import pytest
 from rascal_light import syntax as sx
 from rascal_light.interp import (
     Evaluator,
+    IllFormedModule,
     InitError,
     apply_binary,
     apply_unary,
@@ -61,14 +62,20 @@ def test_init_module_empty():
 
 
 def test_init_module_error_aborts():
-    # An undefined variable in an initializer evaluates to error, which
-    # init wraps; built directly since validation would reject the module.
-    from rascal_light.types import BaseType
-
-    m = sx.ModuleDef(globals=(sx.GlobalDef("g", BaseType("int"), sx.Var("x")),))
+    # A division by zero in an initializer evaluates to error, which init wraps.
+    m = parse_module("global int g = 1 / 0;")
     with pytest.raises(InitError) as exc:
         init_module(m)
     assert exc.value.name == "g" and exc.value.result == ERROR
+
+
+def test_evaluator_refuses_ill_formed_module():
+    from rascal_light.types import BaseType
+
+    m = sx.ModuleDef(globals=(sx.GlobalDef("g", BaseType("int"), sx.Var("x")),))
+    with pytest.raises(IllFormedModule) as exc:
+        Evaluator(m)
+    assert [(e.kind, e.name) for e in exc.value.errors] == [("undefined-variable", "x")]
 
 
 def test_init_module_type_mismatch_is_init_error():
@@ -430,3 +437,65 @@ def test_boundary_result_conversion():
     assert boundary_result(FAIL) == ERROR
     assert boundary_result(Success(b(1))) == Success(b(1))
     assert boundary_result(Throw(b(1))) == Throw(b(1))
+
+
+def test_sibling_blocks_assign_at_their_own_types():
+    text = 'local int r in r = 0; (local int a in a = 1 end); (local str a in a = "x" end); r end'
+    assert run(text)[0] == Success(b(0))
+    cases = parse_expr(f"switch (0) {{ case 0 => {text} }}").cases
+    assert EMPTY.run_cases(cases, b(0), Store())[0] == Success(b(0))
+
+
+def test_evaluator_fields_never_change_during_a_call():
+    m = parse_module(
+        """
+        global int g = 0;
+        int f(int n) = local int a, str s in a = n + 1; s = "x"; g = a; a end;
+        """
+    )
+    fired = []
+
+    def check(entry):
+        fired.append(entry.rule)
+        assert {k: id(v) for k, v in vars(ev).items()} == before, entry.rule
+
+    ev = Evaluator(m, trace=check)
+    before = {k: id(v) for k, v in vars(ev).items()}
+    res, store = ev.call_function("f", (b(4),), ev.init_globals())
+    assert res == Success(b(5)) and store.get("g") == b(5)
+    assert fired.count("E-Asgn-Sucs") == 3
+
+
+def test_one_evaluator_serves_concurrent_calls():
+    import sys
+    import threading
+
+    m = parse_module("int f(int n) = local int a in a = n; a end;")
+    ev = Evaluator(m)
+    store = ev.init_globals()
+    snippet = parse_expr('local str a in a = "y" end', m)
+    wrong = []
+
+    def call(i):
+        for _ in range(300):
+            if ev.call_function("f", (b(i),), store)[0] != Success(b(i)):
+                wrong.append(i)
+
+    def snip():
+        for _ in range(300):
+            if ev.evaluate(snippet, Store())[0] != Success(b("y")):
+                wrong.append("snippet")
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+    threads += [threading.Thread(target=snip) for _ in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -85,7 +85,7 @@ def test_nonlinear_consistency():
 
 def test_match_all_list_split_order():
     envs = match_all(
-        (sx.Star("xs"), sx.Star("ys")), (b(1), b(2)), Store(), set(), LIST_CONFIG, CONS
+        (sx.Star("xs"), sx.Star("ys")), (b(1), b(2)), Store(), LIST_CONFIG, CONS
     )
     assert envs == [
         {"xs": VList(()), "ys": VList((b(1), b(2)))},
@@ -96,7 +96,7 @@ def test_match_all_list_split_order():
 
 def test_match_all_set_splits():
     envs = match_all(
-        (sx.Star("xs"), sx.Star("ys")), (b(1), b(2)), Store(), set(), SET_CONFIG, CONS
+        (sx.Star("xs"), sx.Star("ys")), (b(1), b(2)), Store(), SET_CONFIG, CONS
     )
     assert len(envs) == 4
     as_set = {(e["xs"], e["ys"]) for e in envs}
@@ -111,33 +111,33 @@ def test_match_all_set_splits():
 
 
 def test_match_all_empty_cases():
-    assert match_all((), (), Store(), set(), LIST_CONFIG, CONS) == [{}]
-    assert match_all((), (b(1),), Store(), set(), LIST_CONFIG, CONS) == []
+    assert match_all((), (), Store(), LIST_CONFIG, CONS) == [{}]
+    assert match_all((), (b(1),), Store(), LIST_CONFIG, CONS) == []
 
 
 def test_match_all_star_unification():
     store = Store({"xs": VSet((b(1),))})
     envs = match_all(
-        (sx.Star("xs"), sx.Star("ys")), (b(1), b(2)), store, set(), SET_CONFIG, CONS
+        (sx.Star("xs"), sx.Star("ys")), (b(1), b(2)), store, SET_CONFIG, CONS
     )
     assert envs == [{"ys": VSet((b(2),))}]
     # Bound star with no valid split fails.
     store2 = Store({"xs": VSet((b(9),))})
     assert (
-        match_all((sx.Star("xs"),), (b(1),), store2, set(), SET_CONFIG, CONS) == []
+        match_all((sx.Star("xs"),), (b(1),), store2, SET_CONFIG, CONS) == []
     )
     # Bound star that is not a collection of the right kind fails.
     store3 = Store({"xs": b(1)})
     assert (
-        match_all((sx.Star("xs"),), (b(1),), store3, set(), SET_CONFIG, CONS) == []
+        match_all((sx.Star("xs"),), (b(1),), store3, SET_CONFIG, CONS) == []
     )
 
 
 def test_single_element_set_pattern_backtracking():
-    envs = match_all((sx.VarPat("x"),), (b(1), b(2)), Store(), set(), SET_CONFIG, CONS)
+    envs = match_all((sx.VarPat("x"),), (b(1), b(2)), Store(), SET_CONFIG, CONS)
     assert envs == []  # a single ordinary pattern must consume the whole set
     envs = match_all(
-        (sx.VarPat("x"), sx.Star("r")), (b(1), b(2)), Store(), set(), SET_CONFIG, CONS
+        (sx.VarPat("x"), sx.Star("r")), (b(1), b(2)), Store(), SET_CONFIG, CONS
     )
     assert envs == [
         {"x": b(1), "r": VSet((b(2),))},

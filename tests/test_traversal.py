@@ -138,7 +138,7 @@ def test_td_root_throw_skips_children():
 
 def test_td_star_empty_fails():
     ev = evaluator()
-    res, out = tv.td_visit_star(ev, SIMPLIFY_CASES, (), Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
+    res, out = tv.visit_star(tv.td_visit, ev, SIMPLIFY_CASES, (), Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
     assert res == FAIL
 
 
@@ -146,7 +146,7 @@ def test_td_star_mixed_results_use_originals():
     ev = evaluator()
     cases = (case("intlit(0)", "intlit(9)"),)
     vals = (intlit(0), b(5))
-    res, _ = tv.td_visit_star(ev, cases, vals, Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
+    res, _ = tv.visit_star(tv.td_visit, ev, cases, vals, Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
     assert res == (intlit(9), b(5))
 
 
@@ -154,7 +154,7 @@ def test_td_star_break_keeps_rest_verbatim():
     ev = evaluator()
     cases = (case("intlit(x)", "intlit(x + 1)"),)
     vals = (intlit(0), intlit(5))
-    res, _ = tv.td_visit_star(ev, cases, vals, Store(), tv.BreakMode.BREAK_ON_FIRST, None, DUMMY_SPAN)
+    res, _ = tv.visit_star(tv.td_visit, ev, cases, vals, Store(), tv.BreakMode.BREAK_ON_FIRST, None, DUMMY_SPAN)
     assert res == (intlit(1), intlit(5))
 
 
@@ -217,7 +217,7 @@ def test_bus_break_threads_store_from_successful_child():
     store = ev.init_globals()
     cases = (case("intlit(x)", "local in log = log + 1; intlit(x + 1) end"),)
     vals = (intlit(0), intlit(5))
-    res, out = tv.bu_visit_star(ev, cases, vals, store, tv.BreakMode.BREAK_ON_FIRST, None, DUMMY_SPAN)
+    res, out = tv.visit_star(tv.bu_visit, ev, cases, vals, store, tv.BreakMode.BREAK_ON_FIRST, None, DUMMY_SPAN)
     assert res == (intlit(1), intlit(5))
     assert out.get("log") == b(1)
 
