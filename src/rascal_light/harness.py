@@ -27,6 +27,7 @@ from .types import (
     MapType,
     SetType,
     Type,
+    _type_of_walk,
     subtype,
     type_of,
 )
@@ -1005,11 +1006,13 @@ def suite_purity(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> Suite
 
 
 def _check_typed(store: Store, res, constructors) -> str | None:
+    # Re-types every node, ignoring the types recorded on values, so a
+    # wrongly recorded type cannot hide an ill-formed one.
     try:
         for _, v in store.items():
-            type_of(v, constructors)
+            _type_of_walk(v, constructors)
         if isinstance(res, (Success, Return, Throw)):
-            type_of(res.value, constructors)
+            _type_of_walk(res.value, constructors)
     except IllFormedValue as exc:
         return str(exc)
     return None

@@ -16,7 +16,7 @@ from . import syntax as sx
 from . import traversal
 from .patterns import match
 from .syntax import ModuleDef, Span, WellFormednessError, analyze_module, snippet_assignables
-from .types import subtype, type_of
+from .types import subtype, type_of, typed_join
 from .values import (
     BREAK,
     Basic,
@@ -165,10 +165,12 @@ def apply_binary(op: str, v1: Value, v2: Value) -> Result:
             return Success(vbool(v1 == TRUE and v2 == TRUE))
         return Success(vbool(v1 == TRUE or v2 == TRUE))
     if op == "in":
-        if isinstance(v2, (VList, VSet)):
+        if isinstance(v2, VList):
             return Success(vbool(any(v1 == x for x in v2.items)))
+        if isinstance(v2, VSet):
+            return Success(vbool(v2.contains(v1)))
         if isinstance(v2, VMap):
-            return Success(vbool(any(v1 == k for k, _ in v2.pairs)))
+            return Success(vbool(v2.lookup(v1) is not None))
         return ERROR
     return ERROR
 
@@ -289,6 +291,12 @@ class Evaluator:
             if is_exres(r2):
                 return self.fire("E-Bin-Exc2", e.span, r2, store, s1)
             res = apply_binary(e.op, r1.value, r2.value)
+            if (
+                e.op == "+"
+                and isinstance(res, Success)
+                and isinstance(res.value, (VList, VSet, VMap))
+            ):
+                typed_join(res.value, r1.value, r2.value, self.constructors)
             return self.fire("E-Bin-Sucs", e.span, res, store, s1)
 
         if isinstance(e, sx.Cons):
@@ -364,6 +372,7 @@ class Evaluator:
             if r2.value == UNDEF or r3.value == UNDEF:
                 return self.fire("E-Update-Err2", e.span, ERROR, store, s1)
             out = map_update(m, r2.value, r3.value)
+            typed_join(out, m, VMap(((r2.value, r3.value),)), self.constructors)
             return self.fire("E-Update-Sucs", e.span, Success(out), store, s1)
 
         if isinstance(e, sx.Call):

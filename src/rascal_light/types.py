@@ -91,11 +91,37 @@ def type_of(v: Value, constructors: Mapping[str, tuple[str, tuple[Type, ...]]]) 
     ``constructors`` maps each constructor name to its datatype name and
     declared field types.  Raises IllFormedValue if a constructor value
     does not conform to its declaration.
+
+    A value is typed once per table: the type is recorded on the value
+    with the table it was computed under, and a later call with that same
+    table object returns it.  Tables only grow, and no constructor name is
+    ever rebound, so a recorded type stays the value's type.
     """
     if isinstance(v, Basic):
         return STR if isinstance(v.val, str) else INT
     if isinstance(v, Undefined):
         return VOID
+    typed = v._typed
+    if typed is not None and typed[0] is constructors:
+        return typed[1]
+    t = _type_node(v, constructors, type_of)
+    object.__setattr__(v, "_typed", (constructors, t))
+    return t
+
+
+def _type_of_walk(v: Value, constructors) -> Type:
+    """``type_of`` that neither reads nor records types on values: every
+    node is re-typed.  The reference that strong-typing checks use."""
+    if isinstance(v, Basic):
+        return STR if isinstance(v.val, str) else INT
+    if isinstance(v, Undefined):
+        return VOID
+    return _type_node(v, constructors, _type_of_walk)
+
+
+def _type_node(v: Value, constructors, type_child) -> Type:
+    """The type of a constructor or collection value, its elements typed
+    by ``type_child``."""
     if isinstance(v, VCons):
         sig = constructors.get(v.name)
         if sig is None:
@@ -106,22 +132,42 @@ def type_of(v: Value, constructors: Mapping[str, tuple[str, tuple[Type, ...]]]) 
                 f"constructor {v.name!r} expects {len(fields)} fields, has {len(v.args)}"
             )
         for arg, ft in zip(v.args, fields):
-            if not subtype(type_of(arg, constructors), ft):
+            if not subtype(type_child(arg, constructors), ft):
                 raise IllFormedValue(
-                    f"field of {v.name!r} has type {type_of(arg, constructors)}, "
+                    f"field of {v.name!r} has type {type_child(arg, constructors)}, "
                     f"expected {ft}"
                 )
         return DataType(at)
     if isinstance(v, VList):
-        return ListType(lub_seq(type_of(x, constructors) for x in v.items))
+        return ListType(lub_seq(type_child(x, constructors) for x in v.items))
     if isinstance(v, VSet):
-        return SetType(lub_seq(type_of(x, constructors) for x in v.items))
+        return SetType(lub_seq(type_child(x, constructors) for x in v.items))
     if isinstance(v, VMap):
         return MapType(
-            lub_seq(type_of(k, constructors) for k, _ in v.pairs),
-            lub_seq(type_of(x, constructors) for _, x in v.pairs),
+            lub_seq(type_child(k, constructors) for k, _ in v.pairs),
+            lub_seq(type_child(x, constructors) for _, x in v.pairs),
         )
     raise IllFormedValue(f"unknown value {v!r}")
+
+
+def typed_join(out: Value, v1: Value, v2: Value, constructors) -> Value:
+    """``out`` with ``lub(type_of(v1), type_of(v2))`` recorded as its type.
+
+    ``out`` is the collection ``v1 + v2`` (or ``v1`` updated with the
+    one-entry map ``v2``).  The join is exact when ``out`` keeps every
+    element of both operands, which list and set ``+`` always do.  A map
+    result is recorded only if no key was overwritten: a dropped binding
+    may have been the only source of part of the old type.  Nothing is
+    recorded when an operand is ill-formed.
+    """
+    if isinstance(out, VMap) and len(out.pairs) != len(v1.pairs) + len(v2.pairs):
+        return out
+    try:
+        t = lub(type_of(v1, constructors), type_of(v2, constructors))
+    except IllFormedValue:
+        return out
+    object.__setattr__(out, "_typed", (constructors, t))
+    return out
 
 
 def subtype(t1: Type, t2: Type) -> bool:

@@ -8,6 +8,7 @@ value equality.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping
@@ -21,6 +22,11 @@ class Value:
     """Base class of all runtime values."""
 
     __slots__ = ()
+
+    # ``(constructor table, type)``, recorded on the instance by
+    # ``types.type_of``; outside the dataclass fields, so equality and
+    # hashing ignore it.
+    _typed = None
 
     def __str__(self) -> str:
         return render_value(self)
@@ -64,6 +70,11 @@ class VSet(Value):
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", canonical_items(self.items))
 
+    def contains(self, v: Value) -> bool:
+        items = self.items
+        i = _bisect(items, v, VALUE_KEY)
+        return i < len(items) and items[i] == v
+
     def __repr__(self) -> str:
         return f"VSet({self.items!r})"
 
@@ -85,9 +96,10 @@ class VMap(Value):
         return tuple(k for k, _ in self.pairs)
 
     def lookup(self, key: Value) -> Value | None:
-        for k, v in self.pairs:
-            if k == key:
-                return v
+        pairs = self.pairs
+        i = _bisect(pairs, key, _pair_key)
+        if i < len(pairs) and pairs[i][0] == key:
+            return pairs[i][1]
         return None
 
     def __repr__(self) -> str:
@@ -172,19 +184,28 @@ def canonical_items(items: Iterable[Value]) -> tuple[Value, ...]:
     return tuple(out)
 
 
+def _pair_key(kv: tuple[Value, Value]):
+    return VALUE_KEY(kv[0])
+
+
+def _bisect(seq: tuple, v: Value, key) -> int:
+    """Where ``v`` is, or would go, in ``seq``, which is sorted under ``key``
+    (``VALUE_KEY`` for set items, ``_pair_key`` for map entries)."""
+    return bisect_left(seq, VALUE_KEY(v), key=key)
+
+
 def canonical_pairs(
     pairs: Iterable[tuple[Value, Value]],
 ) -> tuple[tuple[Value, Value], ...]:
     """Key-sort entries; for duplicate keys the last binding wins."""
-    by_key: list[tuple[Value, Value]] = []
-    for k, v in pairs:
-        for i, (k0, _) in enumerate(by_key):
-            if k0 == k:
-                by_key[i] = (k, v)
-                break
+    out: list[tuple[Value, Value]] = []
+    # The sort is stable, so of equal keys the last binding comes last.
+    for kv in sorted(pairs, key=_pair_key):
+        if out and value_order(out[-1][0], kv[0]) == 0:
+            out[-1] = kv
         else:
-            by_key.append((k, v))
-    return tuple(sorted(by_key, key=lambda kv: VALUE_KEY(kv[0])))
+            out.append(kv)
+    return tuple(out)
 
 
 def canonical_set(items: Iterable[Value]) -> VSet:
@@ -194,7 +215,12 @@ def canonical_set(items: Iterable[Value]) -> VSet:
 
 def map_update(m: VMap, key: Value, val: Value) -> VMap:
     """Return ``m`` with ``key`` bound to ``val``, replacing any old binding."""
-    return VMap(m.pairs + ((key, val),))
+    pairs = m.pairs
+    i = _bisect(pairs, key, _pair_key)
+    j = i + 1 if i < len(pairs) and pairs[i][0] == key else i
+    out = object.__new__(VMap)  # the entries stay sorted: skip canonicalisation
+    object.__setattr__(out, "pairs", pairs[:i] + ((key, val),) + pairs[j:])
+    return out
 
 
 def last(values: Iterable[Value]) -> Value:
@@ -260,11 +286,11 @@ class Store:
         return s
 
     def without(self, names: Iterable[str]) -> Store:
-        names = [n for n in names if n in self._m]
-        if not names:
+        drop = {n for n in names if n in self._m}
+        if not drop:
             return self
         s = Store()
-        s._m = {k: v for k, v in self._m.items() if k not in set(names)}
+        s._m = {k: v for k, v in self._m.items() if k not in drop}
         return s
 
     def domain(self) -> tuple[str, ...]:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rascal_light import syntax as sx
@@ -499,3 +501,54 @@ def test_one_evaluator_serves_concurrent_calls():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# Growth of value-layer work while building values step by step
+
+GROWTH_KERNELS = """
+data Nat = zero() | succ(Nat pred);
+Nat nat(int n) = if n == 0 then zero() else succ(nat(n - 1));
+list<int> mklist(int n) =
+  local list<int> xs, int i in
+    xs = []; i = 0;
+    while (i < n) local in xs = xs + [i]; i = i + 1 end;
+    xs
+  end;
+map<int, int> mkmap(int n) =
+  local map<int, int> m, int i in
+    m = (); i = 0;
+    while (i < n) local in m = m[n - i = i]; i = i + 1 end;
+    m
+  end;
+"""
+
+
+def _value_layer_calls(ev, fn, n):
+    """Calls of the uncached typing step and of value_order during one call."""
+    from rascal_light import types, values
+
+    codes = {types._type_node.__code__, values.value_order.__code__}
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code in codes:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        res, _ = ev.call_function(fn, (Basic(n),), Store())
+    finally:
+        sys.setprofile(None)
+    assert isinstance(res, Success)
+    return calls
+
+
+@pytest.mark.parametrize("fn, bound", [("nat", 2.2), ("mklist", 2.2), ("mkmap", 2.6)])
+def test_value_layer_work_grows_linearly(fn, bound):
+    # Doubling n at most about doubles the work (n log n for map updates,
+    # which bisect); quadratic growth would quadruple it.
+    ev = ev_for(GROWTH_KERNELS)
+    small, large = (_value_layer_calls(ev, fn, n) for n in (100, 200))
+    assert 0 < small and large <= bound * small

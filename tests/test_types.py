@@ -1,7 +1,12 @@
 import itertools
+import random
 
 import pytest
 
+from rascal_light import types as ty
+from rascal_light.harness import GenBudget, _ModuleGen, gen_any_value, gen_type, gen_value
+from rascal_light.interp import Evaluator, apply_binary
+from rascal_light.parser import parse_expr, parse_module
 from rascal_light.syntax import ModuleDef, constructor_table
 from rascal_light.types import (
     BaseType,
@@ -18,7 +23,7 @@ from rascal_light.types import (
     subtype,
     type_of,
 )
-from rascal_light.values import Basic, UNDEF, VCons, VList, VMap, VSet
+from rascal_light.values import ERROR, Basic, Store, Success, UNDEF, Undefined, VCons, VList, VMap, VSet
 
 INT = BaseType("int")
 STR = BaseType("str")
@@ -111,10 +116,6 @@ def test_lub_commutative_associative_idempotent():
 
 
 def test_every_value_types_below_top():
-    import random
-
-    from rascal_light.harness import GenBudget, _ModuleGen, gen_any_value
-
     rng = random.Random(3)
     gen = _ModuleGen(rng, GenBudget(seed=3), finite=False)
     gen.build_datatypes()
@@ -128,3 +129,149 @@ def test_render_type():
     assert render_type(SetType(ListType(VOID))) == "set<list<void>>"
     assert render_type(VALUE) == "value"
     assert render_type(BOOL) == "Bool"
+
+
+# ---------------------------------------------------------------------------
+# Types recorded on values (type_of's per-table cache) against the walk
+
+
+def _generated(seed, count=200):
+    """A module's constructor table and ``count`` generated values."""
+    rng = random.Random(seed)
+    gen = _ModuleGen(rng, GenBudget(seed=seed), finite=False)
+    gen.build_datatypes()
+    values = []
+    for i in range(count):
+        if i % 2:
+            values.append(gen_any_value(rng, gen.cons_by_type, 3))
+        else:
+            values.append(gen_value(rng, gen_type(rng, gen.cons_by_type, 2), gen.cons_by_type, 3))
+    return gen.constructors, values, rng
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_cached_types_equal_walked_types(seed):
+    cons, values, _ = _generated(seed)
+    for v in values:
+        want = ty._type_of_walk(v, cons)
+        assert type_of(v, cons) == want
+        if not isinstance(v, (Basic, Undefined)):
+            assert v._typed[0] is cons and v._typed[1] == want
+        assert type_of(v, cons) == want
+
+
+def test_another_table_retypes():
+    cons, values, _ = _generated(5, count=50)
+    for v in values:
+        type_of(v, cons)
+    copy = dict(cons)
+    for v in values:
+        assert type_of(v, copy) == ty._type_of_walk(v, cons)
+        if not isinstance(v, (Basic, Undefined)):
+            assert v._typed[0] is copy
+    # A table that lacks a constructor the recorded type relied on.
+    nat = Evaluator(parse_module("data Nat = zero() | succ(Nat pred);")).constructors
+    v = VList((VCons("succ", (VCons("zero", ()),)),))
+    assert type_of(v, nat) == ListType(DataType("Nat"))
+    smaller = {k: sig for k, sig in nat.items() if k != "zero"}
+    with pytest.raises(IllFormedValue):
+        type_of(v, smaller)
+
+
+def test_ill_formed_values_still_raise_and_are_not_recorded():
+    cons = Evaluator(parse_module("data Nat = zero() | succ(Nat pred);")).constructors
+    good = VCons("succ", (VCons("zero", ()),))
+    assert type_of(good, cons) == DataType("Nat")
+    bad = [
+        VCons("succ", (Basic("x"),)),
+        VCons("succ", (good, good)),
+        VCons("ghost", ()),
+        VList((good, VCons("succ", (Basic(1),)))),
+        VMap(((Basic(1), VSet((VCons("zero", (good,)),))),)),
+        VCons("succ", (VList((good,)),)),
+    ]
+    for v in bad:
+        for _ in range(2):
+            with pytest.raises(IllFormedValue):
+                type_of(v, cons)
+        assert v._typed is None
+    # An ill-formed operand records nothing on a collection ``+``.
+    out = _plus(VList((good,)), VList((bad[0],)), cons)
+    assert out._typed is None
+    with pytest.raises(IllFormedValue):
+        type_of(out, cons)
+
+
+def _plus(v1, v2, cons):
+    """``v1 + v2`` with its type recorded, as the evaluator's E-Bin does."""
+    res = apply_binary("+", v1, v2)
+    assert isinstance(res, Success)
+    return ty.typed_join(res.value, v1, v2, cons)
+
+
+def _collection_pairs(rng, cons, values):
+    """Pairs of generated values of the same collection kind."""
+    by_kind = {}
+    for v in values:
+        if isinstance(v, (VList, VSet, VMap)):
+            by_kind.setdefault(type(v), []).append(v)
+    for vs in by_kind.values():
+        for _ in range(60):
+            yield rng.choice(vs), rng.choice(vs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_collection_plus_records_the_walked_type(seed):
+    cons, values, rng = _generated(seed, count=300)
+    seen = 0
+    for v1, v2 in _collection_pairs(rng, cons, values):
+        if rng.random() < 0.5:  # operands typed beforehand, or not
+            type_of(v1, cons)
+        out = _plus(v1, v2, cons)
+        seen += out._typed is not None
+        assert type_of(out, cons) == ty._type_of_walk(out, cons)
+        if isinstance(v1, VMap):
+            x = rng.choice(values)
+            # Probably a new key, then an existing one if there is any.
+            for key in [rng.choice(values)] + [k for k, _ in v1.pairs[:1]]:
+                m = _plus(v1, VMap(((key, x),)), cons)
+                assert type_of(m, cons) == ty._type_of_walk(m, cons)
+    assert seen > 0
+
+
+def _run(src_module, expr):
+    ev = Evaluator(parse_module(src_module))
+    res, _ = ev.evaluate(parse_expr(expr), Store())
+    if isinstance(res, Success):
+        assert type_of(res.value, ev.constructors) == ty._type_of_walk(res.value, ev.constructors)
+    return res
+
+
+@pytest.mark.parametrize(
+    "expr, want",
+    [
+        # An overwritten binding was the only source of the old value type.
+        ('local map<int, int> m in m = (1 : "a")[1 = 2]; m end', VMap(((Basic(1), Basic(2)),))),
+        ('local map<int, int> m in m = (1 : "a") + (1 : 2); m end', VMap(((Basic(1), Basic(2)),))),
+        ('local map<int, str> m in m = (1 : "a")[2 = "b"]; m end', VMap(((Basic(1), Basic("a")), (Basic(2), Basic("b"))))),
+        ('local list<int> xs in xs = [] + [1]; xs = xs + [2]; xs end', VList((Basic(1), Basic(2)))),
+        ('local set<int> s in s = {1} + {1, 2}; s end', VSet((Basic(1), Basic(2)))),
+        ('local map<int, int> m in m = () + (1 : 2); m = m + (1 : 3); m end', VMap(((Basic(1), Basic(3)),))),
+    ],
+)
+def test_assignments_of_joined_collections(expr, want):
+    assert _run("", expr) == Success(want)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        'local list<int> xs in xs = [1] + ["a"]; xs end',
+        'local set<int> s in s = {1} + {"a"}; s end',
+        'local map<int, int> m in m = (1 : 2) + (2 : "a"); m end',
+        'local map<int, int> m in m = (1 : 2)[2 = "a"]; m end',
+    ],
+)
+def test_assignments_of_ill_typed_joins_are_errors(expr):
+    assert _run("", expr) == ERROR
+

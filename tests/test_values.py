@@ -10,6 +10,8 @@ from rascal_light.values import (
     VList,
     VMap,
     VSet,
+    VALUE_KEY,
+    canonical_pairs,
     canonical_set,
     children,
     last,
@@ -17,6 +19,7 @@ from rascal_light.values import (
     render_value,
     value_order,
 )
+from rascal_light.interp import apply_binary
 
 
 def b(x):
@@ -166,3 +169,62 @@ def test_render_value_text():
     assert render_value(VSet((b(2), b(1)))) == "{1, 2}"
     assert render_value(VMap(((b(1), b(2)),))) == "(1 : 2)"
     assert render_value(b('a"b\n')) == '"a\\"b\\n"'
+
+
+# ---------------------------------------------------------------------------
+# Sorted maps and sets against the quadratic and linear versions
+
+
+def _seed_canonical_pairs(pairs):
+    """Canonical map entries as first built: a quadratic last-wins dedupe,
+    then a key sort."""
+    by_key = []
+    for k, v in pairs:
+        for i, (k0, _) in enumerate(by_key):
+            if k0 == k:
+                by_key[i] = (k, v)
+                break
+        else:
+            by_key.append((k, v))
+    return tuple(sorted(by_key, key=lambda kv: VALUE_KEY(kv[0])))
+
+
+def _scan_lookup(pairs, key):
+    for k, v in pairs:
+        if k == key:
+            return v
+    return None
+
+
+# Keys drawn from a small pool, so that duplicates are common.
+keys_strategy = st.one_of(st.integers(0, 4).map(Basic), values_strategy)
+pairs_strategy = st.lists(st.tuples(keys_strategy, values_strategy), max_size=8)
+
+
+@given(pairs_strategy)
+def test_canonical_pairs_matches_quadratic_dedupe(pairs):
+    assert canonical_pairs(pairs) == _seed_canonical_pairs(pairs)
+    assert VMap(tuple(pairs)).pairs == _seed_canonical_pairs(pairs)
+
+
+@given(pairs_strategy, keys_strategy, values_strategy)
+def test_lookup_update_and_in_match_linear_scans(pairs, key, val):
+    m = VMap(tuple(pairs))
+    want = _scan_lookup(m.pairs, key)
+    assert m.lookup(key) == want
+    assert (apply_binary("in", key, m).value == TRUE) == (want is not None)
+    for k, v in m.pairs:
+        assert m.lookup(k) is v
+    out = map_update(m, key, val)
+    assert out.pairs == _seed_canonical_pairs(m.pairs + ((key, val),))
+    assert out == VMap(m.pairs + ((key, val),))
+    assert out.lookup(key) is val
+
+
+@given(st.lists(keys_strategy, max_size=8), keys_strategy)
+def test_set_in_matches_linear_scan(items, x):
+    s = VSet(tuple(items))
+    want = any(x == y for y in s.items)
+    assert s.contains(x) == want
+    assert (apply_binary("in", x, s).value == TRUE) == want
+    assert all(s.contains(y) for y in items)
