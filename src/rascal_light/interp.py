@@ -5,10 +5,15 @@ Every function threads an explicit store and an optional fuel budget; the
 budget is decremented on each recursive premise and exhaustion raises a
 timeout signal that the evaluation boundary turns into a timeout result.
 All user-visible failures are in-band results.
+
+The expression judgment is a table of rule groups keyed by expression
+class (``_RULES``): one method per expression form, named ``_e_<Form>``,
+holding that form's rules in the order the semantics tries them.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,10 +25,14 @@ from .types import subtype, type_of, typed_join
 from .values import (
     BREAK,
     Basic,
+    Break,
     CONTINUE,
+    Continue,
     ERROR,
+    EXRES,
     FAIL,
     FALSE,
+    Fail,
     Result,
     Return,
     Store,
@@ -38,12 +47,10 @@ from .values import (
     VList,
     VMap,
     VSet,
-    fuel_check,
-    fuel_dec,
-    is_exres,
     last,
     map_update,
     result_kind,
+    set_union,
     value_order,
     vbool,
 )
@@ -76,31 +83,136 @@ class TraceEntry:
 
 
 # ---------------------------------------------------------------------------
-# Operator tables
+# Operator tables: operator symbol -> semantic function on argument values.
+# An operator missing from its table, or arguments outside an operator's
+# domain, give an error.
+
+
+def _neg(v: Value) -> Result:
+    if isinstance(v, Basic) and isinstance(v.val, int):
+        return Success(Basic(-v.val))
+    return ERROR
+
+
+def _not(v: Value) -> Result:
+    if v == TRUE:
+        return Success(FALSE)
+    if v == FALSE:
+        return Success(TRUE)
+    return ERROR
+
+
+_UNARY = {"-": _neg, "!": _not}
 
 
 def apply_unary(op: str, v: Value) -> Result:
     """Semantic unary operators; any argument outside the table is an error."""
-    if op == "-":
-        if isinstance(v, Basic) and isinstance(v.val, int):
-            return Success(Basic(-v.val))
+    f = _UNARY.get(op)
+    return ERROR if f is None else f(v)
+
+
+def _comparison(rel: Callable[[object, object], bool]):
+    """A comparison under the total value order.  On two integers the order
+    is the integers' own, so they are compared directly."""
+
+    def compare(v1: Value, v2: Value) -> Result:
+        if type(v1) is Basic and type(v2) is Basic:
+            a, b = v1.val, v2.val
+            if type(a) is int and type(b) is int:
+                return Success(TRUE if rel(a, b) else FALSE)
+        return Success(TRUE if rel(value_order(v1, v2), 0) else FALSE)
+
+    return compare
+
+
+def _int_op(fn: Callable[[int, int], int | None]):
+    """An operator on two integers; ``fn`` gives the integer result, or
+    None where the operator is undefined."""
+
+    def apply(v1: Value, v2: Value) -> Result:
+        if type(v1) is Basic and type(v2) is Basic:
+            a, b = v1.val, v2.val
+            if isinstance(a, int) and isinstance(b, int):
+                c = fn(a, b)
+                if c is not None:
+                    return Success(Basic(c))
         return ERROR
-    if op == "!":
-        if v == TRUE:
-            return Success(FALSE)
-        if v == FALSE:
-            return Success(TRUE)
+
+    return apply
+
+
+def _quot(a: int, b: int) -> int | None:
+    """Division truncating toward zero; undefined for a zero divisor."""
+    if b == 0:
+        return None
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def _rem(a: int, b: int) -> int | None:
+    q = _quot(a, b)
+    return None if q is None else a - b * q
+
+
+def _plus(v1: Value, v2: Value) -> Result:
+    t = type(v1)
+    if t is not type(v2):
         return ERROR
+    if t is Basic:
+        a, b = v1.val, v2.val
+        if (isinstance(a, int) and isinstance(b, int)) or (isinstance(a, str) and isinstance(b, str)):
+            return Success(Basic(a + b))
+        return ERROR
+    if t is VList:
+        return Success(VList(v1.items + v2.items))
+    if t is VSet:
+        return Success(set_union(v1, v2))
+    if t is VMap:
+        return Success(VMap(v1.pairs + v2.pairs))
     return ERROR
 
 
-def _both_ints(v1: Value, v2: Value) -> bool:
-    return (
-        isinstance(v1, Basic)
-        and isinstance(v2, Basic)
-        and isinstance(v1.val, int)
-        and isinstance(v2.val, int)
-    )
+def _connective(rel: Callable[[bool, bool], bool]):
+    """A strict logical connective: defined on two booleans only."""
+
+    def apply(v1: Value, v2: Value) -> Result:
+        if v1 not in (TRUE, FALSE) or v2 not in (TRUE, FALSE):
+            return ERROR
+        return Success(vbool(rel(v1 == TRUE, v2 == TRUE)))
+
+    return apply
+
+
+def _member(v1: Value, v2: Value) -> Result:
+    if isinstance(v2, VList):
+        return Success(vbool(any(v1 == x for x in v2.items)))
+    if isinstance(v2, VSet):
+        return Success(vbool(v2.contains(v1)))
+    if isinstance(v2, VMap):
+        return Success(vbool(v2.lookup(v1) is not None))
+    return ERROR
+
+
+def _no_operator(v1: Value, v2: Value) -> Result:
+    return ERROR
+
+
+_BINARY = {
+    "==": lambda v1, v2: Success(vbool(v1 == v2)),
+    "!=": lambda v1, v2: Success(vbool(v1 != v2)),
+    "<": _comparison(operator.lt),
+    "<=": _comparison(operator.le),
+    ">": _comparison(operator.gt),
+    ">=": _comparison(operator.ge),
+    "+": _plus,
+    "-": _int_op(operator.sub),
+    "*": _int_op(operator.mul),
+    "/": _int_op(_quot),
+    "%": _int_op(_rem),
+    "&&": _connective(operator.and_),
+    "||": _connective(operator.or_),
+    "in": _member,
+}
 
 
 def apply_binary(op: str, v1: Value, v2: Value) -> Result:
@@ -111,68 +223,7 @@ def apply_binary(op: str, v1: Value, v2: Value) -> Result:
     strict logical connectives on booleans, concatenation/union/membership
     on collections, string concatenation.  Everything else is an error.
     """
-    if op == "==":
-        return Success(vbool(v1 == v2))
-    if op == "!=":
-        return Success(vbool(v1 != v2))
-    if op in ("<", "<=", ">", ">="):
-        c = value_order(v1, v2)
-        return Success(
-            vbool(
-                (op == "<" and c < 0)
-                or (op == "<=" and c <= 0)
-                or (op == ">" and c > 0)
-                or (op == ">=" and c >= 0)
-            )
-        )
-    if op == "+":
-        if _both_ints(v1, v2):
-            return Success(Basic(v1.val + v2.val))
-        if (
-            isinstance(v1, Basic)
-            and isinstance(v2, Basic)
-            and isinstance(v1.val, str)
-            and isinstance(v2.val, str)
-        ):
-            return Success(Basic(v1.val + v2.val))
-        if isinstance(v1, VList) and isinstance(v2, VList):
-            return Success(VList(v1.items + v2.items))
-        if isinstance(v1, VSet) and isinstance(v2, VSet):
-            return Success(VSet(v1.items + v2.items))
-        if isinstance(v1, VMap) and isinstance(v2, VMap):
-            return Success(VMap(v1.pairs + v2.pairs))
-        return ERROR
-    if op in ("-", "*", "/", "%"):
-        if not _both_ints(v1, v2):
-            return ERROR
-        a, b = v1.val, v2.val
-        if op == "-":
-            return Success(Basic(a - b))
-        if op == "*":
-            return Success(Basic(a * b))
-        if b == 0:
-            return ERROR
-        q = abs(a) // abs(b)
-        if (a < 0) != (b < 0):
-            q = -q
-        if op == "/":
-            return Success(Basic(q))
-        return Success(Basic(a - b * q))
-    if op in ("&&", "||"):
-        if v1 not in (TRUE, FALSE) or v2 not in (TRUE, FALSE):
-            return ERROR
-        if op == "&&":
-            return Success(vbool(v1 == TRUE and v2 == TRUE))
-        return Success(vbool(v1 == TRUE or v2 == TRUE))
-    if op == "in":
-        if isinstance(v2, VList):
-            return Success(vbool(any(v1 == x for x in v2.items)))
-        if isinstance(v2, VSet):
-            return Success(vbool(v2.contains(v1)))
-        if isinstance(v2, VMap):
-            return Success(vbool(v2.lookup(v1) is not None))
-        return ERROR
-    return ERROR
+    return _BINARY.get(op, _no_operator)(v1, v2)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +237,16 @@ class Evaluator:
     none of which change after construction; every evaluation call threads
     its own store, so one evaluator can serve concurrent calls.  A module
     that fails validation raises ``IllFormedModule``.
+
+    Each ``_e_<Form>`` method is the rule group of one expression form.  It
+    checks the fuel premise itself and evaluates every premise by calling
+    the rule table directly, ``_RULES[type(x)](self, x, store, n1)``, never
+    through ``eval_expr``; so do the companion judgments.  Each rule
+    application then takes one Python frame.  A dispatcher method between
+    a premise and its rule group would take two: a recursive ``nat(n)``
+    would need 8 frames per level rather than 5, and the deepest
+    derivation that fits under a given recursion limit would shrink by
+    more than a third.
     """
 
     def __init__(self, module: ModuleDef, trace: Callable[[TraceEntry], None] | None = None):
@@ -265,258 +326,309 @@ class Evaluator:
     # -- the main judgment ----------------------------------------------
 
     def eval_expr(self, e: sx.Expr, store: Store, n: int | None):
-        fuel_check(n, store)
-        n1 = fuel_dec(n)
+        """The expression judgment: the rule group of ``e``'s form.
 
-        if isinstance(e, sx.Lit):
-            return self.fire("E-Val", e.span, Success(Basic(e.value)), store, store)
+        Only the root is checked here.  The nodes below it are trusted: the
+        evaluation boundaries walk every root they are given (validation,
+        ``snippet_assignables``), which rejects a non-expression anywhere.
+        """
+        rule = _RULES.get(type(e))
+        if rule is None:
+            if n == 0:
+                raise TimeoutSignal(store)
+            raise TypeError(f"not an expression: {e!r}")
+        return rule(self, e, store, n)
 
-        if isinstance(e, sx.Var):
-            v = store.get(e.name)
-            if v is None:
-                return self.fire("E-Var-Err", e.span, ERROR, store, store)
-            return self.fire("E-Var-Sucs", e.span, Success(v), store, store)
+    def _e_Lit(self, e: sx.Lit, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        return self.fire("E-Val", e.span, Success(Basic(e.value)), store, store)
 
-        if isinstance(e, sx.Unary):
-            r, s1 = self.eval_expr(e.operand, store, n1)
-            if is_exres(r):
-                return self.fire("E-Un-Exc", e.span, r, store, s1)
-            return self.fire("E-Un-Sucs", e.span, apply_unary(e.op, r.value), store, s1)
+    def _e_Var(self, e: sx.Var, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        v = store.get(e.name)
+        if v is None:
+            return self.fire("E-Var-Err", e.span, ERROR, store, store)
+        return self.fire("E-Var-Sucs", e.span, Success(v), store, store)
 
-        if isinstance(e, sx.Binary):
-            r1, s2 = self.eval_expr(e.left, store, n1)
-            if is_exres(r1):
-                return self.fire("E-Bin-Exc1", e.span, r1, store, s2)
-            r2, s1 = self.eval_expr(e.right, s2, n1)
-            if is_exres(r2):
-                return self.fire("E-Bin-Exc2", e.span, r2, store, s1)
-            res = apply_binary(e.op, r1.value, r2.value)
-            if (
-                e.op == "+"
-                and isinstance(res, Success)
-                and isinstance(res.value, (VList, VSet, VMap))
-            ):
-                typed_join(res.value, r1.value, r2.value, self.constructors)
-            return self.fire("E-Bin-Sucs", e.span, res, store, s1)
+    def _e_Unary(self, e: sx.Unary, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.operand
+        r, s1 = _RULES[type(x)](self, x, store, n1)
+        if type(r) in EXRES:
+            return self.fire("E-Un-Exc", e.span, r, store, s1)
+        return self.fire("E-Un-Sucs", e.span, apply_unary(e.op, r.value), store, s1)
 
-        if isinstance(e, sx.Cons):
-            rs, s1 = self.eval_expr_star(e.args, store, n1, e.span)
-            if is_exres(rs):
-                return self.fire("E-Cons-Exc", e.span, rs, store, s1)
-            sig = self.constructors.get(e.name)
-            if sig is None or len(sig[1]) != len(rs):
-                return self.fire("stuck", e.span, ERROR, store, s1)
-            ok = all(
-                v != UNDEF and subtype(type_of(v, self.constructors), ft)
-                for v, ft in zip(rs, sig[1])
-            )
-            if not ok:
-                return self.fire("E-Cons-Err", e.span, ERROR, store, s1)
-            return self.fire("E-Cons-Sucs", e.span, Success(VCons(e.name, rs)), store, s1)
+    def _e_Binary(self, e: sx.Binary, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.left
+        r1, s2 = _RULES[type(x)](self, x, store, n1)
+        if type(r1) in EXRES:
+            return self.fire("E-Bin-Exc1", e.span, r1, store, s2)
+        x = e.right
+        r2, s1 = _RULES[type(x)](self, x, s2, n1)
+        if type(r2) in EXRES:
+            return self.fire("E-Bin-Exc2", e.span, r2, store, s1)
+        op = e.op
+        res = _BINARY.get(op, _no_operator)(r1.value, r2.value)
+        if op == "+" and type(res) is Success and isinstance(res.value, (VList, VSet, VMap)):
+            typed_join(res.value, r1.value, r2.value, self.constructors)
+        return self.fire("E-Bin-Sucs", e.span, res, store, s1)
 
-        if isinstance(e, sx.ListExpr):
-            rs, s1 = self.eval_expr_star(e.items, store, n1, e.span)
-            if is_exres(rs):
-                return self.fire("E-List-Exc", e.span, rs, store, s1)
-            if any(v == UNDEF for v in rs):
-                return self.fire("E-List-Err", e.span, ERROR, store, s1)
-            return self.fire("E-List-Sucs", e.span, Success(VList(rs)), store, s1)
+    def _e_Cons(self, e: sx.Cons, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        rs, s1 = self.eval_expr_star(e.args, store, None if n is None else n - 1, e.span)
+        if type(rs) in EXRES:
+            return self.fire("E-Cons-Exc", e.span, rs, store, s1)
+        sig = self.constructors.get(e.name)
+        if sig is None or len(sig[1]) != len(rs):
+            return self.fire("stuck", e.span, ERROR, store, s1)
+        ok = all(
+            v != UNDEF and subtype(type_of(v, self.constructors), ft)
+            for v, ft in zip(rs, sig[1])
+        )
+        if not ok:
+            return self.fire("E-Cons-Err", e.span, ERROR, store, s1)
+        return self.fire("E-Cons-Sucs", e.span, Success(VCons(e.name, rs)), store, s1)
 
-        if isinstance(e, sx.SetExpr):
-            rs, s1 = self.eval_expr_star(e.items, store, n1, e.span)
-            if is_exres(rs):
-                return self.fire("E-Set-Exc", e.span, rs, store, s1)
-            if any(v == UNDEF for v in rs):
-                return self.fire("E-Set-Err", e.span, ERROR, store, s1)
-            return self.fire("E-Set-Sucs", e.span, Success(VSet(rs)), store, s1)
+    def _e_ListExpr(self, e: sx.ListExpr, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        rs, s1 = self.eval_expr_star(e.items, store, None if n is None else n - 1, e.span)
+        if type(rs) in EXRES:
+            return self.fire("E-List-Exc", e.span, rs, store, s1)
+        if any(v == UNDEF for v in rs):
+            return self.fire("E-List-Err", e.span, ERROR, store, s1)
+        return self.fire("E-List-Sucs", e.span, Success(VList(rs)), store, s1)
 
-        if isinstance(e, sx.MapExpr):
-            flat = tuple(x for kv in e.pairs for x in kv)
-            rs, s1 = self.eval_expr_star(flat, store, n1, e.span)
-            if is_exres(rs):
-                return self.fire("E-Map-Exc", e.span, rs, store, s1)
-            if any(v == UNDEF for v in rs):
-                return self.fire("E-Map-Err", e.span, ERROR, store, s1)
-            pairs = tuple((rs[i], rs[i + 1]) for i in range(0, len(rs), 2))
-            return self.fire("E-Map-Sucs", e.span, Success(VMap(pairs)), store, s1)
+    def _e_SetExpr(self, e: sx.SetExpr, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        rs, s1 = self.eval_expr_star(e.items, store, None if n is None else n - 1, e.span)
+        if type(rs) in EXRES:
+            return self.fire("E-Set-Exc", e.span, rs, store, s1)
+        if any(v == UNDEF for v in rs):
+            return self.fire("E-Set-Err", e.span, ERROR, store, s1)
+        return self.fire("E-Set-Sucs", e.span, Success(VSet(rs)), store, s1)
 
-        if isinstance(e, sx.Lookup):
-            r1, s2 = self.eval_expr(e.map, store, n1)
-            if is_exres(r1):
-                return self.fire("E-Lookup-Exc1", e.span, r1, store, s2)
-            m = r1.value
-            if not isinstance(m, VMap):
-                return self.fire("E-Lookup-Err", e.span, ERROR, store, s2)
-            r2, s1 = self.eval_expr(e.key, s2, n1)
-            if is_exres(r2):
-                return self.fire("E-Lookup-Exc2", e.span, r2, store, s1)
-            found = m.lookup(r2.value)
-            if found is None:
-                thrown = Throw(VCons("nokey", (r2.value,)))
-                return self.fire("E-Lookup-NoKey", e.span, thrown, store, s1)
-            return self.fire("E-Lookup-Sucs", e.span, Success(found), store, s1)
+    def _e_MapExpr(self, e: sx.MapExpr, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        flat = tuple(x for kv in e.pairs for x in kv)
+        rs, s1 = self.eval_expr_star(flat, store, None if n is None else n - 1, e.span)
+        if type(rs) in EXRES:
+            return self.fire("E-Map-Exc", e.span, rs, store, s1)
+        if any(v == UNDEF for v in rs):
+            return self.fire("E-Map-Err", e.span, ERROR, store, s1)
+        pairs = tuple((rs[i], rs[i + 1]) for i in range(0, len(rs), 2))
+        return self.fire("E-Map-Sucs", e.span, Success(VMap(pairs)), store, s1)
 
-        if isinstance(e, sx.Update):
-            r1, s3 = self.eval_expr(e.map, store, n1)
-            if is_exres(r1):
-                return self.fire("E-Update-Exc1", e.span, r1, store, s3)
-            m = r1.value
-            if not isinstance(m, VMap):
-                return self.fire("E-Update-Err1", e.span, ERROR, store, s3)
-            r2, s2 = self.eval_expr(e.key, s3, n1)
-            if is_exres(r2):
-                return self.fire("E-Update-Exc2", e.span, r2, store, s2)
-            r3, s1 = self.eval_expr(e.value, s2, n1)
-            if is_exres(r3):
-                return self.fire("E-Update-Exc3", e.span, r3, store, s1)
-            if r2.value == UNDEF or r3.value == UNDEF:
-                return self.fire("E-Update-Err2", e.span, ERROR, store, s1)
-            out = map_update(m, r2.value, r3.value)
-            typed_join(out, m, VMap(((r2.value, r3.value),)), self.constructors)
-            return self.fire("E-Update-Sucs", e.span, Success(out), store, s1)
+    def _e_Lookup(self, e: sx.Lookup, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.map
+        r1, s2 = _RULES[type(x)](self, x, store, n1)
+        if type(r1) in EXRES:
+            return self.fire("E-Lookup-Exc1", e.span, r1, store, s2)
+        m = r1.value
+        if not isinstance(m, VMap):
+            return self.fire("E-Lookup-Err", e.span, ERROR, store, s2)
+        x = e.key
+        r2, s1 = _RULES[type(x)](self, x, s2, n1)
+        if type(r2) in EXRES:
+            return self.fire("E-Lookup-Exc2", e.span, r2, store, s1)
+        found = m.lookup(r2.value)
+        if found is None:
+            thrown = Throw(VCons("nokey", (r2.value,)))
+            return self.fire("E-Lookup-NoKey", e.span, thrown, store, s1)
+        return self.fire("E-Lookup-Sucs", e.span, Success(found), store, s1)
 
-        if isinstance(e, sx.Call):
-            rs, s2 = self.eval_expr_star(e.args, store, n1, e.span)
-            if is_exres(rs):
-                return self.fire("E-Call-Arg-Exc", e.span, rs, store, s2)
-            return self._apply_function(e.name, rs, s2, n1, e.span)
+    def _e_Update(self, e: sx.Update, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.map
+        r1, s3 = _RULES[type(x)](self, x, store, n1)
+        if type(r1) in EXRES:
+            return self.fire("E-Update-Exc1", e.span, r1, store, s3)
+        m = r1.value
+        if not isinstance(m, VMap):
+            return self.fire("E-Update-Err1", e.span, ERROR, store, s3)
+        x = e.key
+        r2, s2 = _RULES[type(x)](self, x, s3, n1)
+        if type(r2) in EXRES:
+            return self.fire("E-Update-Exc2", e.span, r2, store, s2)
+        x = e.value
+        r3, s1 = _RULES[type(x)](self, x, s2, n1)
+        if type(r3) in EXRES:
+            return self.fire("E-Update-Exc3", e.span, r3, store, s1)
+        if r2.value == UNDEF or r3.value == UNDEF:
+            return self.fire("E-Update-Err2", e.span, ERROR, store, s1)
+        out = map_update(m, r2.value, r3.value)
+        typed_join(out, m, VMap(((r2.value, r3.value),)), self.constructors)
+        return self.fire("E-Update-Sucs", e.span, Success(out), store, s1)
 
-        if isinstance(e, sx.ReturnExpr):
-            r, s1 = self.eval_expr(e.value, store, n1)
-            if is_exres(r):
-                return self.fire("E-Ret-Exc", e.span, r, store, s1)
-            return self.fire("E-Ret-Sucs", e.span, Return(r.value), store, s1)
+    def _e_Call(self, e: sx.Call, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        rs, s2 = self.eval_expr_star(e.args, store, n1, e.span)
+        if type(rs) in EXRES:
+            return self.fire("E-Call-Arg-Exc", e.span, rs, store, s2)
+        return self._apply_function(e.name, rs, s2, n1, e.span)
 
-        if isinstance(e, sx.Assign):
-            r, s1 = self.eval_expr(e.value, store, n1)
-            if is_exres(r):
-                return self.fire("E-Asgn-Exc", e.span, r, store, s1)
-            decl = self.local_types.get(id(e))
-            if decl is None:
-                decl = self.global_types.get(e.name)
-            if decl is None:
-                return self.fire("stuck", e.span, ERROR, store, s1)
-            if not subtype(type_of(r.value, self.constructors), decl):
-                return self.fire("E-Asgn-Err", e.span, ERROR, store, s1)
-            return self.fire(
-                "E-Asgn-Sucs", e.span, Success(r.value), store, s1.updated(e.name, r.value)
-            )
+    def _e_ReturnExpr(self, e: sx.ReturnExpr, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        x = e.value
+        r, s1 = _RULES[type(x)](self, x, store, None if n is None else n - 1)
+        if type(r) in EXRES:
+            return self.fire("E-Ret-Exc", e.span, r, store, s1)
+        return self.fire("E-Ret-Sucs", e.span, Return(r.value), store, s1)
 
-        if isinstance(e, sx.If):
-            rc, s2 = self.eval_expr(e.cond, store, n1)
-            if is_exres(rc):
-                return self.fire("E-If-Exc", e.span, rc, store, s2)
-            if rc.value == TRUE:
-                r, s1 = self.eval_expr(e.then, s2, n1)
-                return self.fire("E-If-True", e.span, r, store, s1)
-            if rc.value == FALSE:
-                r, s1 = self.eval_expr(e.els, s2, n1)
-                return self.fire("E-If-False", e.span, r, store, s1)
-            return self.fire("E-If-Err", e.span, ERROR, store, s2)
+    def _e_Assign(self, e: sx.Assign, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        x = e.value
+        r, s1 = _RULES[type(x)](self, x, store, None if n is None else n - 1)
+        if type(r) in EXRES:
+            return self.fire("E-Asgn-Exc", e.span, r, store, s1)
+        decl = self.local_types.get(id(e))
+        if decl is None:
+            decl = self.global_types.get(e.name)
+        if decl is None:
+            return self.fire("stuck", e.span, ERROR, store, s1)
+        if not subtype(type_of(r.value, self.constructors), decl):
+            return self.fire("E-Asgn-Err", e.span, ERROR, store, s1)
+        return self.fire(
+            "E-Asgn-Sucs", e.span, Success(r.value), store, s1.updated(e.name, r.value)
+        )
 
-        if isinstance(e, sx.Switch):
-            r, s2 = self.eval_expr(e.subject, store, n1)
-            if is_exres(r):
-                return self.fire("E-Switch-Exc1", e.span, r, store, s2)
-            rc, s1 = self.eval_cases(e.cases, r.value, s2, n1, e.span)
-            if rc == FAIL:
-                return self.fire("E-Switch-Fail", e.span, Success(UNDEF), store, s1)
-            if is_exres(rc):
-                return self.fire("E-Switch-Exc2", e.span, rc, store, s1)
-            return self.fire("E-Switch-Sucs", e.span, rc, store, s1)
+    def _e_If(self, e: sx.If, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.cond
+        rc, s2 = _RULES[type(x)](self, x, store, n1)
+        if type(rc) in EXRES:
+            return self.fire("E-If-Exc", e.span, rc, store, s2)
+        if rc.value == TRUE:
+            x = e.then
+            r, s1 = _RULES[type(x)](self, x, s2, n1)
+            return self.fire("E-If-True", e.span, r, store, s1)
+        if rc.value == FALSE:
+            x = e.els
+            r, s1 = _RULES[type(x)](self, x, s2, n1)
+            return self.fire("E-If-False", e.span, r, store, s1)
+        return self.fire("E-If-Err", e.span, ERROR, store, s2)
 
-        if isinstance(e, sx.Visit):
-            r, s2 = self.eval_expr(e.subject, store, n1)
-            if is_exres(r):
-                return self.fire("E-Visit-Exc1", e.span, r, store, s2)
-            rv, s1 = traversal.eval_visit(self, e.strategy, e.cases, r.value, s2, n1, e.span)
-            if rv == FAIL:
-                return self.fire("E-Visit-Fail", e.span, Success(r.value), store, s1)
-            if is_exres(rv):
-                return self.fire("E-Visit-Exc2", e.span, rv, store, s1)
-            return self.fire("E-Visit-Sucs", e.span, rv, store, s1)
+    def _e_Switch(self, e: sx.Switch, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.subject
+        r, s2 = _RULES[type(x)](self, x, store, n1)
+        if type(r) in EXRES:
+            return self.fire("E-Switch-Exc1", e.span, r, store, s2)
+        rc, s1 = self.eval_cases(e.cases, r.value, s2, n1, e.span)
+        if type(rc) is Fail:
+            return self.fire("E-Switch-Fail", e.span, Success(UNDEF), store, s1)
+        if type(rc) in EXRES:
+            return self.fire("E-Switch-Exc2", e.span, rc, store, s1)
+        return self.fire("E-Switch-Sucs", e.span, rc, store, s1)
 
-        if isinstance(e, sx.BreakExpr):
-            return self.fire("E-Break", e.span, BREAK, store, store)
-        if isinstance(e, sx.ContinueExpr):
-            return self.fire("E-Continue", e.span, CONTINUE, store, store)
-        if isinstance(e, sx.FailExpr):
-            return self.fire("E-Fail", e.span, FAIL, store, store)
+    def _e_Visit(self, e: sx.Visit, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.subject
+        r, s2 = _RULES[type(x)](self, x, store, n1)
+        if type(r) in EXRES:
+            return self.fire("E-Visit-Exc1", e.span, r, store, s2)
+        rv, s1 = traversal.eval_visit(self, e.strategy, e.cases, r.value, s2, n1, e.span)
+        if type(rv) is Fail:
+            return self.fire("E-Visit-Fail", e.span, Success(r.value), store, s1)
+        if type(rv) in EXRES:
+            return self.fire("E-Visit-Exc2", e.span, rv, store, s1)
+        return self.fire("E-Visit-Sucs", e.span, rv, store, s1)
 
-        if isinstance(e, sx.Block):
-            names = tuple(d.name for d in e.locals)
-            rs, s1 = self.eval_expr_star(e.body, store, n1, e.span)
-            if is_exres(rs):
-                return self.fire("E-Block-Exc", e.span, rs, store, s1.without(names))
-            return self.fire(
-                "E-Block-Sucs", e.span, Success(last(rs)), store, s1.without(names)
-            )
+    def _e_BreakExpr(self, e: sx.BreakExpr, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        return self.fire("E-Break", e.span, BREAK, store, store)
 
-        if isinstance(e, sx.For):
-            renv, s2 = self.eval_gen(e.generator, store, n1)
-            if is_exres(renv):
-                return self.fire("E-For-Exc", e.span, renv, store, s2)
-            r, s1 = self.eval_each(e.body, renv, s2, n1, e.span)
-            return self.fire("E-For-Sucs", e.span, r, store, s1)
+    def _e_ContinueExpr(self, e: sx.ContinueExpr, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        return self.fire("E-Continue", e.span, CONTINUE, store, store)
 
-        if isinstance(e, sx.While):
-            return self._eval_while(e, store, n)
+    def _e_FailExpr(self, e: sx.FailExpr, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        return self.fire("E-Fail", e.span, FAIL, store, store)
 
-        if isinstance(e, sx.Solve):
-            return self._eval_solve(e, store, n)
+    def _e_Block(self, e: sx.Block, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        rs, s1 = self.eval_expr_star(e.body, store, None if n is None else n - 1, e.span)
+        s1 = s1.without([d.name for d in e.locals])
+        if type(rs) in EXRES:
+            return self.fire("E-Block-Exc", e.span, rs, store, s1)
+        return self.fire("E-Block-Sucs", e.span, Success(last(rs)), store, s1)
 
-        if isinstance(e, sx.ThrowExpr):
-            r, s1 = self.eval_expr(e.value, store, n1)
-            if is_exres(r):
-                return self.fire("E-Thr-Exc", e.span, r, store, s1)
-            return self.fire("E-Thr-Sucs", e.span, Throw(r.value), store, s1)
+    def _e_For(self, e: sx.For, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        renv, s2 = self.eval_gen(e.generator, store, n1)
+        if type(renv) in EXRES:
+            return self.fire("E-For-Exc", e.span, renv, store, s2)
+        r, s1 = self.eval_each(e.body, renv, s2, n1, e.span)
+        return self.fire("E-For-Sucs", e.span, r, store, s1)
 
-        if isinstance(e, sx.TryFinally):
-            r1, s2 = self.eval_expr(e.body, store, n1)
-            r2, s1 = self.eval_expr(e.fin, s2, n1)
-            if is_exres(r2):
-                return self.fire("E-Fin-Exc", e.span, r2, store, s1)
-            return self.fire("E-Fin-Sucs", e.span, r1, store, s1)
+    # While and solve are self-recursive rules; their rule groups iterate,
+    # checking the fuel premise of each round.
 
-        if isinstance(e, sx.TryCatch):
-            r1, s2 = self.eval_expr(e.body, store, n1)
-            if not isinstance(r1, Throw):
-                return self.fire("E-Try-Ord", e.span, r1, store, s2)
-            r2, s1 = self.eval_expr(e.handler, s2.updated(e.var, r1.value), n1)
-            return self.fire("E-Try-Catch", e.span, r2, store, s1.without((e.var,)))
-
-        raise TypeError(f"not an expression: {e!r}")
-
-    # -- loops (iterative forms of the self-recursive rules) -------------
-
-    def _eval_while(self, e: sx.While, store: Store, n: int | None):
+    def _e_While(self, e: sx.While, store: Store, n: int | None):
         cur = store
         while True:
-            fuel_check(n, cur)
-            n1 = fuel_dec(n)
-            rc, s2 = self.eval_expr(e.cond, cur, n1)
-            if is_exres(rc):
+            if n == 0:
+                raise TimeoutSignal(cur)
+            n1 = None if n is None else n - 1
+            x = e.cond
+            rc, s2 = _RULES[type(x)](self, x, cur, n1)
+            if type(rc) in EXRES:
                 return self.fire("E-While-Exc1", e.span, rc, cur, s2)
             if rc.value == FALSE:
                 return self.fire("E-While-False", e.span, Success(UNDEF), cur, s2)
             if rc.value != TRUE:
                 return self.fire("E-While-Err", e.span, ERROR, cur, s2)
-            rb, s3 = self.eval_expr(e.body, s2, n1)
-            if rb == BREAK:
+            x = e.body
+            rb, s3 = _RULES[type(x)](self, x, s2, n1)
+            if type(rb) is Break:
                 return self.fire("E-While-True-Break", e.span, Success(UNDEF), cur, s3)
-            if is_exres(rb) and rb != CONTINUE:
+            if type(rb) in EXRES and type(rb) is not Continue:
                 return self.fire("E-While-Exc2", e.span, rb, cur, s3)
             self.fire("E-While-True-Sucs", e.span, rb, cur, s3)
             cur = s3
-            n = fuel_dec(n)
+            n = n1
 
-    def _eval_solve(self, e: sx.Solve, store: Store, n: int | None):
+    def _e_Solve(self, e: sx.Solve, store: Store, n: int | None):
         cur = store
         while True:
-            fuel_check(n, cur)
-            n1 = fuel_dec(n)
-            r, s2 = self.eval_expr(e.body, cur, n1)
-            if is_exres(r):
+            if n == 0:
+                raise TimeoutSignal(cur)
+            n1 = None if n is None else n - 1
+            x = e.body
+            r, s2 = _RULES[type(x)](self, x, cur, n1)
+            if type(r) in EXRES:
                 return self.fire("E-Solve-Exc", e.span, r, cur, s2)
             if any(x not in cur or x not in s2 for x in e.targets):
                 return self.fire("E-Solve-Err", e.span, ERROR, cur, s2)
@@ -524,7 +636,40 @@ class Evaluator:
                 return self.fire("E-Solve-Eq", e.span, r, cur, s2)
             self.fire("E-Solve-Neq", e.span, r, cur, s2)
             cur = s2
-            n = fuel_dec(n)
+            n = n1
+
+    def _e_ThrowExpr(self, e: sx.ThrowExpr, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        x = e.value
+        r, s1 = _RULES[type(x)](self, x, store, None if n is None else n - 1)
+        if type(r) in EXRES:
+            return self.fire("E-Thr-Exc", e.span, r, store, s1)
+        return self.fire("E-Thr-Sucs", e.span, Throw(r.value), store, s1)
+
+    def _e_TryFinally(self, e: sx.TryFinally, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.body
+        r1, s2 = _RULES[type(x)](self, x, store, n1)
+        x = e.fin
+        r2, s1 = _RULES[type(x)](self, x, s2, n1)
+        if type(r2) in EXRES:
+            return self.fire("E-Fin-Exc", e.span, r2, store, s1)
+        return self.fire("E-Fin-Sucs", e.span, r1, store, s1)
+
+    def _e_TryCatch(self, e: sx.TryCatch, store: Store, n: int | None):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = None if n is None else n - 1
+        x = e.body
+        r1, s2 = _RULES[type(x)](self, x, store, n1)
+        if type(r1) is not Throw:
+            return self.fire("E-Try-Ord", e.span, r1, store, s2)
+        x = e.handler
+        r2, s1 = _RULES[type(x)](self, x, s2.updated(e.var, r1.value), n1)
+        return self.fire("E-Try-Catch", e.span, r2, store, s1.without((e.var,)))
 
     # -- companion judgments ---------------------------------------------
 
@@ -533,70 +678,84 @@ class Evaluator:
         vals: list[Value] = []
         cur = store
         for i, e in enumerate(exprs):
-            fuel_check(n, cur)
-            r, cur = self.eval_expr(e, cur, fuel_dec(n))
-            if is_exres(r):
+            if n == 0:
+                raise TimeoutSignal(cur)
+            n1 = None if n is None else n - 1
+            r, cur = _RULES[type(e)](self, e, cur, n1)
+            if type(r) in EXRES:
                 rule = "ES-Exc1" if i == 0 else "ES-Exc2"
                 return self.fire(rule, span, r, store, cur)
             vals.append(r.value)
-            n = fuel_dec(n)
-        fuel_check(n, cur)
+            n = n1
+        if n == 0:
+            raise TimeoutSignal(cur)
         return tuple(vals), cur
 
     def eval_cases(self, cases, v: Value, store: Store, n: int | None, span: Span):
         """Try cases in order; a fail restores the initial store for the next."""
         for cs in cases:
-            fuel_check(n, store)
+            if n == 0:
+                raise TimeoutSignal(store)
+            n1 = None if n is None else n - 1
             envs = match(cs.pattern, v, store, self.constructors)
-            r, s2 = self.eval_case(envs, cs.body, store, fuel_dec(n), cs.span)
-            if r != FAIL:
+            r, s2 = self.eval_case(envs, cs.body, store, n1, cs.span)
+            if type(r) is not Fail:
                 return self.fire("ECS-More-Ord", cs.span, r, store, s2)
             self.fire("ECS-More-Fail", cs.span, FAIL, store, store)
-            n = fuel_dec(n)
-        fuel_check(n, store)
+            n = n1
+        if n == 0:
+            raise TimeoutSignal(store)
         return self.fire("ECS-Emp", span, FAIL, store, store)
 
     def eval_case(self, envs, body: sx.Expr, store: Store, n: int | None, span: Span):
         """Try each candidate binding; non-fail wins and its bindings are stripped."""
+        rule = _RULES[type(body)]
         for env in envs:
-            fuel_check(n, store)
-            r, s2 = self.eval_expr(body, store.extended(env), fuel_dec(n))
-            if r != FAIL:
+            if n == 0:
+                raise TimeoutSignal(store)
+            n1 = None if n is None else n - 1
+            r, s2 = rule(self, body, store.extended(env), n1)
+            if type(r) is not Fail:
                 return self.fire("EC-More-Ord", span, r, store, s2.without(env.keys()))
             self.fire("EC-More-Fail", span, FAIL, store, store)
-            n = fuel_dec(n)
-        fuel_check(n, store)
+            n = n1
+        if n == 0:
+            raise TimeoutSignal(store)
         return self.fire("EC-Emp", span, FAIL, store, store)
 
     def eval_each(self, body: sx.Expr, envs, store: Store, n: int | None, span: Span):
         """Iterate a body over bindings; break stops early with success."""
+        rule = _RULES[type(body)]
         cur = store
         for env in envs:
-            fuel_check(n, cur)
-            r, s2 = self.eval_expr(body, cur.extended(env), fuel_dec(n))
+            if n == 0:
+                raise TimeoutSignal(cur)
+            n1 = None if n is None else n - 1
+            r, s2 = rule(self, body, cur.extended(env), n1)
             stripped = s2.without(env.keys())
-            if isinstance(r, Success) or r == CONTINUE:
+            if type(r) is Success or type(r) is Continue:
                 self.fire("EE-More-Sucs", span, r, cur, stripped)
                 cur = stripped
-                n = fuel_dec(n)
+                n = n1
                 continue
-            if r == BREAK:
+            if type(r) is Break:
                 return self.fire("EE-More-Break", span, Success(UNDEF), cur, stripped)
             return self.fire("EE-More-Exc", span, r, cur, stripped)
-        fuel_check(n, cur)
+        if n == 0:
+            raise TimeoutSignal(cur)
         return self.fire("EE-Emp", span, Success(UNDEF), cur, cur)
 
     def eval_gen(self, g: sx.Generator, store: Store, n: int | None):
-        fuel_check(n, store)
-        n1 = fuel_dec(n)
+        if n == 0:
+            raise TimeoutSignal(store)
+        x = g.source
+        r, s1 = _RULES[type(x)](self, x, store, None if n is None else n - 1)
         if isinstance(g, sx.Matching):
-            r, s1 = self.eval_expr(g.source, store, n1)
-            if is_exres(r):
+            if type(r) in EXRES:
                 return self.fire("G-Pat-Exc", g.span, r, store, s1)
             envs = match(g.pattern, r.value, s1, self.constructors)
             return self.fire("G-Pat-Sucs", g.span, envs, store, s1)
-        r, s1 = self.eval_expr(g.source, store, n1)
-        if is_exres(r):
+        if type(r) in EXRES:
             return self.fire("G-Enum-Exc", g.span, r, store, s1)
         v = r.value
         if isinstance(v, VList):
@@ -629,7 +788,8 @@ class Evaluator:
             callee[y] = gv
         for p, v in zip(fd.params, args):
             callee[p.name] = v
-        res, s_out = self.eval_expr(fd.body, Store(callee), n)
+        body = fd.body
+        res, s_out = _RULES[type(body)](self, body, Store(callee), n)
 
         back = store
         for y in self.global_names:
@@ -637,14 +797,22 @@ class Evaluator:
             if gv is not None:
                 back = back.updated(y, gv)
 
-        if isinstance(res, (Success, Return)):
+        if type(res) is Success or type(res) is Return:
             v2 = res.value
             if subtype(type_of(v2, self.constructors), fd.return_type):
                 return self.fire("E-Call-Sucs", span, Success(v2), store, back)
             return self.fire("E-Call-Res-Err1", span, ERROR, store, back)
-        if isinstance(res, Throw):
+        if type(res) is Throw:
             return self.fire("E-Call-Res-Exc", span, res, store, back)
         return self.fire("E-Call-Res-Err2", span, ERROR, store, back)
+
+
+# Expression class -> its rule group.
+_RULES = {
+    getattr(sx, name[len("_e_"):]): fn
+    for name, fn in vars(Evaluator).items()
+    if name.startswith("_e_")
+}
 
 
 # ---------------------------------------------------------------------------

@@ -188,10 +188,10 @@ def _pair_key(kv: tuple[Value, Value]):
     return VALUE_KEY(kv[0])
 
 
-def _bisect(seq: tuple, v: Value, key) -> int:
-    """Where ``v`` is, or would go, in ``seq``, which is sorted under ``key``
-    (``VALUE_KEY`` for set items, ``_pair_key`` for map entries)."""
-    return bisect_left(seq, VALUE_KEY(v), key=key)
+def _bisect(seq: tuple, v: Value, key, lo: int = 0) -> int:
+    """Where ``v`` is, or would go, in ``seq[lo:]``, which is sorted under
+    ``key`` (``VALUE_KEY`` for set items, ``_pair_key`` for map entries)."""
+    return bisect_left(seq, VALUE_KEY(v), lo, key=key)
 
 
 def canonical_pairs(
@@ -221,6 +221,34 @@ def map_update(m: VMap, key: Value, val: Value) -> VMap:
     out = object.__new__(VMap)  # the entries stay sorted: skip canonicalisation
     object.__setattr__(out, "pairs", pairs[:i] + ((key, val),) + pairs[j:])
     return out
+
+
+def set_union(s1: VSet, s2: VSet) -> VSet:
+    """The union of two sets, equal to ``VSet(s1.items + s2.items)``.
+
+    Each item of the smaller operand is bisected into the larger one, so
+    the union costs O(m log n) comparisons rather than a full sort.  Of two
+    equal items the one from ``s1`` is kept, as the stable sort would.
+    """
+    big, small = s1.items, s2.items
+    left_small = len(big) < len(small)
+    if left_small:
+        big, small = small, big
+    out: list[Value] = []
+    lo = 0
+    for x in small:
+        i = _bisect(big, x, VALUE_KEY, lo)
+        out.extend(big[lo:i])
+        if i < len(big) and big[i] == x:
+            out.append(x if left_small else big[i])
+            i += 1
+        else:
+            out.append(x)
+        lo = i
+    out.extend(big[lo:])
+    union = object.__new__(VSet)  # the items stay sorted: skip canonicalisation
+    object.__setattr__(union, "items", tuple(out))
+    return union
 
 
 def last(values: Iterable[Value]) -> Value:
@@ -374,9 +402,13 @@ ERROR = Error()
 TIMEOUT = Timeout()
 
 
+# The exceptional results: return, throw, break, continue, fail, error.
+EXRES = frozenset({Return, Throw, Break, Continue, Fail, Error})
+
+
 def is_exres(r: Result) -> bool:
     """True for exceptional results: return, throw, break, continue, fail, error."""
-    return isinstance(r, (Return, Throw, Break, Continue, Fail, Error))
+    return type(r) in EXRES
 
 
 def result_kind(r: Result) -> str:

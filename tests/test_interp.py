@@ -515,6 +515,12 @@ list<int> mklist(int n) =
     while (i < n) local in xs = xs + [i]; i = i + 1 end;
     xs
   end;
+set<int> mkset(int n) =
+  local set<int> s, int i in
+    s = {}; i = 0;
+    while (i < n) local in s = s + {i}; i = i + 1 end;
+    s
+  end;
 map<int, int> mkmap(int n) =
   local map<int, int> m, int i in
     m = (); i = 0;
@@ -545,10 +551,29 @@ def _value_layer_calls(ev, fn, n):
     return calls
 
 
-@pytest.mark.parametrize("fn, bound", [("nat", 2.2), ("mklist", 2.2), ("mkmap", 2.6)])
+@pytest.mark.parametrize(
+    "fn, bound", [("nat", 2.2), ("mklist", 2.2), ("mkset", 2.6), ("mkmap", 2.6)]
+)
 def test_value_layer_work_grows_linearly(fn, bound):
-    # Doubling n at most about doubles the work (n log n for map updates,
-    # which bisect); quadratic growth would quadruple it.
+    # Doubling n at most about doubles the work (n log n for set unions and
+    # map updates, which bisect); quadratic growth would quadruple it.
     ev = ev_for(GROWTH_KERNELS)
     small, large = (_value_layer_calls(ev, fn, n) for n in (100, 200))
     assert 0 < small and large <= bound * small
+
+
+def test_deep_derivation_fits_the_main_thread_stack():
+    # One derivation level of nat(n) takes five Python frames (If, Cons, the
+    # argument sequence, Call, the call boundary), because every premise
+    # calls the rule table directly.  A dispatcher method between premise
+    # and rule group would take eight, and nat(2000) would overflow here.
+    ev = ev_for(GROWTH_KERNELS)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(12_000)
+    try:
+        res, _ = ev.call_function("nat", (Basic(2000),), Store())
+    except RecursionError:
+        pytest.fail("nat(2000) overflowed the stack", pytrace=False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(res, Success)

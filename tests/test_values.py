@@ -11,12 +11,14 @@ from rascal_light.values import (
     VMap,
     VSet,
     VALUE_KEY,
+    canonical_items,
     canonical_pairs,
     canonical_set,
     children,
     last,
     map_update,
     render_value,
+    set_union,
     value_order,
 )
 from rascal_light.interp import apply_binary
@@ -228,3 +230,15 @@ def test_set_in_matches_linear_scan(items, x):
     assert s.contains(x) == want
     assert (apply_binary("in", x, s).value == TRUE) == want
     assert all(s.contains(y) for y in items)
+
+
+@given(st.lists(keys_strategy, max_size=8), st.lists(keys_strategy, max_size=8))
+def test_set_union_matches_sort_and_dedupe(xs, ys):
+    s1, s2 = VSet(tuple(xs)), VSet(tuple(ys))
+    want = canonical_items(s1.items + s2.items)
+    out = set_union(s1, s2)
+    assert out.items == want
+    # Of two equal items the left operand's is kept, as the stable sort keeps it.
+    assert all(a is w for a, w in zip(out.items, want))
+    assert out == VSet(s1.items + s2.items)
+    assert apply_binary("+", s1, s2).value.items == want
