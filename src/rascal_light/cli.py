@@ -222,9 +222,8 @@ def _cmd_run(args) -> int:
 def _cmd_harness(args) -> int:
     from . import harness
 
-    report = call_with_stack(
-        harness.run_suite, args.suite, cases=args.cases, seed=args.seed,
-        artifacts_dir=args.artifacts,
+    report = harness.run_suite(
+        args.suite, cases=args.cases, seed=args.seed, artifacts_dir=args.artifacts
     )
     print(report.format())
     return 0 if report.ok else 1

@@ -62,6 +62,36 @@ def min_sufficient_fuel(ev: Evaluator, e: Expr, store: Store, cap: int = 1 << 22
     return hi
 
 
+# The recursion limit is process-wide, so concurrent workers share one
+# raised limit: the first worker to start raises it and the last one to
+# finish restores it.  The lock guards the count and the saved limit, and
+# is held while a worker starts, the only time the process-wide thread
+# stack size differs from its old value.
+_workers_lock = threading.Lock()
+_workers = 0
+_saved_limit = 0
+# The stack size of the worker the current thread is, if it is one.
+_this_worker = threading.local()
+
+
+def _enter(recursion_limit: int) -> None:
+    """Count a worker in (with the lock held)."""
+    global _workers, _saved_limit
+    if _workers == 0:
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(recursion_limit)
+        _saved_limit = saved
+    _workers += 1
+
+
+def _leave() -> None:
+    """Count a worker out (with the lock held)."""
+    global _workers
+    _workers -= 1
+    if _workers == 0:
+        sys.setrecursionlimit(_saved_limit)
+
+
 def call_with_stack(
     fn: Callable,
     *args,
@@ -73,27 +103,46 @@ def call_with_stack(
 
     Deeply recursive evaluations (high fuel budgets, unbounded runs) need
     more stack than the main thread carries; RecursionError still surfaces
-    as HostStackGuard.
+    as HostStackGuard.  Safe to call from several threads at once: while
+    any worker runs, the limit is the one the first of them set.  Called on
+    a worker whose stack and limit are at least as large, ``fn`` runs on
+    that worker, without a thread of its own.
     """
     out: dict = {}
 
-    def worker():
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(recursion_limit)
+    def run():
         try:
             out["value"] = fn(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - transported to caller
             out["error"] = exc
-        finally:
-            sys.setrecursionlimit(old_limit)
 
-    old_size = threading.stack_size(stack_bytes)
-    try:
+    def worker():
+        _this_worker.stack_bytes = stack_bytes
+        try:
+            run()
+        finally:
+            with _workers_lock:
+                _leave()
+
+    if (
+        getattr(_this_worker, "stack_bytes", 0) >= stack_bytes
+        and sys.getrecursionlimit() >= recursion_limit
+    ):
+        run()
+    else:
         t = threading.Thread(target=worker, name="rascal-light-eval")
-        t.start()
+        with _workers_lock:
+            _enter(recursion_limit)
+            try:
+                old_size = threading.stack_size(stack_bytes)
+                try:
+                    t.start()
+                finally:
+                    threading.stack_size(old_size)
+            except BaseException:
+                _leave()
+                raise
         t.join()
-    finally:
-        threading.stack_size(old_size)
     if "error" in out:
         err = out["error"]
         if isinstance(err, RecursionError):

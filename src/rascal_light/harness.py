@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from . import syntax as sx
 from .interp import Evaluator
-from .fuel import eval_expr_fuel, min_sufficient_fuel
+from .fuel import call_with_stack, eval_expr_fuel, min_sufficient_fuel
 from .render import render_module
 from .syntax import validate_module
 from .types import (
@@ -1173,5 +1173,7 @@ _SUITES = {
 
 
 def run_suite(name: str, cases: int | None = None, seed: int = 0, artifacts_dir=None) -> SuiteReport:
+    """Run one suite on a large-stack worker (``call_with_stack``), so a
+    deep generated program does not fail a case on the caller's stack."""
     fn, default_cases = _SUITES[name]
-    return fn(cases if cases else default_cases, seed, artifacts_dir)
+    return call_with_stack(fn, cases if cases else default_cases, seed, artifacts_dir)

@@ -342,7 +342,13 @@ class Evaluator:
     def _e_Lit(self, e: sx.Lit, store: Store, n: int | None):
         if n == 0:
             raise TimeoutSignal(store)
-        return self.fire("E-Val", e.span, Success(Basic(e.value)), store, store)
+        # The conclusion depends on the node alone: build it on the first
+        # firing and keep it on the node.
+        res = e._result
+        if res is None:
+            res = Success(Basic(e.value))
+            object.__setattr__(e, "_result", res)
+        return self.fire("E-Val", e.span, res, store, store)
 
     def _e_Var(self, e: sx.Var, store: Store, n: int | None):
         if n == 0:
@@ -791,11 +797,12 @@ class Evaluator:
         body = fd.body
         res, s_out = _RULES[type(body)](self, body, Store(callee), n)
 
-        back = store
-        for y in self.global_names:
-            gv = s_out.get(y)
-            if gv is not None:
-                back = back.updated(y, gv)
+        # One copy of the caller's store for all changed globals, none
+        # when the callee changed no global.
+        back = store.extended({
+            y: gv for y in self.global_names
+            if (gv := s_out.get(y)) is not None and gv is not store.get(y)
+        })
 
         if type(res) is Success or type(res) is Return:
             v2 = res.value

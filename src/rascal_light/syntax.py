@@ -112,6 +112,10 @@ class Lit(Expr):
     value: int | str
     span: Span = _span_field()
 
+    # E-Val's conclusion ``Success(Basic(value))``, recorded on the node by
+    # the evaluator on the first firing; not a field, so equality ignores it.
+    _result = None
+
 
 @dataclass(frozen=True)
 class Var(Expr):

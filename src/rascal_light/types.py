@@ -105,7 +105,7 @@ def type_of(v: Value, constructors: Mapping[str, tuple[str, tuple[Type, ...]]]) 
     if typed is not None and typed[0] is constructors:
         return typed[1]
     t = _type_node(v, constructors, type_of)
-    object.__setattr__(v, "_typed", (constructors, t))
+    v._typed = (constructors, t)
     return t
 
 
@@ -166,7 +166,7 @@ def typed_join(out: Value, v1: Value, v2: Value, constructors) -> Value:
         t = lub(type_of(v1, constructors), type_of(v2, constructors))
     except IllFormedValue:
         return out
-    object.__setattr__(out, "_typed", (constructors, t))
+    out._typed = (constructors, t)
     return out
 
 

@@ -1,15 +1,17 @@
 """Runtime values, stores, environments, and evaluation result variants.
 
-Values are immutable and structurally comparable.  Sets and maps are
-canonicalized eagerly at construction (sorted under the total value order,
-duplicates removed) so that structural equality coincides with semantic
-value equality.
+Values are structurally comparable and immutable by convention: they are
+slotted classes whose fields no code assigns after construction.  Sets and
+maps are canonicalized eagerly at construction (sorted under the total value
+order, duplicates removed) so that structural equality coincides with
+semantic value equality.  A constructor or collection value also carries a
+``_typed`` slot, where ``types.type_of`` records the value's type; it is
+not part of equality or hashing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping
 
@@ -23,63 +25,107 @@ class Value:
 
     __slots__ = ()
 
-    # ``(constructor table, type)``, recorded on the instance by
-    # ``types.type_of``; outside the dataclass fields, so equality and
-    # hashing ignore it.
-    _typed = None
-
     def __str__(self) -> str:
         return render_value(self)
 
 
-@dataclass(frozen=True, repr=False)
+# In the value and result classes, two instances are equal when they are of
+# the same class and their fields are equal, and the hash is the hash of
+# the tuple of fields, ``hash((f1, ...))``.  ``_typed`` is not a field:
+# ``types.type_of`` records ``(constructor table, type)`` there.
+
+
 class Basic(Value):
     """A basic value: an arbitrary-precision integer or a string."""
 
-    val: int | str
+    __slots__ = ("val",)
+
+    def __init__(self, val: int | str):
+        self.val = val
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.val == other.val
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.val,))
 
     def __repr__(self) -> str:
         return f"Basic({self.val!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class VCons(Value):
     """A constructor value ``k(v1, ..., vn)``."""
 
-    name: str
-    args: tuple[Value, ...]
+    __slots__ = ("name", "args", "_typed")
+
+    def __init__(self, name: str, args: tuple[Value, ...]):
+        self.name = name
+        self.args = args
+        self._typed = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.args))
 
     def __repr__(self) -> str:
         return f"VCons({self.name!r}, {self.args!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class VList(Value):
-    items: tuple[Value, ...]
+    __slots__ = ("items", "_typed")
+
+    def __init__(self, items: tuple[Value, ...]):
+        self.items = items
+        self._typed = None
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
 
     def __repr__(self) -> str:
         return f"VList({self.items!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class VSet(Value):
     """A set value; items are kept sorted and duplicate-free."""
 
-    items: tuple[Value, ...]
+    __slots__ = ("items", "_typed")
+
+    def __init__(self, items: tuple[Value, ...]):
+        self.items = items
+        self._typed = None
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "items", canonical_items(self.items))
+        self.items = canonical_items(self.items)
 
     def contains(self, v: Value) -> bool:
         items = self.items
         i = _bisect(items, v, VALUE_KEY)
         return i < len(items) and items[i] == v
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.items == other.items
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.items,))
+
     def __repr__(self) -> str:
         return f"VSet({self.items!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class VMap(Value):
     """A map value; entries are key-sorted and keys are distinct.
 
@@ -87,10 +133,15 @@ class VMap(Value):
     wins (matching update semantics for literals built left to right).
     """
 
-    pairs: tuple[tuple[Value, Value], ...]
+    __slots__ = ("pairs", "_typed")
+
+    def __init__(self, pairs: tuple[tuple[Value, Value], ...]):
+        self.pairs = pairs
+        self._typed = None
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", canonical_pairs(self.pairs))
+        self.pairs = canonical_pairs(self.pairs)
 
     def keys(self) -> tuple[Value, ...]:
         return tuple(k for k, _ in self.pairs)
@@ -102,13 +153,30 @@ class VMap(Value):
             return pairs[i][1]
         return None
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.pairs == other.pairs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pairs,))
+
     def __repr__(self) -> str:
         return f"VMap({self.pairs!r})"
 
 
-@dataclass(frozen=True, repr=False)
 class Undefined(Value):
     """The undefined value produced by value-less constructs."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
     def __repr__(self) -> str:
         return "UNDEF"
@@ -219,7 +287,8 @@ def map_update(m: VMap, key: Value, val: Value) -> VMap:
     i = _bisect(pairs, key, _pair_key)
     j = i + 1 if i < len(pairs) and pairs[i][0] == key else i
     out = object.__new__(VMap)  # the entries stay sorted: skip canonicalisation
-    object.__setattr__(out, "pairs", pairs[:i] + ((key, val),) + pairs[j:])
+    out.pairs = pairs[:i] + ((key, val),) + pairs[j:]
+    out._typed = None
     return out
 
 
@@ -247,7 +316,8 @@ def set_union(s1: VSet, s2: VSet) -> VSet:
         lo = i
     out.extend(big[lo:])
     union = object.__new__(VSet)  # the items stay sorted: skip canonicalisation
-    object.__setattr__(union, "items", tuple(out))
+    union.items = tuple(out)
+    union._typed = None
     return union
 
 
@@ -299,25 +369,29 @@ class Store:
     def __contains__(self, name: str) -> bool:
         return name in self._m
 
+    # The updates build the new store directly, without ``__init__``.
+
     def updated(self, name: str, value: Value) -> Store:
-        s = Store()
-        s._m = dict(self._m)
-        s._m[name] = value
+        m = self._m.copy()
+        m[name] = value
+        s = object.__new__(Store)
+        s._m = m
         return s
 
     def extended(self, env: Mapping[str, Value]) -> Store:
         if not env:
             return self
-        s = Store()
-        s._m = dict(self._m)
-        s._m.update(env)
+        m = self._m.copy()
+        m.update(env)
+        s = object.__new__(Store)
+        s._m = m
         return s
 
     def without(self, names: Iterable[str]) -> Store:
         drop = {n for n in names if n in self._m}
         if not drop:
             return self
-        s = Store()
+        s = object.__new__(Store)
         s._m = {k: v for k, v in self._m.items() if k not in drop}
         return s
 
@@ -355,44 +429,73 @@ class Result:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Success(Result):
-    value: Value
+class _Valued(Result):
+    """A result that carries a value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Value):
+        self.value = value
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(value={self.value!r})"
 
 
-@dataclass(frozen=True)
-class Return(Result):
-    value: Value
+class Success(_Valued):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Throw(Result):
-    value: Value
+class Return(_Valued):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Break(Result):
-    pass
+class Throw(_Valued):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Continue(Result):
-    pass
+class _Signal(Result):
+    """A result without fields: all instances of one class are equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}()"
 
 
-@dataclass(frozen=True)
-class Fail(Result):
-    pass
+class Break(_Signal):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Error(Result):
-    pass
+class Continue(_Signal):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Timeout(Result):
-    pass
+class Fail(_Signal):
+    __slots__ = ()
+
+
+class Error(_Signal):
+    __slots__ = ()
+
+
+class Timeout(_Signal):
+    __slots__ = ()
 
 
 BREAK = Break()

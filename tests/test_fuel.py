@@ -119,3 +119,66 @@ def test_call_with_stack_propagates_exceptions():
 
     with pytest.raises(ValueError):
         call_with_stack(boom)
+
+
+def test_nested_call_with_stack_runs_on_its_worker():
+    import threading
+
+    def deep(n):
+        return 0 if n == 0 else deep(n - 1)
+
+    def nested():
+        here = threading.get_ident()
+        assert call_with_stack(threading.get_ident) == here
+        return call_with_stack(deep, 100_000)
+
+    assert call_with_stack(nested) == 0
+
+
+def test_overlapping_callers_share_the_raised_limit():
+    # Four callers whose workers overlap: each worker exits while the next
+    # one is still running, and that next one then recurses 5000 deep.  A
+    # worker that restored the limit it found on entry would put the
+    # lowered limit back under the one still running.
+    import sys
+    import threading
+
+    def deep(n):
+        return 0 if n == 0 else deep(n - 1)
+
+    limit, size = sys.getrecursionlimit(), threading.stack_size()
+    entered = [threading.Event() for _ in range(4)]
+    go = [threading.Event() for _ in range(4)]
+    errors = []
+
+    def body(i):
+        entered[i].set()
+        assert go[i].wait(timeout=60)
+        return deep(5000)
+
+    def caller(i):
+        try:
+            assert call_with_stack(body, i) == 0
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            errors.append((i, exc))
+
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+    sys.setrecursionlimit(1000)
+    try:
+        callers[0].start()
+        assert entered[0].wait(timeout=60)
+        for i in range(1, 4):
+            callers[i].start()
+            assert entered[i].wait(timeout=60)
+            go[i - 1].set()
+            callers[i - 1].join(timeout=60)
+        go[3].set()
+        callers[3].join(timeout=60)
+        after = sys.getrecursionlimit(), threading.stack_size()
+    finally:
+        for e in go:
+            e.set()
+        sys.setrecursionlimit(limit)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == []
+    assert after == (1000, size)

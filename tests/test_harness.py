@@ -9,6 +9,7 @@ from rascal_light.harness import (
     gen_match_pair,
     gen_program,
     oracle_match,
+    run_suite,
     shrink_module,
     suite_progress,
     suite_purity,
@@ -134,6 +135,21 @@ def test_suites_small_scale():
         rep = fn(n, seed=1)
         assert rep.ok, rep.format()
         assert rep.total == n
+
+
+def test_run_suite_does_not_depend_on_the_callers_recursion_limit():
+    # Case 195 of this run is deep enough to overflow Python's default
+    # limit of 1000 frames when the suite runs on the calling thread.
+    import sys
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        rep = run_suite("typing", cases=400, seed=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rep.ok, rep.format()
+    assert rep.total == 400
 
 
 def test_generator_covers_every_expression_form():

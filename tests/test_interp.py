@@ -530,11 +530,9 @@ map<int, int> mkmap(int n) =
 """
 
 
-def _value_layer_calls(ev, fn, n):
-    """Calls of the uncached typing step and of value_order during one call."""
-    from rascal_light import types, values
-
-    codes = {types._type_node.__code__, values.value_order.__code__}
+def _calls_during(funcs, ev, fn, args, store):
+    """How many times ``funcs`` are called during one call of ``fn``."""
+    codes = {f.__code__ for f in funcs}
     calls = 0
 
     def profile(frame, event, arg):
@@ -544,11 +542,19 @@ def _value_layer_calls(ev, fn, n):
 
     sys.setprofile(profile)
     try:
-        res, _ = ev.call_function(fn, (Basic(n),), Store())
+        res, _ = ev.call_function(fn, args, store)
     finally:
         sys.setprofile(None)
     assert isinstance(res, Success)
     return calls
+
+
+def _value_layer_calls(ev, fn, n):
+    """Calls of the uncached typing step and of value_order during one call."""
+    from rascal_light import types, values
+
+    funcs = (types._type_node, values.value_order)
+    return _calls_during(funcs, ev, fn, (Basic(n),), Store())
 
 
 @pytest.mark.parametrize(
@@ -560,6 +566,36 @@ def test_value_layer_work_grows_linearly(fn, bound):
     ev = ev_for(GROWTH_KERNELS)
     small, large = (_value_layer_calls(ev, fn, n) for n in (100, 200))
     assert 0 < small and large <= bound * small
+
+
+def test_call_boundary_store_work_does_not_grow_with_globals():
+    # Calls of the methods that build a store (or would): the caller's store
+    # is rebuilt once at most, not once per global.
+    builders = (Store.__init__, Store.updated, Store.extended, Store.without)
+    counts = []
+    for g in (1, 50, 200):
+        decls = "".join(f"global int g{i} = {i};" for i in range(g))
+        ev = ev_for(decls + "int f() = 0;")
+        counts.append(_calls_during(builders, ev, "f", (), ev.init_globals()))
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_call_boundary_writes_back_changed_globals():
+    ev = ev_for("global int a = 1; global int c = 2; int f() = local in c = 5; 0 end;")
+    store = ev.init_globals()
+    res, out = ev.call_function("f", (), store)
+    assert res == Success(b(0))
+    assert out.as_dict() == {"a": b(1), "c": b(5)} and store.get("c") == b(2)
+    assert list(out.domain()) == ["a", "c"]
+
+
+def test_literal_conclusion_is_built_once_per_node():
+    e = parse_expr("7")
+    first, _ = EMPTY.evaluate(e, Store())
+    again, _ = EMPTY.evaluate(e, Store())
+    assert first == Success(b(7)) and again is first
+    # Not a field: the node still equals, and prints as, a fresh one.
+    assert e == parse_expr("7") and repr(e) == repr(parse_expr("7"))
 
 
 def test_deep_derivation_fits_the_main_thread_stack():
