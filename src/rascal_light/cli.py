@@ -1,9 +1,9 @@
 """Batch driver: load a module, initialize globals, invoke a function or
 evaluate a snippet, and print results.
 
-Exit codes: 0 success, 2 thrown exception, 3 error, 4 timeout, 5 parse or
-validation failure.  A host-stack guard trip (resource exhaustion, not part
-of the bounded semantics) exits 70.
+Exit codes: 0 success, 2 thrown exception, 3 error, 4 timeout, 5 unreadable
+input, parse or validation failure.  A host-stack guard trip (resource
+exhaustion, not part of the bounded semantics) exits 70.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 
 from .fuel import HostStackGuard, call_with_stack
 from .interp import Evaluator, IllFormedModule, InitError, TraceEntry, boundary_result
-from .parser import ParseError, Parser, SourceFile, load_module, parse_expr
+from .parser import ParseError, Parser, SourceFile, parse_expr, parse_module
 from .render import render
 from .syntax import ModuleDef, validate_expr
 from .values import (
@@ -24,7 +24,6 @@ from .values import (
     Throw,
     Timeout,
     TimeoutSignal,
-    Value,
     result_kind,
     result_to_tree,
     value_to_tree,
@@ -56,25 +55,6 @@ def _render_result(res: Result) -> str:
     if isinstance(res, Throw):
         return "throw " + render(res.value)
     return result_kind(res)
-
-
-def parse_call_spec(text: str) -> tuple[str, tuple[Value, ...]]:
-    """Parse ``f(value, ...)`` where arguments are value literals."""
-    p = Parser(SourceFile("<call>", text))
-    name = p.expect("ident").value
-    p.expect("punct", "(")
-    args: list[Value] = []
-    if not p.at("punct", ")"):
-        while True:
-            args.append(p.parse_value())
-            if p.at("punct", ","):
-                p.advance()
-                continue
-            break
-    p.expect("punct", ")")
-    if not p.at("eof"):
-        raise ParseError("trailing input after call", p.peek().span)
-    return name, tuple(args)
 
 
 def _diag(source: SourceFile | None, span, message: str) -> None:
@@ -116,72 +96,79 @@ def _cmd_run(args) -> int:
             print(f"invalid {FUEL_ENV_VAR} value", file=sys.stderr)
             return EXIT_BAD_INPUT
 
-    source: SourceFile | None = None
-    if args.file:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                source = SourceFile(args.file, fh.read())
-        except OSError as exc:
-            print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        try:
-            module = load_module(args.file)
-        except ParseError as exc:
-            _diag(source, exc.span, f"parse error: {exc.message}")
-            return EXIT_BAD_INPUT
-    else:
-        module = ModuleDef()
+    # Every stage recurses over its input, so all of them run on the
+    # large-stack worker: nesting deep enough to exhaust even its stack
+    # exits 70, never with a traceback.
+    def go() -> int:
+        source: SourceFile | None = None
+        if args.file:
+            try:
+                with open(args.file, "r", encoding="utf-8") as fh:
+                    source = SourceFile(args.file, fh.read())
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"cannot read {args.file}: {exc}", file=sys.stderr)
+                return EXIT_BAD_INPUT
+            try:
+                module = parse_module(source)
+            except ParseError as exc:
+                _diag(source, exc.span, f"parse error: {exc.message}")
+                return EXIT_BAD_INPUT
+        else:
+            module = ModuleDef()
 
-    trace_entries: list[TraceEntry] = []
-    try:
-        ev = Evaluator(module, trace=trace_entries.append if args.trace else None)
-    except IllFormedModule as exc:
-        for err in exc.errors:
-            _diag(source, err.span, err.message)
-        return EXIT_BAD_INPUT
-
-    snippet = None
-    if args.eval_expr:
+        trace_entries: list[TraceEntry] = []
         try:
-            snippet = parse_expr(args.eval_expr, module)
-        except ParseError as exc:
-            _diag(None, exc.span, f"parse error in --eval: {exc.message}")
-            return EXIT_BAD_INPUT
-        errs = validate_expr(snippet, ev.info)
-        if errs:
-            for err in errs:
-                _diag(None, err.span, err.message)
+            ev = Evaluator(module, trace=trace_entries.append if args.trace else None)
+        except IllFormedModule as exc:
+            for err in exc.errors:
+                _diag(source, err.span, err.message)
             return EXIT_BAD_INPUT
 
-    call = None
-    if args.call:
-        try:
-            call = parse_call_spec(args.call)
-        except ParseError as exc:
-            _diag(None, exc.span, f"bad --call: {exc.message}")
-            return EXIT_BAD_INPUT
-        fname, argvals = call
-        fd = ev.functions.get(fname)
-        if fd is None:
-            print(f"unknown function {fname!r}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        if len(fd.params) != len(argvals):
-            print(
-                f"function {fname!r} expects {len(fd.params)} arguments, "
-                f"given {len(argvals)}",
-                file=sys.stderr,
-            )
-            return EXIT_BAD_INPUT
+        snippet = None
+        if args.eval_expr:
+            try:
+                snippet = parse_expr(args.eval_expr, module)
+            except ParseError as exc:
+                _diag(None, exc.span, f"parse error in --eval: {exc.message}")
+                return EXIT_BAD_INPUT
+            errs = validate_expr(snippet, ev.info)
+            if errs:
+                for err in errs:
+                    _diag(None, err.span, err.message)
+                return EXIT_BAD_INPUT
 
-    def go():
+        call = None
+        if args.call:
+            # A call f(v, ...) has the shape of a constructor value literal.
+            try:
+                p = Parser(SourceFile("<call>", args.call))
+                if not p.at("ident"):
+                    p.expect("ident")
+                call = p.parse_value()
+                if not p.at("eof"):
+                    raise p.error("trailing input after call")
+            except ParseError as exc:
+                _diag(None, exc.span, f"bad --call: {exc.message}")
+                return EXIT_BAD_INPUT
+            fd = ev.functions.get(call.name)
+            if fd is None:
+                print(f"unknown function {call.name!r}", file=sys.stderr)
+                return EXIT_BAD_INPUT
+            if len(fd.params) != len(call.args):
+                print(
+                    f"function {call.name!r} expects {len(fd.params)} arguments, "
+                    f"given {len(call.args)}",
+                    file=sys.stderr,
+                )
+                return EXIT_BAD_INPUT
+
         store = ev.init_globals(fuel)
         res = None
         if call is not None:
-            res, store = ev.call_function(call[0], call[1], store, fuel)
+            res, store = ev.call_function(call.name, call.args, store, fuel)
         elif snippet is not None:
             res, store = ev.evaluate(snippet, store, fuel)
             res = boundary_result(res)
-        # Rendering walks the whole result, so it needs this thread's stack too.
         if args.format == "tree":
             doc = {"version": 1}
             if res is not None:
@@ -190,14 +177,22 @@ def _cmd_run(args) -> int:
                 doc["globals"] = {
                     g.name: value_to_tree(store.get(g.name)) for g in module.globals
                 }
-            return res, [json.dumps(doc)]
-        lines = [] if res is None else [_render_result(res)]
-        if args.print_globals:
-            lines += [f"global {g.name} = {render(store.get(g.name))}" for g in module.globals]
-        return res, lines
+            lines = [json.dumps(doc)]
+        else:
+            lines = [] if res is None else [_render_result(res)]
+            if args.print_globals:
+                lines += [f"global {g.name} = {render(store.get(g.name))}" for g in module.globals]
+
+        if args.trace:
+            for t in trace_entries:
+                changed = (" [" + ", ".join(t.changed) + "]") if t.changed else ""
+                print(f"{t.rule} @ {t.span.start}-{t.span.end} -> {t.kind}{changed}", file=sys.stderr)
+        for line in lines:
+            print(line)
+        return _exit_code(res) if res is not None else EXIT_OK
 
     try:
-        res, lines = call_with_stack(go)
+        return call_with_stack(go)
     except InitError as exc:
         print(f"module initialization failed at global {exc.name!r}", file=sys.stderr)
         code = _exit_code(exc.result)
@@ -208,15 +203,6 @@ def _cmd_run(args) -> int:
     except HostStackGuard as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-
-    if args.trace:
-        for t in trace_entries:
-            changed = (" [" + ", ".join(t.changed) + "]") if t.changed else ""
-            print(f"{t.rule} @ {t.span.start}-{t.span.end} -> {t.kind}{changed}", file=sys.stderr)
-
-    for line in lines:
-        print(line)
-    return _exit_code(res) if res is not None else EXIT_OK
 
 
 def _cmd_harness(args) -> int:

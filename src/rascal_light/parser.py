@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from . import syntax as sx
 from .syntax import Span
@@ -104,7 +105,11 @@ def tokenize(text: str) -> list[Token]:
         if ch.isdigit():
             while i < n and text[i].isdigit():
                 i += 1
-            toks.append(Token("int", int(text[start:i]), start, i))
+            try:
+                value = int(text[start:i])
+            except ValueError:  # past sys.get_int_max_str_digits(), or a digit like '²'
+                raise ParseError("malformed or overlong integer literal", Span(start, i)) from None
+            toks.append(Token("int", value, start, i))
             continue
         if ch == '"':
             i += 1
@@ -158,11 +163,19 @@ def tokenize(text: str) -> list[Token]:
     return toks
 
 
+# The constructors every module has: true, false and nokey.
+_BUILTIN_CONSTRUCTORS = frozenset(sx.constructor_table(sx.ModuleDef()))
+
+
 class Parser:
-    def __init__(self, source: SourceFile):
+    def __init__(self, source: SourceFile, constructors: Iterable[str] = ()):
+        """``name(args)`` builds a constructor application when ``name`` is
+        a built-in constructor or one of ``constructors``, and a function
+        call otherwise; `parse_module` adds the module's own constructors."""
         self.source = source
         self.toks = tokenize(source.text)
         self.pos = 0
+        self.constructors = _BUILTIN_CONSTRUCTORS.union(constructors)
 
     # -- token helpers ---------------------------------------------------
 
@@ -196,6 +209,7 @@ class Parser:
     # -- modules ----------------------------------------------------------
 
     def parse_module(self) -> sx.ModuleDef:
+        self.constructors = self.constructors.union(self._declared_constructors())
         globals_: list[sx.GlobalDef] = []
         functions: list[sx.FunDef] = []
         datatypes: list[sx.DataDef] = []
@@ -206,8 +220,31 @@ class Parser:
                 globals_.append(self.parse_globaldef())
             else:
                 functions.append(self.parse_fundef())
-        module = sx.ModuleDef(tuple(globals_), tuple(functions), tuple(datatypes))
-        return _resolve_constructors(module)
+        return sx.ModuleDef(tuple(globals_), tuple(functions), tuple(datatypes))
+
+    def _declared_constructors(self) -> set[str]:
+        """The constructor names of every ``data`` declaration, found by a
+        scan of the tokens so that a use before its declaration resolves:
+        the identifier after ``=`` or ``|`` at paren depth 0, up to the
+        ``;``.  Never raises; the parse proper reports malformed input."""
+        names: set[str] = set()
+        toks = self.toks
+        depth = -1  # paren depth inside a data declaration, -1 outside one
+        for i, t in enumerate(toks):
+            if t.kind == "kw" and t.value == "data":
+                depth = 0
+            elif depth < 0 or t.kind != "punct":
+                continue
+            elif t.value == "(":
+                depth += 1
+            elif t.value == ")":
+                depth -= 1
+            elif depth == 0:
+                if t.value == ";":
+                    depth = -1
+                elif t.value in ("=", "|") and toks[i + 1].kind == "ident":
+                    names.add(toks[i + 1].value)
+        return names
 
     def parse_datadef(self) -> sx.DataDef:
         start = self.expect("kw", "data")
@@ -458,9 +495,8 @@ class Parser:
                             continue
                         break
                 end = self.expect("punct", ")")
-                # Resolved to a constructor application after the module's
-                # datatype declarations are known.
-                return sx.Call(t.value, tuple(args), Span(t.start, end.end))
+                node = sx.Cons if t.value in self.constructors else sx.Call
+                return node(t.value, tuple(args), Span(t.start, end.end))
             return sx.Var(t.value, t.span)
         if t.kind == "punct" and t.value == "[":
             self.advance()
@@ -791,33 +827,7 @@ class Parser:
 
 
 # ---------------------------------------------------------------------------
-# Resolution and entry points
-
-
-def _resolve_constructors(module: sx.ModuleDef) -> sx.ModuleDef:
-    """Rewrite ``name(args)`` applications whose name is a declared
-    constructor into constructor expressions."""
-    consnames = set(sx.constructor_table(module))
-
-    def fix(e: sx.Expr) -> sx.Expr:
-        if isinstance(e, sx.Call) and e.name in consnames:
-            return sx.Cons(e.name, e.args, e.span)
-        return e
-
-    def fix_expr(e: sx.Expr) -> sx.Expr:
-        return sx.transform_exprs(e, fix)
-
-    return sx.ModuleDef(
-        tuple(
-            sx.GlobalDef(g.name, g.type, fix_expr(g.init), g.span)
-            for g in module.globals
-        ),
-        tuple(
-            sx.FunDef(f.name, f.return_type, f.params, fix_expr(f.body), f.span)
-            for f in module.functions
-        ),
-        module.datatypes,
-    )
+# Entry points
 
 
 def parse_module(src: SourceFile | str, path: str = "<string>") -> sx.ModuleDef:
@@ -835,18 +845,12 @@ def parse_module(src: SourceFile | str, path: str = "<string>") -> sx.ModuleDef:
 def parse_expr(text: str, module: sx.ModuleDef | None = None) -> sx.Expr:
     """Parse a standalone expression, resolving constructor names against
     the given module's declarations."""
-    p = Parser(SourceFile("<expr>", text))
+    declared = sx.constructor_table(module) if module is not None else ()
+    p = Parser(SourceFile("<expr>", text), declared)
     e = p.parse_expr()
     if not p.at("eof"):
         raise p.error(f"trailing input after expression: {p.peek().value!r}")
-    consnames = set(sx.constructor_table(module if module is not None else sx.ModuleDef()))
-
-    def fix(x: sx.Expr) -> sx.Expr:
-        if isinstance(x, sx.Call) and x.name in consnames:
-            return sx.Cons(x.name, x.args, x.span)
-        return x
-
-    return sx.transform_exprs(e, fix)
+    return e
 
 
 def parse_value(text: str) -> Value:

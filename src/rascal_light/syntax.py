@@ -449,71 +449,6 @@ def walk_exprs(e: Expr) -> Iterator[Expr]:
         stack.extend(reversed(expr_children(cur)))
 
 
-def transform_exprs(e: Expr, fn) -> Expr:
-    """Rebuild an expression bottom-up, applying ``fn`` to every node."""
-
-    def go(x: Expr) -> Expr:
-        if isinstance(x, Unary):
-            x = Unary(x.op, go(x.operand), x.span)
-        elif isinstance(x, Binary):
-            x = Binary(go(x.left), x.op, go(x.right), x.span)
-        elif isinstance(x, Cons):
-            x = Cons(x.name, tuple(go(a) for a in x.args), x.span)
-        elif isinstance(x, Call):
-            x = Call(x.name, tuple(go(a) for a in x.args), x.span)
-        elif isinstance(x, ListExpr):
-            x = ListExpr(tuple(go(a) for a in x.items), x.span)
-        elif isinstance(x, SetExpr):
-            x = SetExpr(tuple(go(a) for a in x.items), x.span)
-        elif isinstance(x, MapExpr):
-            x = MapExpr(tuple((go(k), go(v)) for k, v in x.pairs), x.span)
-        elif isinstance(x, Lookup):
-            x = Lookup(go(x.map), go(x.key), x.span)
-        elif isinstance(x, Update):
-            x = Update(go(x.map), go(x.key), go(x.value), x.span)
-        elif isinstance(x, ReturnExpr):
-            x = ReturnExpr(go(x.value), x.span)
-        elif isinstance(x, ThrowExpr):
-            x = ThrowExpr(go(x.value), x.span)
-        elif isinstance(x, Assign):
-            x = Assign(x.name, go(x.value), x.span)
-        elif isinstance(x, If):
-            x = If(go(x.cond), go(x.then), go(x.els), x.span)
-        elif isinstance(x, Switch):
-            x = Switch(
-                go(x.subject),
-                tuple(Case(c.pattern, go(c.body), c.span) for c in x.cases),
-                x.span,
-            )
-        elif isinstance(x, Visit):
-            x = Visit(
-                x.strategy,
-                go(x.subject),
-                tuple(Case(c.pattern, go(c.body), c.span) for c in x.cases),
-                x.span,
-            )
-        elif isinstance(x, Block):
-            x = Block(x.locals, tuple(go(a) for a in x.body), x.span)
-        elif isinstance(x, For):
-            g = x.generator
-            if isinstance(g, Enumerating):
-                g = Enumerating(g.var, go(g.source), g.span)
-            else:
-                g = Matching(g.pattern, go(g.source), g.span)
-            x = For(g, go(x.body), x.span)
-        elif isinstance(x, While):
-            x = While(go(x.cond), go(x.body), x.span)
-        elif isinstance(x, Solve):
-            x = Solve(x.targets, go(x.body), x.span)
-        elif isinstance(x, TryCatch):
-            x = TryCatch(go(x.body), x.var, go(x.handler), x.span)
-        elif isinstance(x, TryFinally):
-            x = TryFinally(go(x.body), go(x.fin), x.span)
-        return fn(x)
-
-    return go(e)
-
-
 def pattern_vars(p: Pattern) -> list[str]:
     """All variable names occurring in a pattern, in preorder."""
     out: list[str] = []

@@ -1,9 +1,11 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from rascal_light import cli, fuel
 from rascal_light.cli import main
 
 from conftest import program_path
@@ -316,20 +318,91 @@ NAT = (
 )
 
 
-def test_deep_result_renders_in_both_formats(tmp_path, capsys):
-    # The process's main thread keeps Python's default recursion limit, as
-    # in a plain `rascal-light` run; rendering needs the worker's stack.
-    mod = tmp_path / "nat.rsl"
-    mod.write_text(NAT)
+def _run_at_default_limit(capsys, argv):
+    # A plain `rascal-light` run starts at Python's default recursion limit.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        text = run_cli(capsys, "run", str(mod), "--call", "nat(1500)")
-        tree = run_cli(capsys, "run", str(mod), "--call", "nat(1500)", "--format", "tree")
+        return run_cli(capsys, *argv)
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_deep_result_renders_in_both_formats(tmp_path, capsys):
+    # Rendering needs the worker's stack.
+    mod = tmp_path / "nat.rsl"
+    mod.write_text(NAT)
+    text = _run_at_default_limit(capsys, ["run", str(mod), "--call", "nat(1500)"])
+    tree = _run_at_default_limit(capsys, ["run", str(mod), "--call", "nat(1500)", "--format", "tree"])
     assert text == (0, "succ(" * 1500 + "zero()" + ")" * 1500 + "\n", "")
     value = '{"kind": "cons", "name": "zero", "args": []}'
     for _ in range(1500):
         value = '{"kind": "cons", "name": "succ", "args": [' + value + "]}"
     assert tree == (0, '{"version": 1, "result": "success", "value": ' + value + "}\n", "")
+
+
+# -- exit-code contract ------------------------------------------------------
+
+CONTRACT_CODES = {0, 2, 3, 4, 5, 70}
+DEEP = 3000
+
+
+def _nested(opener: str, inner: str, closer: str, depth: int = DEEP) -> str:
+    return opener * depth + inner + closer * depth
+
+
+# (module text or bytes, run arguments, expected exit code)
+ADVERSARIAL = {
+    "parens": (f"int f() = {_nested('(', '1', ')')};", ["--call", "f()"], 0),
+    "binary-chain-module": ("int f() = " + " + ".join(["1"] * 20000) + ";", ["--call", "f()"], 0),
+    "binary-chain-eval": (None, ["--eval", " + ".join(["1"] * 20000)], 0),
+    "call-value": (NAT + "Nat id(Nat n) = n;", ["--call", f"id({_nested('succ(', 'zero()', ')', 5000)})"], 0),
+    "pattern": (
+        NAT + f"int f() = switch (zero()) {{ case {_nested('succ(', 'zero()', ')')} => 1 case _ => 0 }};",
+        ["--call", "f()"],
+        0,
+    ),
+    "negated-pattern": (f"int f() = switch (1) {{ case {_nested('!', '2', '')} => 1 }};", ["--call", "f()"], 0),
+    "type": (f"int f({_nested('list<', 'int', '>')} x) = 1;", ["--call", "f([])"], 0),
+    "blocks": (f"int f() = {_nested('local in ', '1', ' end')};", ["--call", "f()"], 0),
+    "huge-int-module": ("int f() = " + "7" * 6000 + ";", ["--call", "f()"], 5),
+    "huge-int-eval": (None, ["--eval", "7" * 6000], 5),
+    "huge-int-call": (NAT + "int g(int n) = n;", ["--call", "g(" + "7" * 6000 + ")"], 5),
+    "malformed-utf8": (b"int f() = 1;\xff\n", ["--call", "f()"], 5),
+}
+
+
+def _module_argv(tmp_path, text, args):
+    if text is None:
+        return ["run", *args]
+    mod = tmp_path / "adversarial.rsl"
+    if isinstance(text, bytes):
+        mod.write_bytes(text)
+    else:
+        mod.write_text(text + "\n")
+    return ["run", str(mod), *args]
+
+
+@pytest.mark.parametrize("name", ADVERSARIAL)
+def test_adversarial_input_exits_with_a_contract_code(tmp_path, capsys, name):
+    text, args, expected = ADVERSARIAL[name]
+    code, _, err = _run_at_default_limit(capsys, _module_argv(tmp_path, text, args))
+    assert code in CONTRACT_CODES and code == expected, err[-500:]
+    assert "Traceback" not in err
+
+
+def test_malformed_utf8_is_unreadable_input(tmp_path, capsys):
+    text, args, _ = ADVERSARIAL["malformed-utf8"]
+    code, _, err = run_cli(capsys, *_module_argv(tmp_path, text, args))
+    assert code == 5
+    assert err.startswith(f"cannot read {tmp_path / 'adversarial.rsl'}: 'utf-8' codec can't decode")
+
+
+def test_nesting_beyond_the_guard_exits_70(tmp_path, capsys, monkeypatch):
+    # A small worker recursion limit stands in for input nested deeper than
+    # the real guard allows; parsing alone exhausts it.
+    monkeypatch.setattr(cli, "call_with_stack", functools.partial(fuel.call_with_stack, recursion_limit=400))
+    text = f"int f() = {_nested('(', '1', ')', 200)};"
+    code, out, err = _run_at_default_limit(capsys, _module_argv(tmp_path, text, ["--call", "f()"]))
+    assert (code, out) == (70, "")
+    assert err == "resource limit: host stack exhausted\n"

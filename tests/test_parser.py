@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import os
 
@@ -7,6 +8,7 @@ from rascal_light import syntax as sx
 from rascal_light.harness import GenBudget, gen_program
 from rascal_light.parser import (
     ParseError,
+    Parser,
     SourceFile,
     load_module,
     parse_expr,
@@ -14,13 +16,45 @@ from rascal_light.parser import (
     parse_value,
 )
 from rascal_light.render import render, render_expr
-from rascal_light.syntax import Strategy, validate_module, walk_exprs
+from rascal_light.syntax import (
+    Assign,
+    Binary,
+    Block,
+    Call,
+    Case,
+    Cons,
+    Enumerating,
+    Expr,
+    For,
+    If,
+    ListExpr,
+    Lookup,
+    MapExpr,
+    Matching,
+    ReturnExpr,
+    SetExpr,
+    Solve,
+    Strategy,
+    Switch,
+    ThrowExpr,
+    TryCatch,
+    TryFinally,
+    Unary,
+    Update,
+    Visit,
+    While,
+    validate_module,
+    walk_exprs,
+)
 from rascal_light.values import Basic, UNDEF, VSet
 
 from conftest import PROGRAMS
 
 
 ALL_PROGRAMS = sorted(glob.glob(os.path.join(PROGRAMS, "*.rsl")))
+BENCH_PROGRAMS = sorted(
+    glob.glob(os.path.join(os.path.dirname(__file__), os.pardir, "bench", "rsl", "*.rsl"))
+)
 
 
 def test_programs_exist():
@@ -191,3 +225,203 @@ def test_crlf_accepted():
 def test_comments_ignored():
     m = parse_module("// top comment\nint f() = 1; // trailing\n")
     assert m.functions[0].name == "f"
+
+
+# -- constructor resolution: differential against the post-parse rewrite -----
+#
+# The reference is the parser as it was before it resolved constructor
+# names itself: every ``name(args)`` parsed as a Call, then the whole tree
+# rebuilt by `transform_exprs`, renaming the Calls whose name is a declared
+# constructor.  The three functions below are that code, verbatim but for
+# calling the copy of `transform_exprs` here and the Call-only parser.
+
+
+def transform_exprs(e: Expr, fn) -> Expr:
+    """Rebuild an expression bottom-up, applying ``fn`` to every node."""
+
+    def go(x: Expr) -> Expr:
+        if isinstance(x, Unary):
+            x = Unary(x.op, go(x.operand), x.span)
+        elif isinstance(x, Binary):
+            x = Binary(go(x.left), x.op, go(x.right), x.span)
+        elif isinstance(x, Cons):
+            x = Cons(x.name, tuple(go(a) for a in x.args), x.span)
+        elif isinstance(x, Call):
+            x = Call(x.name, tuple(go(a) for a in x.args), x.span)
+        elif isinstance(x, ListExpr):
+            x = ListExpr(tuple(go(a) for a in x.items), x.span)
+        elif isinstance(x, SetExpr):
+            x = SetExpr(tuple(go(a) for a in x.items), x.span)
+        elif isinstance(x, MapExpr):
+            x = MapExpr(tuple((go(k), go(v)) for k, v in x.pairs), x.span)
+        elif isinstance(x, Lookup):
+            x = Lookup(go(x.map), go(x.key), x.span)
+        elif isinstance(x, Update):
+            x = Update(go(x.map), go(x.key), go(x.value), x.span)
+        elif isinstance(x, ReturnExpr):
+            x = ReturnExpr(go(x.value), x.span)
+        elif isinstance(x, ThrowExpr):
+            x = ThrowExpr(go(x.value), x.span)
+        elif isinstance(x, Assign):
+            x = Assign(x.name, go(x.value), x.span)
+        elif isinstance(x, If):
+            x = If(go(x.cond), go(x.then), go(x.els), x.span)
+        elif isinstance(x, Switch):
+            x = Switch(
+                go(x.subject),
+                tuple(Case(c.pattern, go(c.body), c.span) for c in x.cases),
+                x.span,
+            )
+        elif isinstance(x, Visit):
+            x = Visit(
+                x.strategy,
+                go(x.subject),
+                tuple(Case(c.pattern, go(c.body), c.span) for c in x.cases),
+                x.span,
+            )
+        elif isinstance(x, Block):
+            x = Block(x.locals, tuple(go(a) for a in x.body), x.span)
+        elif isinstance(x, For):
+            g = x.generator
+            if isinstance(g, Enumerating):
+                g = Enumerating(g.var, go(g.source), g.span)
+            else:
+                g = Matching(g.pattern, go(g.source), g.span)
+            x = For(g, go(x.body), x.span)
+        elif isinstance(x, While):
+            x = While(go(x.cond), go(x.body), x.span)
+        elif isinstance(x, Solve):
+            x = Solve(x.targets, go(x.body), x.span)
+        elif isinstance(x, TryCatch):
+            x = TryCatch(go(x.body), x.var, go(x.handler), x.span)
+        elif isinstance(x, TryFinally):
+            x = TryFinally(go(x.body), go(x.fin), x.span)
+        return fn(x)
+
+    return go(e)
+
+
+def _resolve_constructors(module: sx.ModuleDef) -> sx.ModuleDef:
+    """Rewrite ``name(args)`` applications whose name is a declared
+    constructor into constructor expressions."""
+    consnames = set(sx.constructor_table(module))
+
+    def fix(e: sx.Expr) -> sx.Expr:
+        if isinstance(e, sx.Call) and e.name in consnames:
+            return sx.Cons(e.name, e.args, e.span)
+        return e
+
+    def fix_expr(e: sx.Expr) -> sx.Expr:
+        return transform_exprs(e, fix)
+
+    return sx.ModuleDef(
+        tuple(
+            sx.GlobalDef(g.name, g.type, fix_expr(g.init), g.span)
+            for g in module.globals
+        ),
+        tuple(
+            sx.FunDef(f.name, f.return_type, f.params, fix_expr(f.body), f.span)
+            for f in module.functions
+        ),
+        module.datatypes,
+    )
+
+
+def _old_parse_expr(text: str, module: sx.ModuleDef | None = None) -> sx.Expr:
+    """Parse a standalone expression, resolving constructor names against
+    the given module's declarations."""
+    p = _CallOnlyParser(SourceFile("<expr>", text))
+    e = p.parse_expr()
+    if not p.at("eof"):
+        raise p.error(f"trailing input after expression: {p.peek().value!r}")
+    consnames = set(sx.constructor_table(module if module is not None else sx.ModuleDef()))
+
+    def fix(x: sx.Expr) -> sx.Expr:
+        if isinstance(x, sx.Call) and x.name in consnames:
+            return sx.Cons(x.name, x.args, x.span)
+        return x
+
+    return transform_exprs(e, fix)
+
+
+class _CallOnlyParser(Parser):
+    """Builds every ``name(args)`` application as a Call."""
+
+    def parse_primary(self) -> Expr:
+        e = super().parse_primary()
+        return Call(e.name, e.args, e.span) if isinstance(e, Cons) else e
+
+
+def _old_parse_module(text: str) -> sx.ModuleDef:
+    return _resolve_constructors(_CallOnlyParser(SourceFile("<string>", text)).parse_module())
+
+
+def _with_spans(x):
+    """A syntax tree as nested tuples that keep each node's class and span,
+    which the nodes' own equality ignores."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        return (type(x).__name__,) + tuple(
+            _with_spans(getattr(x, f.name)) for f in dataclasses.fields(x)
+        )
+    if isinstance(x, tuple):
+        return tuple(_with_spans(y) for y in x)
+    return x
+
+
+def _same_tree(new, old) -> bool:
+    return new == old and _with_spans(new) == _with_spans(old)
+
+
+USE_BEFORE_DECLARATION = (
+    "Shape f() = circle(g(square(2)));\n"
+    "int g(Shape s) = 1;\n"
+    "global Shape h = square(size(true()));\n"
+    "data Shape = circle(int r) | square(int side) | size(Bool b);\n"
+    "Bool t() = if false() then true() else false();\n"
+    "int n() = throw nokey(1);\n"
+)
+
+
+def _module_texts():
+    for path in ALL_PROGRAMS + BENCH_PROGRAMS:
+        with open(path, encoding="utf-8") as fh:
+            yield path, fh.read()
+    yield "use-before-declaration", USE_BEFORE_DECLARATION
+    for seed in range(1500):
+        yield f"seed {seed}", render(gen_program(GenBudget(max_depth=4, seed=seed)))
+
+
+def test_constructor_resolution_matches_post_parse_rewrite():
+    assert len(ALL_PROGRAMS) >= 5 and len(BENCH_PROGRAMS) >= 3
+    multi = 0
+    for label, text in _module_texts():
+        new = parse_module(text)
+        assert _same_tree(new, _old_parse_module(text)), label
+        multi += any(len(dd.constructors) > 1 for dd in new.datatypes)
+    assert multi > 1000  # most inputs declare a datatype with several constructors
+
+
+def test_constructor_resolution_in_expressions():
+    module = parse_module(USE_BEFORE_DECLARATION)
+    texts = [
+        "true()",
+        "false()",
+        "nokey(1)",
+        "circle(1)",
+        "g(square(2), size(true()))",
+        "[nokey(false()), (circle(1) : {f()})][0]",
+        "switch (circle(1)) { case circle(r) => square(r) }",
+    ]
+    for text in texts:
+        for m in (None, module):
+            assert _same_tree(parse_expr(text, m), _old_parse_expr(text, m)), (text, m)
+    for path in ALL_PROGRAMS:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        m = parse_module(text)
+        for f in m.functions:
+            for e in walk_exprs(f.body):
+                snippet = text[e.span.start : e.span.end]
+                for scope in (None, m):
+                    new = parse_expr(snippet, scope)
+                    assert _same_tree(new, _old_parse_expr(snippet, scope)), (path, snippet)
