@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from . import syntax as sx
 from .interp import Evaluator
 from .fuel import call_with_stack, eval_expr_fuel, min_sufficient_fuel
+from .parser import parse_expr
 from .render import render_module
 from .syntax import validate_module
 from .types import (
@@ -27,6 +28,7 @@ from .types import (
     MapType,
     SetType,
     Type,
+    VALUE,
     _type_of_walk,
     subtype,
     type_of,
@@ -34,6 +36,7 @@ from .types import (
 from .values import (
     Basic,
     FAIL,
+    Result,
     Store,
     Success,
     Return,
@@ -791,44 +794,22 @@ def shrink_module(module: sx.ModuleDef, failing) -> sx.ModuleDef:
         except Exception:
             return False
 
-    changed = True
-    rounds = 0
-    while changed and rounds < 20:
-        changed = False
-        rounds += 1
-        for i in range(len(module.functions)):
-            cand = replace(
-                module, functions=module.functions[:i] + module.functions[i + 1 :]
-            )
-            if ok(cand):
-                module = cand
-                changed = True
-                break
-        if changed:
-            continue
-        for i in range(len(module.globals)):
-            cand = replace(module, globals=module.globals[:i] + module.globals[i + 1 :])
-            if ok(cand):
-                module = cand
-                changed = True
-                break
-        if changed:
-            continue
-        for i, fd in enumerate(module.functions):
+    def candidates(m: sx.ModuleDef):
+        fs, gs = m.functions, m.globals
+        for i in range(len(fs)):
+            yield replace(m, functions=fs[:i] + fs[i + 1 :])
+        for i in range(len(gs)):
+            yield replace(m, globals=gs[:i] + gs[i + 1 :])
+        for i, fd in enumerate(fs):
             for sub in sx.walk_exprs(fd.body):
-                if sub is fd.body:
-                    continue
-                cand_fn = replace(fd, body=sub)
-                cand = replace(
-                    module,
-                    functions=module.functions[:i] + (cand_fn,) + module.functions[i + 1 :],
-                )
-                if ok(cand):
-                    module = cand
-                    changed = True
-                    break
-            if changed:
-                break
+                if sub is not fd.body:
+                    yield replace(m, functions=fs[:i] + (replace(fd, body=sub),) + fs[i + 1 :])
+
+    for _ in range(20):
+        smaller = next((c for c in candidates(module) if ok(c)), None)
+        if smaller is None:
+            break
+        module = smaller
     return module
 
 
@@ -859,87 +840,25 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def _write_artifact(
-    report: SuiteReport, artifacts_dir, module: sx.ModuleDef, tag: str, failing=None
-):
-    """Persist a failing module as .rsl, shrunk first when a re-check
-    predicate is available."""
-    if artifacts_dir is None:
-        return
-    if failing is not None:
-        module = shrink_module(module, failing)
+def _write_artifact(report: SuiteReport, artifacts_dir, tag: str, module: sx.ModuleDef) -> None:
+    """Write ``module`` as ``<suite>_<tag>.rsl``, headed by a comment that
+    states the failure the suite recorded last."""
     os.makedirs(artifacts_dir, exist_ok=True)
     path = os.path.join(artifacts_dir, f"{report.name}_{tag}.rsl")
+    header = report.failures[-1].replace("\n", " ")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_module(module))
+        fh.write(f"// {report.name} {header}\n" + render_module(module))
     report.artifacts.append(path)
 
 
 def _purity_artifact(module: sx.ModuleDef, cases, v: Value, store: Store) -> sx.ModuleDef:
     """A runnable module reproducing one purity triple: the store becomes
     globals and the cases hang off a switch over the embedded value."""
-    from .types import VALUE
-
     globals_ = tuple(
         sx.GlobalDef(name, VALUE, value_to_expr(val)) for name, val in store.items()
     )
     check = sx.FunDef("check", VALUE, (), sx.Switch(value_to_expr(v), tuple(cases)))
     return sx.ModuleDef(globals=globals_, functions=(check,), datatypes=module.datatypes)
-
-
-def _fails_typing(module: sx.ModuleDef, seed: int) -> bool:
-    rng = random.Random(seed)
-    ev = Evaluator(module)
-    cbt = _cons_by_type(module)
-    for fd in module.functions:
-        store = gen_store(rng, module, cbt, fd.params)
-        try:
-            res, out = ev.evaluate(fd.body, store, fuel=10_000)
-        except Exception:  # noqa: BLE001
-            return True
-        if _check_typed(out, res, ev.constructors) is not None:
-            return True
-    return False
-
-
-def _fails_progress(module: sx.ModuleDef, seed: int) -> bool:
-    rng = random.Random(seed)
-    ev = Evaluator(module)
-    cbt = _cons_by_type(module)
-    for fd in module.functions:
-        store = gen_store(rng, module, cbt, fd.params)
-        for n in (0, 1, 7, 1000):
-            try:
-                res, out = eval_expr_fuel(ev, fd.body, store, n)
-            except Exception:  # noqa: BLE001
-                return True
-            if not (_is_vtres(res) and isinstance(out, Store)):
-                return True
-    return False
-
-
-def _fails_termination(module: sx.ModuleDef, seed: int) -> bool:
-    rng = random.Random(seed)
-    ev = Evaluator(module)
-    cbt = _cons_by_type(module)
-    for fd in module.functions:
-        if not sx.is_finite_subset(fd.body):
-            return False
-        store = gen_store(rng, module, cbt, fd.params)
-        try:
-            n = min_sufficient_fuel(ev, fd.body, store)
-            res_n, st_n = eval_expr_fuel(ev, fd.body, store, n)
-            if isinstance(res_n, Timeout):
-                return True
-            if n > 0 and not isinstance(eval_expr_fuel(ev, fd.body, store, n - 1)[0], Timeout):
-                return True
-            for extra in (1, 17):
-                res_up, st_up = eval_expr_fuel(ev, fd.body, store, n + extra)
-                if res_up != res_n or st_up != st_n:
-                    return True
-        except Exception:  # noqa: BLE001
-            return True
-    return False
 
 
 def gen_cases_triple(rng: random.Random, gen: _ModuleGen, module: sx.ModuleDef):
@@ -995,9 +914,10 @@ def suite_purity(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> Suite
             report.failures.append(
                 f"seed={seed} case={attempts}: store changed across failing cases"
             )
-            _write_artifact(
-                report, artifacts_dir, _purity_artifact(module, cs, v, store), str(attempts)
-            )
+            if artifacts_dir is not None:
+                _write_artifact(
+                    report, artifacts_dir, str(attempts), _purity_artifact(module, cs, v, store)
+                )
     if report.total < cases:
         report.failures.append(
             f"generator produced only {report.total} failing triples"
@@ -1018,37 +938,136 @@ def _check_typed(store: Store, res, constructors) -> str | None:
     return None
 
 
-def suite_typing(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
-    """Strong typing: results and stores hold only typeable values."""
-    report = SuiteReport("typing")
+@dataclass(frozen=True)
+class Case:
+    """One generated-program case: the body of ``function`` in ``module``,
+    run from ``store`` (the module's globals and the function's parameters)."""
+
+    module: sx.ModuleDef
+    function: str
+    store: Store
+
+    @property
+    def fundef(self) -> sx.FunDef:
+        return next(f for f in self.module.functions if f.name == self.function)
+
+    @property
+    def body(self) -> sx.Expr:
+        return self.fundef.body
+
+
+def check_typing(case: Case) -> str | None:
+    """Strong typing: the result and the final store hold only typeable values."""
+    ev = Evaluator(case.module)
+    try:
+        res, out = ev.evaluate(case.body, case.store, fuel=10_000)
+    except Exception as exc:  # noqa: BLE001 - any escape is a failure
+        return f"evaluator raised {exc!r}"
+    return _check_typed(out, res, ev.constructors)
+
+
+def _progress(ev: Evaluator, e: sx.Expr, store: Store) -> str | None:
+    for n in (0, 1, 7, 1000):
+        try:
+            res, out = eval_expr_fuel(ev, e, store, n)
+        except Exception as exc:  # noqa: BLE001 - any escape is a failure
+            return repr(exc)
+        if not (isinstance(res, Result) and isinstance(out, Store)):
+            return f"non-result {res!r}"
+    return None
+
+
+def check_progress(case: Case) -> str | None:
+    """Partial progress: bounded evaluation yields a result and a store at
+    every budget."""
+    return _progress(Evaluator(case.module), case.body, case.store)
+
+
+def check_termination(case: Case) -> str | None:
+    """Termination of the finite subset: minimal sufficient fuel exists,
+    evaluation below it times out, and results are stable above it."""
+    ev, e, store = Evaluator(case.module), case.body, case.store
+    try:
+        n = min_sufficient_fuel(ev, e, store)
+        at_n = eval_expr_fuel(ev, e, store, n)
+        if isinstance(at_n[0], Timeout):
+            return "minimal fuel still times out"
+        if n > 0 and not isinstance(eval_expr_fuel(ev, e, store, n - 1)[0], Timeout):
+            return "not minimal"
+        if any(eval_expr_fuel(ev, e, store, n + extra) != at_n for extra in (1, 17)):
+            return "not monotone"
+    except Exception as exc:  # noqa: BLE001 - any escape is a failure
+        return repr(exc)
+    return None
+
+
+def _draw_case(rng: random.Random, subset: str) -> Case:
+    case_seed = rng.randrange(1 << 30)
+    module = gen_program(GenBudget(max_depth=3, seed=case_seed), subset)
+    fd = module.functions[rng.randrange(len(module.functions))]
+    return Case(module, fd.name, gen_store(rng, module, _cons_by_type(module), fd.params))
+
+
+def _on(case: Case, module: sx.ModuleDef) -> Case:
+    """``case`` on a shrunk ``module``.  The store drops the globals that
+    the module no longer declares, as the artifact does: a pattern
+    variable named after a dropped global binds, where a bound name would
+    test equality."""
+    dropped = {g.name for g in case.module.globals} - {g.name for g in module.globals}
+    return Case(
+        module, case.function, Store({k: v for k, v in case.store.items() if k not in dropped})
+    )
+
+
+def _shrink(case: Case, check) -> Case:
+    """``case`` on the smallest module ``shrink_module`` finds that keeps
+    the case's function and still fails ``check``."""
+
+    def still_fails(m: sx.ModuleDef) -> bool:
+        present = any(f.name == case.function for f in m.functions)
+        return present and check(_on(case, m)) is not None
+
+    return _on(case, shrink_module(case.module, still_fails))
+
+
+def _case_artifact(case: Case) -> sx.ModuleDef:
+    """A runnable module reproducing ``case``: each global starts at its
+    value in the store, and ``check()`` calls the function with the
+    store's parameter values."""
+    store = case.store
+    args = tuple(value_to_expr(store.get(p.name)) for p in case.fundef.params)
+    check = sx.FunDef("check", VALUE, (), sx.Call(case.function, args))
+    return replace(
+        case.module,
+        globals=tuple(
+            replace(g, init=value_to_expr(store.get(g.name))) for g in case.module.globals
+        ),
+        functions=case.module.functions + (check,),
+    )
+
+
+def _run_cases(
+    report: SuiteReport, check, subsets: tuple[str, ...], cases: int, seed: int, artifacts_dir
+) -> SuiteReport:
+    """Check ``cases`` drawn cases, the i-th from ``subsets[i % len(subsets)]``;
+    each failing case is shrunk and written as an artifact."""
     rng = random.Random(seed)
     for i in range(cases):
-        case_seed = rng.randrange(1 << 30)
-        module = gen_program(GenBudget(max_depth=3, seed=case_seed))
-        ev = Evaluator(module)
-        cons_by_type = _cons_by_type(module)
-        fd = module.functions[rng.randrange(len(module.functions))]
-        store = gen_store(rng, module, cons_by_type, fd.params)
+        case = _draw_case(rng, subsets[i % len(subsets)])
         report.total += 1
-        try:
-            res, out = ev.evaluate(fd.body, store, fuel=10_000)
-        except Exception as exc:  # noqa: BLE001 - any escape is a failure
-            report.failures.append(f"case {i}: evaluator raised {exc!r}")
-            _write_artifact(
-                report, artifacts_dir, module, str(i),
-                failing=lambda m: _fails_typing(m, case_seed),
-            )
-            continue
-        problem = _check_typed(out, res, ev.constructors)
+        problem = check(case)
         if problem is None:
             report.passed += 1
-        else:
-            report.failures.append(f"case {i}: {problem}")
-            _write_artifact(
-                report, artifacts_dir, module, str(i),
-                failing=lambda m: _fails_typing(m, case_seed),
-            )
+            continue
+        report.failures.append(f"case {i}: {problem}")
+        if artifacts_dir is not None:
+            _write_artifact(report, artifacts_dir, str(i), _case_artifact(_shrink(case, check)))
     return report
+
+
+def suite_typing(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
+    """Strong typing over generated programs (``check_typing``)."""
+    return _run_cases(SuiteReport("typing"), check_typing, ("all",), cases, seed, artifacts_dir)
 
 
 _ADVERSARIAL_SNIPPETS = (
@@ -1075,93 +1094,31 @@ _ADVERSARIAL_SNIPPETS = (
 )
 
 
-def _adversarial_programs():
-    from .parser import parse_expr
-
-    out = []
-    for text in _ADVERSARIAL_SNIPPETS:
-        out.append(parse_expr(text))
-    return out
-
-
-def _is_vtres(res) -> bool:
-    from .values import Result
-
-    return isinstance(res, Result)
-
-
 def suite_progress(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
-    """Partial progress: bounded evaluation is total at every budget."""
+    """Partial progress on adversarial snippets, which need not validate,
+    and then on generated programs (``check_progress``); every third
+    program keeps to the finite subset."""
     report = SuiteReport("progress")
-    rng = random.Random(seed)
-    fuels = (0, 1, 7, 1000)
-    adversarial = _adversarial_programs()
-    empty_ev = Evaluator(sx.ModuleDef())
-    for i, e in enumerate(adversarial):
+    ev = Evaluator(sx.ModuleDef())
+    for i, text in enumerate(_ADVERSARIAL_SNIPPETS):
         report.total += 1
-        try:
-            for n in fuels:
-                res, out = eval_expr_fuel(empty_ev, e, Store({"q": Basic(1)}), n)
-                if not (_is_vtres(res) and isinstance(out, Store)):
-                    raise AssertionError(f"non-result {res!r}")
+        problem = _progress(ev, parse_expr(text), Store({"q": Basic(1)}))
+        if problem is None:
             report.passed += 1
-        except Exception as exc:  # noqa: BLE001
-            report.failures.append(f"adversarial {i}: {exc!r}")
-    for i in range(max(cases - len(adversarial), 0)):
-        subset = "finite" if i % 3 == 0 else "all"
-        case_seed = rng.randrange(1 << 30)
-        module = gen_program(GenBudget(max_depth=3, seed=case_seed), subset)
-        ev = Evaluator(module)
-        cons_by_type = _cons_by_type(module)
-        fd = module.functions[rng.randrange(len(module.functions))]
-        store = gen_store(rng, module, cons_by_type, fd.params)
-        report.total += 1
-        try:
-            for n in fuels:
-                res, out = eval_expr_fuel(ev, fd.body, store, n)
-                if not (_is_vtres(res) and isinstance(out, Store)):
-                    raise AssertionError(f"non-result {res!r}")
-            report.passed += 1
-        except Exception as exc:  # noqa: BLE001
-            report.failures.append(f"case {i}: {exc!r}")
-            _write_artifact(
-                report, artifacts_dir, module, str(i),
-                failing=lambda m: _fails_progress(m, case_seed),
-            )
-    return report
+        else:
+            report.failures.append(f"adversarial {i}: {problem}")
+    generated = max(cases - len(_ADVERSARIAL_SNIPPETS), 0)
+    return _run_cases(
+        report, check_progress, ("finite", "all", "all"), generated, seed, artifacts_dir
+    )
 
 
 def suite_termination(cases: int = 1000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
-    """Termination of the finite subset: minimal sufficient fuel exists,
-    evaluation below it times out, and results are stable above it."""
-    report = SuiteReport("termination")
-    rng = random.Random(seed)
-    for i in range(cases):
-        case_seed = rng.randrange(1 << 30)
-        module = gen_program(GenBudget(max_depth=3, seed=case_seed), "finite")
-        ev = Evaluator(module)
-        cons_by_type = _cons_by_type(module)
-        fd = module.functions[rng.randrange(len(module.functions))]
-        store = gen_store(rng, module, cons_by_type, fd.params)
-        report.total += 1
-        try:
-            n = min_sufficient_fuel(ev, fd.body, store)
-            res_n, st_n = eval_expr_fuel(ev, fd.body, store, n)
-            assert not isinstance(res_n, Timeout), "minimal fuel still times out"
-            if n > 0:
-                res_below, _ = eval_expr_fuel(ev, fd.body, store, n - 1)
-                assert isinstance(res_below, Timeout), "not minimal"
-            for extra in (1, 17):
-                res_up, st_up = eval_expr_fuel(ev, fd.body, store, n + extra)
-                assert res_up == res_n and st_up == st_n, "not monotone"
-            report.passed += 1
-        except Exception as exc:  # noqa: BLE001
-            report.failures.append(f"case {i}: {exc!r}")
-            _write_artifact(
-                report, artifacts_dir, module, str(i),
-                failing=lambda m: _fails_termination(m, case_seed),
-            )
-    return report
+    """Termination of the finite subset over generated programs
+    (``check_termination``)."""
+    return _run_cases(
+        SuiteReport("termination"), check_termination, ("finite",), cases, seed, artifacts_dir
+    )
 
 
 _SUITES = {

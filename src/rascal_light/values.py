@@ -572,12 +572,23 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
+def _int_text(i: int) -> str:
+    """The decimal digits of ``i``.  Past the host's limit on converting an
+    int to a string, ``Decimal`` gives the same digits without a limit."""
+    try:
+        return str(i)
+    except ValueError:
+        import decimal  # only for such integers, so not at start-up
+
+        return str(decimal.Decimal(i))
+
+
 def render_value(v: Value) -> str:
     """Deterministic text form of a value, round-trippable by the parser."""
     if isinstance(v, Basic):
         if isinstance(v.val, str):
             return '"' + _escape(v.val) + '"'
-        return str(v.val)
+        return _int_text(v.val)
     if isinstance(v, VCons):
         return v.name + "(" + ", ".join(render_value(a) for a in v.args) + ")"
     if isinstance(v, VList):
@@ -597,7 +608,7 @@ def value_to_tree(v: Value):
     if isinstance(v, Basic):
         if isinstance(v.val, str):
             return {"kind": "str", "value": v.val}
-        return {"kind": "int", "value": str(v.val)}
+        return {"kind": "int", "value": _int_text(v.val)}
     if isinstance(v, VCons):
         return {
             "kind": "cons",

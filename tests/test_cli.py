@@ -406,3 +406,25 @@ def test_nesting_beyond_the_guard_exits_70(tmp_path, capsys, monkeypatch):
     code, out, err = _run_at_default_limit(capsys, _module_argv(tmp_path, text, ["--call", "f()"]))
     assert (code, out) == (70, "")
     assert err == "resource limit: host stack exhausted\n"
+
+
+def _decimal_digits(n: int) -> str:
+    # Exact, and free of the host's limit on int-to-str conversion.
+    chunks = []
+    while n:
+        n, r = divmod(n, 10**1000)
+        chunks.append(r)
+    return str(chunks[-1]) + "".join(str(c).zfill(1000) for c in reversed(chunks[:-1]))
+
+
+def test_integers_past_the_host_digit_limit_print_exactly(capsys):
+    # Thirteen squarings of 7 give 7^8192, which has 6923 digits.
+    snippet = "local int x in x = 7; " + "x = x * x; " * 13 + "x end"
+    digits = _decimal_digits(7**8192)
+    assert len(digits) > sys.get_int_max_str_digits() > 0
+    assert run_cli(capsys, "run", "--eval", snippet) == (0, digits + "\n", "")
+    code, out, err = run_cli(capsys, "run", "--eval", snippet, "--format", "tree")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "version": 1, "result": "success", "value": {"kind": "int", "value": digits}
+    }

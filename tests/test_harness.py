@@ -1,9 +1,21 @@
+import os
 import random
 
+import pytest
+
+from rascal_light import interp
 from rascal_light import syntax as sx
+from rascal_light.cli import main
+from rascal_light.interp import Evaluator
 from rascal_light.harness import (
+    Case,
     GenBudget,
     _ModuleGen,
+    _case_artifact,
+    _draw_case,
+    _shrink,
+    check_progress,
+    check_typing,
     env_set,
     gen_cases_triple,
     gen_match_pair,
@@ -18,6 +30,7 @@ from rascal_light.harness import (
 )
 from rascal_light.parser import parse_module
 from rascal_light.patterns import match
+from rascal_light.render import render
 from rascal_light.syntax import (
     ModuleDef,
     constructor_table,
@@ -25,7 +38,7 @@ from rascal_light.syntax import (
     validate_module,
     walk_exprs,
 )
-from rascal_light.values import Basic, Store, VCons, VList, VSet
+from rascal_light.values import Basic, Store, Success, Throw, VCons, VList, VSet
 
 CONS = constructor_table(parse_module("data P = pair(int a, int b);"))
 
@@ -237,3 +250,93 @@ def test_suite_artifacts_written_on_failure(tmp_path, monkeypatch):
     assert rep.artifacts and all(p.endswith(".rsl") for p in rep.artifacts)
     for p in rep.artifacts:
         assert validate_module(parse_module(open(p).read())) == []
+
+
+# Two injected evaluator bugs.  Each wraps a rule of the table, so
+# ``monkeypatch.setitem(interp._RULES, ...)`` installs it for every
+# evaluator until the test ends.
+
+
+def _cons_dropping_last_arg(rule):
+    """E-Cons builds a constructor of two or more fields without its last one."""
+
+    def mutant(self, e, store, n):
+        res, out = rule(self, e, store, n)
+        if type(res) is Success and len(res.value.args) > 1:
+            res = Success(VCons(res.value.name, res.value.args[:-1]))
+        return res, out
+
+    return mutant
+
+
+def _lookup_raising_keyerror(rule):
+    """A missing map key raises a Python KeyError instead of throwing nokey."""
+
+    def mutant(self, e, store, n):
+        res, out = rule(self, e, store, n)
+        if type(res) is Throw and res.value.name == "nokey":
+            raise KeyError(res.value.args[0])
+        return res, out
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "suite, form, mutation, check, subsets",
+    [
+        ("typing", sx.Cons, _cons_dropping_last_arg, check_typing, ("all",)),
+        ("progress", sx.Lookup, _lookup_raising_keyerror, check_progress, ("finite", "all", "all")),
+    ],
+    ids=["typing", "progress"],
+)
+def test_artifacts_replay_the_case_that_failed(
+    tmp_path, monkeypatch, suite, form, mutation, check, subsets
+):
+    cases, art = 300, str(tmp_path)
+    # The cases the suite draws (progress draws fewer, after its adversarial
+    # snippets), so each artifact can be held to the case it names.
+    rng = random.Random(0)
+    drawn = [_draw_case(rng, subsets[i % len(subsets)]) for i in range(cases)]
+    with monkeypatch.context() as mp:
+        mp.setitem(interp._RULES, form, mutation(interp._RULES[form]))
+        rep = run_suite(suite, cases=cases, seed=0, artifacts_dir=art)
+        assert rep.failures and len(rep.artifacts) >= 6
+        replays = []
+        for path in rep.artifacts:
+            text = open(path, encoding="utf-8").read()
+            i = int(os.path.basename(path)[len(suite) + 1 : -len(".rsl")])
+            assert text.startswith(f"// {suite} case {i}: ")
+            m = parse_module(text)
+            assert validate_module(m) == []
+            replay = Case(m, "check", Evaluator(m).init_globals())
+            assert check(replay) is not None, path
+            replays.append((i, m, replay))
+    for i, m, replay in replays:
+        case = drawn[i]
+        call = replay.body
+        assert isinstance(call, sx.Call) and call.name == case.function
+        assert case.function in {f.name for f in m.functions}
+        ev = Evaluator(m)
+        args = [ev.evaluate(a, Store())[0].value for a in call.args]
+        assert args == [case.store.get(p.name) for p in case.fundef.params]
+        for g in m.globals:
+            assert replay.store.get(g.name) == case.store.get(g.name)
+        assert check(replay) is None, i
+        path = os.path.join(art, f"{suite}_{i}.rsl")
+        assert main(["run", path, "--call", "check()"]) in (0, 2, 3, 4)
+
+
+def test_a_shrunk_case_keeps_the_store_its_artifact_replays(monkeypatch):
+    # While the global g is declared, the pattern g tests equality with its
+    # value 3 and the second case builds the (mutated) constructor.  Once
+    # g is dropped, the pattern binds and the first case answers 0, so the
+    # shrinker must check a module without g on a store without g.
+    m = parse_module(
+        "data D = c(int a, int b); global int g = 3;"
+        "value f() = switch (4) { case g => 0 case x => c(x, x) };"
+    )
+    monkeypatch.setitem(interp._RULES, sx.Cons, _cons_dropping_last_arg(interp._RULES[sx.Cons]))
+    case = Case(m, "f", Evaluator(m).init_globals())
+    assert check_typing(case) is not None
+    art = parse_module(render(_case_artifact(_shrink(case, check_typing))))
+    assert check_typing(Case(art, "check", Evaluator(art).init_globals())) is not None

@@ -425,3 +425,37 @@ def test_constructor_resolution_in_expressions():
                 for scope in (None, m):
                     new = parse_expr(snippet, scope)
                     assert _same_tree(new, _old_parse_expr(snippet, scope)), (path, snippet)
+
+
+DEEP_PARENS = "(" * 3000 + "1" + ")" * 3000
+
+
+def _write_deep_module(tmp_path):
+    path = tmp_path / "deep.rsl"
+    path.write_text(f"int f() = {DEEP_PARENS};", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda tmp_path: parse_module(f"int f() = {DEEP_PARENS};"),
+        lambda tmp_path: parse_expr(DEEP_PARENS),
+        lambda tmp_path: parse_value("[" * 3000 + "]" * 3000),
+        lambda tmp_path: load_module(_write_deep_module(tmp_path)),
+    ],
+    ids=["parse_module", "parse_expr", "parse_value", "load_module"],
+)
+def test_entry_points_report_stack_exhaustion_as_the_host_stack_guard(tmp_path, entry):
+    # At Python's default recursion limit, on the calling thread.
+    import sys
+
+    from rascal_light.fuel import HostStackGuard
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(HostStackGuard, match="^host stack exhausted$"):
+            entry(tmp_path)
+    finally:
+        sys.setrecursionlimit(limit)
