@@ -29,7 +29,7 @@ from .values import (
     value_order,
 )
 from .types import lub, lub_seq, subtype, type_of
-from .patterns import match, match_all, merge
+from .patterns import match, match_all
 from .interp import Evaluator, IllFormedModule, InitError, init_module
 from .fuel import HostStackGuard, call_with_stack, eval_expr_fuel, min_sufficient_fuel
 from .parser import ParseError, load_module, parse_expr, parse_module, parse_value
@@ -66,7 +66,6 @@ __all__ = [
     "map_update",
     "match",
     "match_all",
-    "merge",
     "min_sufficient_fuel",
     "parse_expr",
     "parse_module",

@@ -13,16 +13,9 @@ import threading
 from typing import Callable
 
 from .interp import Evaluator
+from .stackguard import HostStackGuard
 from .syntax import Expr, is_finite_subset
 from .values import Result, Store, Timeout
-
-
-class HostStackGuard(Exception):
-    """The host interpreter ran out of stack.
-
-    A resource diagnostic for unbounded (or absurdly-fueled) runs; distinct
-    from an in-band timeout, which is part of the bounded semantics.
-    """
 
 
 def eval_expr_fuel(ev: Evaluator, e: Expr, store: Store, fuel: int) -> tuple[Result, Store]:

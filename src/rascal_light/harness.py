@@ -1046,6 +1046,19 @@ def _case_artifact(case: Case) -> sx.ModuleDef:
     )
 
 
+def artifact_case(module: sx.ModuleDef) -> Case:
+    """The case a typing, progress or termination artifact replays: the
+    function its ``check()`` calls, from the module's initial globals plus
+    that call's argument values bound to the function's parameters."""
+    functions = {f.name: f for f in module.functions}
+    call = functions["check"].body
+    ev = Evaluator(module)
+    store = ev.init_globals()
+    for p, arg in zip(functions[call.name].params, call.args):
+        store = store.updated(p.name, ev.evaluate(arg, Store())[0].value)
+    return Case(module, call.name, store)
+
+
 def _run_cases(
     report: SuiteReport, check, subsets: tuple[str, ...], cases: int, seed: int, artifacts_dir
 ) -> SuiteReport:

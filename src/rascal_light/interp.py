@@ -765,13 +765,13 @@ class Evaluator:
             return self.fire("G-Enum-Exc", g.span, r, store, s1)
         v = r.value
         if isinstance(v, VList):
-            envs = [{g.var: x} for x in v.items]
+            envs = ({g.var: x} for x in v.items)
             return self.fire("G-Enum-List", g.span, envs, store, s1)
         if isinstance(v, VSet):
-            envs = [{g.var: x} for x in v.items]
+            envs = ({g.var: x} for x in v.items)
             return self.fire("G-Enum-Set", g.span, envs, store, s1)
         if isinstance(v, VMap):
-            envs = [{g.var: k} for k, _ in v.pairs]
+            envs = ({g.var: k} for k, _ in v.pairs)
             return self.fire("G-Enum-Map", g.span, envs, store, s1)
         return self.fire("G-Enum-Err", g.span, ERROR, store, s1)
 

@@ -7,12 +7,11 @@ extension, UTF-8, LF or CRLF line endings, and ``//`` line comments.
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import syntax as sx
-from .fuel import HostStackGuard
+from .stackguard import stack_guarded
 from .syntax import Span
 from .types import (
     BaseType,
@@ -832,21 +831,7 @@ class Parser:
 # Entry points
 
 
-def _stack_guarded(entry):
-    """Input nested deeper than the host stack allows raises HostStackGuard
-    from ``entry``, as it does from ``call_with_stack``."""
-
-    @functools.wraps(entry)
-    def guarded(*args, **kwargs):
-        try:
-            return entry(*args, **kwargs)
-        except RecursionError:
-            raise HostStackGuard("host stack exhausted") from None
-
-    return guarded
-
-
-@_stack_guarded
+@stack_guarded
 def parse_module(src: SourceFile | str, path: str = "<string>") -> sx.ModuleDef:
     """Parse a module from a source file or raw text.
 
@@ -859,7 +844,7 @@ def parse_module(src: SourceFile | str, path: str = "<string>") -> sx.ModuleDef:
     return p.parse_module()
 
 
-@_stack_guarded
+@stack_guarded
 def parse_expr(text: str, module: sx.ModuleDef | None = None) -> sx.Expr:
     """Parse a standalone expression, resolving constructor names against
     the given module's declarations."""
@@ -871,7 +856,7 @@ def parse_expr(text: str, module: sx.ModuleDef | None = None) -> sx.Expr:
     return e
 
 
-@_stack_guarded
+@stack_guarded
 def parse_value(text: str) -> Value:
     """Parse a value literal (the CLI argument format)."""
     p = Parser(SourceFile("<value>", text))

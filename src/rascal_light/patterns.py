@@ -1,17 +1,30 @@
-"""Backtracking pattern matching.
+"""Backtracking pattern matching, produced lazily.
 
-``match`` produces the full sequence of candidate environments for a
-pattern against a value; list and set element sequences go through
-``match_all``, which is parameterized over a construction function and
-partition enumerators (ordered splits for lists, subset/complement splits
-for sets).  Matching never touches the store it reads.
+``match`` is a generator of the candidate environments of a pattern
+against a value: the paper's list of successes, drawn on demand, so a
+construct that takes the first candidate whose body does not fail (a
+``switch`` or visit case) builds only the candidates it tries.  List and
+set element sequences go through ``match_all``.  Matching never touches
+the store it reads.
+
+The enumeration order is part of the semantics:
+
+* constructor arguments, and a typed pattern's label with its inner
+  pattern, combine in left-to-right product order, consistent pairs only;
+* a list star takes prefixes by increasing length, and an ordinary list
+  element takes the head;
+* an ordinary set element picks each element in canonical order;
+* a set star takes subsets largest first: by descending size, and in
+  reverse canonical-lexicographic order within one size;
+* ``/p`` yields the matches at the value itself, then those inside each
+  child in order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import syntax as sx
 from .types import Type, subtype, type_of
@@ -29,92 +42,6 @@ from .values import (
 ValueSeq = tuple[Value, ...]
 
 
-@dataclass(frozen=True)
-class MatchConfig:
-    """How a collection kind splits and reassembles during matching."""
-
-    construct: Callable[[ValueSeq], Value]
-    partition_one: Callable[[ValueSeq], Iterator[tuple[Value, ValueSeq]]]
-    partition_sub: Callable[[ValueSeq], Iterator[tuple[ValueSeq, ValueSeq]]]
-    # Splits of source into (selected, remainder) where selected is fixed;
-    # None when no valid split exists.
-    split_known: Callable[[ValueSeq, Value], ValueSeq | None]
-
-
-def _list_partition_one(vals: ValueSeq) -> Iterator[tuple[Value, ValueSeq]]:
-    # A single element composed with a remainder reassembles the list only
-    # when it is the head.
-    if vals:
-        yield vals[0], vals[1:]
-
-
-def _list_partition_sub(vals: ValueSeq) -> Iterator[tuple[ValueSeq, ValueSeq]]:
-    # Prefix splits, by increasing prefix length.
-    for i in range(len(vals) + 1):
-        yield vals[:i], vals[i:]
-
-
-def _list_split_known(vals: ValueSeq, bound: Value) -> ValueSeq | None:
-    if not isinstance(bound, VList):
-        return None
-    k = len(bound.items)
-    if vals[:k] == bound.items:
-        return vals[k:]
-    return None
-
-
-def _set_partition_one(vals: ValueSeq) -> Iterator[tuple[Value, ValueSeq]]:
-    # Single picks in canonical element order.
-    for i, v in enumerate(vals):
-        yield v, vals[:i] + vals[i + 1 :]
-
-
-def _set_partition_sub(vals: ValueSeq) -> Iterator[tuple[ValueSeq, ValueSeq]]:
-    # Subset/complement splits.  Subsets are enumerated largest-first:
-    # descending size, and in reverse canonical-lexicographic order within
-    # one size.  First-match constructs that scan these splits therefore
-    # prefer the largest candidate subcollection.
-    n = len(vals)
-    indexed = list(enumerate(vals))
-    subsets: list[tuple[ValueSeq, ValueSeq]] = []
-    for k in range(n + 1):
-        for picked in itertools.combinations(indexed, k):
-            chosen = {i for i, _ in picked}
-            sub = tuple(v for i, v in indexed if i in chosen)
-            rest = tuple(v for i, v in indexed if i not in chosen)
-            subsets.append((sub, rest))
-    return iter(reversed(subsets))
-
-
-def _set_split_known(vals: ValueSeq, bound: Value) -> ValueSeq | None:
-    if not isinstance(bound, VSet):
-        return None
-    remaining = list(vals)
-    for x in bound.items:
-        for i, y in enumerate(remaining):
-            if x == y:
-                del remaining[i]
-                break
-        else:
-            return None
-    return tuple(remaining)
-
-
-LIST_CONFIG = MatchConfig(
-    construct=lambda vs: VList(vs),
-    partition_one=_list_partition_one,
-    partition_sub=_list_partition_sub,
-    split_known=_list_split_known,
-)
-
-SET_CONFIG = MatchConfig(
-    construct=lambda vs: VSet(vs),
-    partition_one=_set_partition_one,
-    partition_sub=_set_partition_sub,
-    split_known=_set_split_known,
-)
-
-
 # ---------------------------------------------------------------------------
 # Environment merging
 
@@ -129,26 +56,21 @@ def merge_pair(a: Env, b: Env) -> Env | None:
     return out
 
 
-def merge2(left: list[Env], right: list[Env]) -> list[Env]:
-    out: list[Env] = []
+def _product(left: Iterable[Env], right: Iterable[Env]) -> Iterator[Env]:
+    """The paper's merge of two environment sequences: ``merge_pair(a, b)``
+    for each consistent pair, in left-to-right product order.  ``right`` is
+    run once, as far as the first ``a`` needs it, and what it yields is kept
+    for the next ``a``, so each operand is matched at most once."""
+    kept: list[Env] = []
+    source = right
     for a in left:
-        for b in right:
+        for b in source:
+            if source is right:
+                kept.append(b)
             m = merge_pair(a, b)
             if m is not None:
-                out.append(m)
-    return out
-
-
-def merge(*env_seqs: Iterable[Env]) -> list[Env]:
-    """Merge environment sequences into all consistent combinations.
-
-    The empty merge yields a single empty environment; combination order is
-    the left-to-right product order.
-    """
-    out: list[Env] = [{}]
-    for seq in reversed(env_seqs):
-        out = merge2(list(seq), out)
-    return out
+                yield m
+        source = kept
 
 
 # ---------------------------------------------------------------------------
@@ -160,87 +82,112 @@ def match(
     v: Value,
     store: Store,
     constructors: Mapping[str, tuple[str, tuple[Type, ...]]],
-) -> list[Env]:
-    """All candidate environments for pattern ``p`` against value ``v``.
+) -> Iterator[Env]:
+    """The candidate environments for pattern ``p`` against value ``v``.
 
     The store is consulted for variables that already have values (those
-    match by equality instead of binding); it is never modified.  An empty
-    result means no match; an empty environment means a match that binds
+    match by equality instead of binding); it is never modified.  Yielding
+    nothing means no match; an empty environment means a match that binds
     nothing.
     """
     if isinstance(p, sx.LitPat):
-        return [{}] if v == Basic(p.value) else []
-    if isinstance(p, sx.VarPat):
-        if p.name in store:
-            return [{}] if store.get(p.name) == v else []
-        return [{p.name: v}]
-    if isinstance(p, sx.ConsPat):
-        if not (isinstance(v, VCons) and v.name == p.name and len(v.args) == len(p.args)):
-            return []
-        arg_envs = [match(q, a, store, constructors) for q, a in zip(p.args, v.args)]
-        return merge(*arg_envs)
-    if isinstance(p, sx.TypedPat):
-        vt = type_of(v, constructors)
-        if not subtype(vt, p.type):
-            return []
-        inner = match(p.pattern, v, store, constructors)
-        return merge([{p.name: v}], inner)
-    if isinstance(p, sx.ListPat):
-        if not isinstance(v, VList):
-            return []
-        return match_all(p.elements, v.items, store, LIST_CONFIG, constructors)
-    if isinstance(p, sx.SetPat):
-        if not isinstance(v, VSet):
-            return []
-        return match_all(p.elements, v.items, store, SET_CONFIG, constructors)
-    if isinstance(p, sx.NegPat):
-        inner = match(p.pattern, v, store, constructors)
-        return [{}] if not inner else []
-    if isinstance(p, sx.DeepPat):
-        out = match(p.pattern, v, store, constructors)
+        if v == Basic(p.value):
+            yield {}
+    elif isinstance(p, sx.VarPat):
+        if p.name not in store:
+            yield {p.name: v}
+        elif store.get(p.name) == v:
+            yield {}
+    elif isinstance(p, sx.ConsPat):
+        if isinstance(v, VCons) and v.name == p.name and len(v.args) == len(p.args):
+            arg_envs = [match(q, a, store, constructors) for q, a in zip(p.args, v.args)]
+            yield from functools.reduce(_product, arg_envs) if arg_envs else ({},)
+    elif isinstance(p, sx.TypedPat):
+        if subtype(type_of(v, constructors), p.type):
+            yield from _product(({p.name: v},), match(p.pattern, v, store, constructors))
+    elif isinstance(p, sx.ListPat):
+        if isinstance(v, VList):
+            yield from match_all(p.elements, v.items, store, True, constructors)
+    elif isinstance(p, sx.SetPat):
+        if isinstance(v, VSet):
+            yield from match_all(p.elements, v.items, store, False, constructors)
+    elif isinstance(p, sx.NegPat):
+        if next(match(p.pattern, v, store, constructors), None) is None:
+            yield {}
+    elif isinstance(p, sx.DeepPat):
+        yield from match(p.pattern, v, store, constructors)
         for c in children(v):
-            out = out + match(p, c, store, constructors)
-        return out
-    if isinstance(p, sx.Star):
+            yield from match(p, c, store, constructors)
+    elif isinstance(p, sx.Star):
         raise ValueError("star pattern outside a collection pattern")
-    raise TypeError(f"not a pattern: {p!r}")
+    else:
+        raise TypeError(f"not a pattern: {p!r}")
 
 
 def match_all(
     elements: tuple[sx.Pattern, ...],
     vals: ValueSeq,
     store: Store,
-    cfg: MatchConfig,
+    ordered: bool,
     constructors: Mapping[str, tuple[str, tuple[Type, ...]]],
-) -> list[Env]:
-    """Match a sequence of (star) patterns against a value sequence.
+) -> Iterator[Env]:
+    """Match a sequence of (star) patterns against the items of a list
+    (``ordered``) or of a canonical set.
 
-    Results are concatenated over all partitions of ``vals`` for the head
-    pattern, in the enumeration order of ``cfg``.  No partition repeats a
-    selection: list splits differ in length, and the elements of a
-    canonical set are distinct.
+    The head pattern takes each of its splits of ``vals`` in turn, in the
+    order the module docstring states, and the rest match the remainder.
+    No two splits select the same items: list splits differ in length, and
+    the elements of a canonical set are distinct.
     """
     if not elements:
-        return [{}] if not vals else []
+        if not vals:
+            yield {}
+        return
     head, rest = elements[0], elements[1:]
-
     if isinstance(head, sx.Star):
-        x = head.name
-        if x in store:
-            bound = store.get(x)
-            remainder = cfg.split_known(vals, bound)
-            if remainder is None:
-                return []
-            return match_all(rest, remainder, store, cfg, constructors)
-        out: list[Env] = []
-        for sub, remainder in cfg.partition_sub(vals):
-            tail_envs = match_all(rest, remainder, store, cfg, constructors)
-            out.extend(merge2([{x: cfg.construct(sub)}], tail_envs))
-        return out
+        if head.name in store:
+            remainder = _without_bound(vals, store.get(head.name), ordered)
+            if remainder is not None:
+                yield from match_all(rest, remainder, store, ordered, constructors)
+            return
+        build = VList if ordered else VSet
+        for taken, remainder in _star_splits(vals, ordered):
+            tails = match_all(rest, remainder, store, ordered, constructors)
+            yield from _product(({head.name: build(taken)},), tails)
+        return
+    if ordered:
+        picks: Iterable[tuple[Value, ValueSeq]] = ((vals[0], vals[1:]),) if vals else ()
+    else:
+        picks = ((x, vals[:i] + vals[i + 1 :]) for i, x in enumerate(vals))
+    for x, remainder in picks:
+        tails = match_all(rest, remainder, store, ordered, constructors)
+        yield from _product(match(head, x, store, constructors), tails)
 
-    out = []
-    for v1, remainder in cfg.partition_one(vals):
-        head_envs = match(head, v1, store, constructors)
-        tail_envs = match_all(rest, remainder, store, cfg, constructors)
-        out.extend(merge2(head_envs, tail_envs))
-    return out
+
+def _star_splits(vals: ValueSeq, ordered: bool) -> Iterator[tuple[ValueSeq, ValueSeq]]:
+    """The (taken, remainder) splits of ``vals`` for a star with no value."""
+    n = len(vals)
+    if ordered:
+        for i in range(n + 1):
+            yield vals[:i], vals[i:]
+        return
+    # Of two index sets of one size, the lexicographically smaller holds the
+    # least index where they differ, which its complement lacks; so taken
+    # sets in reverse lexicographic order have their complements in
+    # lexicographic order, and remainders go by increasing size.
+    for r in range(n + 1):
+        for left in itertools.combinations(range(n), r):
+            taken = tuple(x for i, x in enumerate(vals) if i not in left)
+            yield taken, tuple(vals[i] for i in left)
+
+
+def _without_bound(vals: ValueSeq, bound: Value, ordered: bool) -> ValueSeq | None:
+    """``vals`` less the items of a star's value from the store (for a
+    list, as a prefix), or None when that value is not there to take."""
+    if ordered:
+        if isinstance(bound, VList) and vals[: len(bound.items)] == bound.items:
+            return vals[len(bound.items) :]
+        return None
+    if isinstance(bound, VSet) and all(x in vals for x in bound.items):
+        return tuple(x for x in vals if x not in bound.items)
+    return None

@@ -7,6 +7,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .stackguard import stack_guarded
 from .types import (
     DataType,
     ListType,
@@ -894,6 +895,7 @@ class _Validator:
         raise TypeError(f"not a pattern: {p!r}")
 
 
+@stack_guarded
 def analyze_module(m: ModuleDef) -> ModuleInfo:
     """Validate ``m`` and compute the tables the evaluator needs."""
     return _Validator(m).run()

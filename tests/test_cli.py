@@ -428,3 +428,25 @@ def test_integers_past_the_host_digit_limit_print_exactly(capsys):
     assert json.loads(out) == {
         "version": 1, "result": "success", "value": {"kind": "int", "value": digits}
     }
+
+
+def test_small_fuel_keeps_set_matching_small(tmp_path, capsys, monkeypatch):
+    # At fuel 3 the case body is never reached, so the matcher builds only
+    # the first candidate; building every split first builds 2^18 sets.
+    from rascal_light.values import VSet
+
+    mod = tmp_path / "pick.rsl"
+    mod.write_text("int pick(set<int> s) = switch (s) { case {*xs, x} => x };\n")
+    built = 0
+    init = VSet.__init__
+
+    def counted(self, items):
+        nonlocal built
+        built += 1
+        init(self, items)
+
+    monkeypatch.setattr(VSet, "__init__", counted)
+    elems = ", ".join(str(i) for i in range(18))
+    code, out, _ = run_cli(capsys, "run", str(mod), "--call", f"pick({{{elems}}})", "--fuel", "3")
+    assert code == 4 and out.strip() == "timeout"
+    assert 0 < built <= 10

@@ -14,7 +14,9 @@ from rascal_light.harness import (
     _case_artifact,
     _draw_case,
     _shrink,
+    artifact_case,
     check_progress,
+    check_termination,
     check_typing,
     env_set,
     gen_cases_triple,
@@ -85,7 +87,7 @@ def test_oracle_agrees_with_match_on_spot_corpus():
     for _ in range(400):
         pat, v, store = gen_match_pair(rng, gen)
         expected = oracle_match(pat, v, store, gen.constructors)
-        envs = match(pat, v, store, gen.constructors)
+        envs = list(match(pat, v, store, gen.constructors))
         assert env_set(envs) == expected, (pat, v)
         # Every value a match binds is itself typeable.
         for env in envs:
@@ -100,7 +102,7 @@ def test_match_duplicates_are_kept_but_sets_agree():
     # backtracking counts); as sets they agree with the oracle.
     pat = sx.DeepPat(sx.VarPat("x"))
     v = VList((b(1), b(1)))
-    envs = match(pat, v, Store(), CONS)
+    envs = list(match(pat, v, Store(), CONS))
     assert len(envs) == 3  # the list, then each equal element
     assert env_set(envs) == oracle_match(pat, v, Store(), CONS)
 
@@ -281,13 +283,27 @@ def _lookup_raising_keyerror(rule):
     return mutant
 
 
+def _lit_growing_with_fuel(rule):
+    """An integer literal evaluated with more than 16 units of fuel left
+    comes out one larger, so a result changes as the budget grows."""
+
+    def mutant(self, e, store, n):
+        res, out = rule(self, e, store, n)
+        if n is not None and n > 16 and type(res.value.val) is int:
+            res = Success(Basic(res.value.val + 1))
+        return res, out
+
+    return mutant
+
+
 @pytest.mark.parametrize(
     "suite, form, mutation, check, subsets",
     [
         ("typing", sx.Cons, _cons_dropping_last_arg, check_typing, ("all",)),
         ("progress", sx.Lookup, _lookup_raising_keyerror, check_progress, ("finite", "all", "all")),
+        ("termination", sx.Lit, _lit_growing_with_fuel, check_termination, ("finite",)),
     ],
-    ids=["typing", "progress"],
+    ids=["typing", "progress", "termination"],
 )
 def test_artifacts_replay_the_case_that_failed(
     tmp_path, monkeypatch, suite, form, mutation, check, subsets
@@ -297,32 +313,27 @@ def test_artifacts_replay_the_case_that_failed(
     # snippets), so each artifact can be held to the case it names.
     rng = random.Random(0)
     drawn = [_draw_case(rng, subsets[i % len(subsets)]) for i in range(cases)]
+    bug = mutation(interp._RULES[form])
     with monkeypatch.context() as mp:
-        mp.setitem(interp._RULES, form, mutation(interp._RULES[form]))
+        mp.setitem(interp._RULES, form, bug)
         rep = run_suite(suite, cases=cases, seed=0, artifacts_dir=art)
-        assert rep.failures and len(rep.artifacts) >= 6
-        replays = []
-        for path in rep.artifacts:
-            text = open(path, encoding="utf-8").read()
-            i = int(os.path.basename(path)[len(suite) + 1 : -len(".rsl")])
-            assert text.startswith(f"// {suite} case {i}: ")
-            m = parse_module(text)
-            assert validate_module(m) == []
-            replay = Case(m, "check", Evaluator(m).init_globals())
-            assert check(replay) is not None, path
-            replays.append((i, m, replay))
-    for i, m, replay in replays:
-        case = drawn[i]
-        call = replay.body
-        assert isinstance(call, sx.Call) and call.name == case.function
-        assert case.function in {f.name for f in m.functions}
-        ev = Evaluator(m)
-        args = [ev.evaluate(a, Store())[0].value for a in call.args]
-        assert args == [case.store.get(p.name) for p in case.fundef.params]
-        for g in m.globals:
-            assert replay.store.get(g.name) == case.store.get(g.name)
+    assert rep.failures and len(rep.artifacts) >= 6
+    for path in rep.artifacts:
+        text = open(path, encoding="utf-8").read()
+        i = int(os.path.basename(path)[len(suite) + 1 : -len(".rsl")])
+        assert text.startswith(f"// {suite} case {i}: ")
+        m = parse_module(text)
+        assert validate_module(m) == []
+        # Built by the correct evaluator: the bug may break the literals
+        # that spell the store.
+        replay, case = artifact_case(m), drawn[i]
+        assert replay.function == case.function
+        for name in [p.name for p in case.fundef.params] + [g.name for g in m.globals]:
+            assert replay.store.get(name) == case.store.get(name)
         assert check(replay) is None, i
-        path = os.path.join(art, f"{suite}_{i}.rsl")
+        with monkeypatch.context() as mp:
+            mp.setitem(interp._RULES, form, bug)
+            assert check(replay) is not None, path
         assert main(["run", path, "--call", "check()"]) in (0, 2, 3, 4)
 
 

@@ -125,3 +125,22 @@ def test_finite_subset_covers_case_bodies_and_generators():
     assert not is_finite_subset(inside_case)
     inside_gen = parse_expr("for (z <- [while (false()) 1]) z")
     assert not is_finite_subset(inside_gen)
+
+
+def test_validation_reports_stack_exhaustion_as_the_host_stack_guard():
+    # Parsed on a large-stack worker, validated on the calling thread at
+    # Python's default recursion limit.
+    import sys
+
+    import pytest
+
+    from rascal_light.fuel import HostStackGuard, call_with_stack
+
+    m = call_with_stack(parse_module, "int f() = " + "-(" * 3000 + "1" + ")" * 3000 + ";")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(HostStackGuard, match="^host stack exhausted$"):
+            validate_module(m)
+    finally:
+        sys.setrecursionlimit(limit)
