@@ -1049,13 +1049,17 @@ def _case_artifact(case: Case) -> sx.ModuleDef:
 def artifact_case(module: sx.ModuleDef) -> Case:
     """The case a typing, progress or termination artifact replays: the
     function its ``check()`` calls, from the module's initial globals plus
-    that call's argument values bound to the function's parameters."""
+    that call's argument values bound to the function's parameters.
+    Raises ``ValueError`` if an argument does not evaluate to a value."""
     functions = {f.name: f for f in module.functions}
     call = functions["check"].body
     ev = Evaluator(module)
     store = ev.init_globals()
     for p, arg in zip(functions[call.name].params, call.args):
-        store = store.updated(p.name, ev.evaluate(arg, Store())[0].value)
+        res = ev.evaluate(arg, Store())[0]
+        if type(res) is not Success:
+            raise ValueError(f"argument {p.name} of {call.name} gives {res!r}, not a value")
+        store = store.updated(p.name, res.value)
     return Case(module, call.name, store)
 
 

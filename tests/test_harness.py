@@ -254,9 +254,9 @@ def test_suite_artifacts_written_on_failure(tmp_path, monkeypatch):
         assert validate_module(parse_module(open(p).read())) == []
 
 
-# Two injected evaluator bugs.  Each wraps a rule of the table, so
-# ``monkeypatch.setitem(interp._RULES, ...)`` installs it for every
-# evaluator until the test ends.
+# Three injected evaluator bugs, one per suite.  Each wraps a rule of the
+# table, so ``monkeypatch.setitem(interp._RULES, ...)`` installs it for
+# every evaluator until the test ends.
 
 
 def _cons_dropping_last_arg(rule):
@@ -324,17 +324,33 @@ def test_artifacts_replay_the_case_that_failed(
         assert text.startswith(f"// {suite} case {i}: ")
         m = parse_module(text)
         assert validate_module(m) == []
+        case = drawn[i]
+        call = next(f for f in m.functions if f.name == "check").body
+        assert isinstance(call, sx.Call) and call.name == case.function
         # Built by the correct evaluator: the bug may break the literals
         # that spell the store.
-        replay, case = artifact_case(m), drawn[i]
-        assert replay.function == case.function
+        inner = artifact_case(m)
+        assert inner.function == case.function
         for name in [p.name for p in case.fundef.params] + [g.name for g in m.globals]:
-            assert replay.store.get(name) == case.store.get(name)
-        assert check(replay) is None, i
-        with monkeypatch.context() as mp:
-            mp.setitem(interp._RULES, form, bug)
-            assert check(replay) is not None, path
+            assert inner.store.get(name) == case.store.get(name)
+        replays = [inner]
+        # The artifact's own check() entry point replays the case too, except
+        # for termination: a call lies outside the finite subset it checks.
+        if suite != "termination":
+            replays.append(Case(m, "check", Evaluator(m).init_globals()))
+        for replay in replays:
+            assert check(replay) is None, (i, replay.function)
+            with monkeypatch.context() as mp:
+                mp.setitem(interp._RULES, form, bug)
+                assert check(replay) is not None, (path, replay.function)
         assert main(["run", path, "--call", "check()"]) in (0, 2, 3, 4)
+
+
+def test_artifact_case_rejects_an_argument_that_is_not_a_value():
+    m = parse_module("int f(int x) = x; int check() = f((1: 2)[3]);")
+    with pytest.raises(ValueError, match="argument x of f"):
+        artifact_case(m)
+    assert artifact_case(parse_module("int f(int x) = x; int check() = f(1);")).store.get("x") == b(1)
 
 
 def test_a_shrunk_case_keeps_the_store_its_artifact_replays(monkeypatch):
