@@ -18,7 +18,7 @@ from . import syntax as sx
 from .interp import Evaluator
 from .fuel import call_with_stack, eval_expr_fuel, min_sufficient_fuel
 from .parser import parse_expr
-from .render import render_module
+from .render import render_expr, render_module
 from .syntax import validate_module
 from .types import (
     BaseType,
@@ -149,6 +149,28 @@ def value_to_expr(v: Value) -> sx.Expr:
         return sx.MapExpr(tuple((value_to_expr(k), value_to_expr(x)) for k, x in v.pairs))
     # An empty switch fails all cases, which yields the undefined value.
     return sx.Switch(sx.Lit(0), ())
+
+
+def literal_value(e: sx.Expr) -> Value:
+    """The value ``e`` spells, for an ``e`` of the forms `value_to_expr`
+    builds; read without an evaluator, so a replay does not depend on
+    the rules under test.  Raises ``ValueError`` on any other form."""
+    if isinstance(e, sx.Lit):
+        return Basic(e.value)
+    if isinstance(e, sx.Unary) and e.op == "-" and isinstance(e.operand, sx.Lit):
+        if isinstance(e.operand.value, int):
+            return Basic(-e.operand.value)
+    if isinstance(e, sx.Cons):
+        return VCons(e.name, tuple(literal_value(a) for a in e.args))
+    if isinstance(e, sx.ListExpr):
+        return VList(tuple(literal_value(a) for a in e.items))
+    if isinstance(e, sx.SetExpr):
+        return VSet(tuple(literal_value(a) for a in e.items))
+    if isinstance(e, sx.MapExpr):
+        return VMap(tuple((literal_value(k), literal_value(x)) for k, x in e.pairs))
+    if isinstance(e, sx.Switch) and e.subject == sx.Lit(0) and not e.cases:
+        return UNDEF
+    raise ValueError(f"not a value literal: {render_expr(e)}")
 
 
 # ---------------------------------------------------------------------------
@@ -1048,19 +1070,18 @@ def _case_artifact(case: Case) -> sx.ModuleDef:
 
 def artifact_case(module: sx.ModuleDef) -> Case:
     """The case a typing, progress or termination artifact replays: the
-    function its ``check()`` calls, from the module's initial globals plus
-    that call's argument values bound to the function's parameters.
-    Raises ``ValueError`` if an argument does not evaluate to a value."""
+    function its ``check()`` calls, from the module's globals plus that
+    call's arguments bound to the function's parameters, each read with
+    `literal_value`.  Raises ``ValueError`` if one is not a value literal."""
     functions = {f.name: f for f in module.functions}
     call = functions["check"].body
-    ev = Evaluator(module)
-    store = ev.init_globals()
+    store = {g.name: literal_value(g.init) for g in module.globals}
     for p, arg in zip(functions[call.name].params, call.args):
-        res = ev.evaluate(arg, Store())[0]
-        if type(res) is not Success:
-            raise ValueError(f"argument {p.name} of {call.name} gives {res!r}, not a value")
-        store = store.updated(p.name, res.value)
-    return Case(module, call.name, store)
+        try:
+            store[p.name] = literal_value(arg)
+        except ValueError as exc:
+            raise ValueError(f"argument {p.name} of {call.name}: {exc}") from None
+    return Case(module, call.name, Store(store))
 
 
 def _run_cases(

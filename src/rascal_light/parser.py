@@ -23,7 +23,7 @@ from .types import (
     VALUE,
     VOID,
 )
-from .values import Basic, UNDEF, Value, VCons, VList, VMap, VSet
+from .values import ESCAPES, Basic, UNDEF, Value, VCons, VList, VMap, VSet
 
 
 @dataclass
@@ -55,27 +55,34 @@ class ParseError(Exception):
         self.expected = expected
 
 
+STRATEGIES = {s.value: s for s in sx.Strategy}
+
+# Hyphenated strategy names, longest first, for the tokenizer's greedy match.
+_HYPHENATED = sorted((name for name in STRATEGIES if "-" in name), key=len, reverse=True)
+
 KEYWORDS = {
     "fail", "break", "continue", "return", "throw", "try", "catch", "finally",
     "switch", "visit", "solve", "for", "while", "if", "then", "else",
     "local", "in", "end", "data", "global", "value", "void", "case",
-    "top-down", "bottom-up", "top-down-break", "bottom-up-break",
-    "outermost", "innermost",
+    *STRATEGIES,
 }
 
-STRATEGIES = {
-    "top-down": sx.Strategy.TOP_DOWN,
-    "bottom-up": sx.Strategy.BOTTOM_UP,
-    "top-down-break": sx.Strategy.TOP_DOWN_BREAK,
-    "bottom-up-break": sx.Strategy.BOTTOM_UP_BREAK,
-    "outermost": sx.Strategy.OUTERMOST,
-    "innermost": sx.Strategy.INNERMOST,
-}
+# Binary operators by precedence level, loosest first; every level is
+# left-associative.  Unary operators bind tighter, postfix lookups and
+# updates tighter still.  The renderer parenthesizes by the same levels.
+BINARY_LEVELS = (
+    ("||",),
+    ("&&",),
+    ("==", "!=", "<", "<=", ">", ">=", "in"),
+    ("+", "-"),
+    ("*", "/", "%"),
+)
 
 _PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||", ":=", "=>")
 _PUNCT1 = "+-*/%<>=!()[]{},;:|"
 
-_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+# The letter after a backslash -> the character it stands for.
+_UNESCAPES = {esc[1]: ch for ch, esc in ESCAPES.items()}
 
 
 @dataclass(frozen=True)
@@ -123,9 +130,9 @@ def tokenize(text: str) -> list[Token]:
                     i += 1
                     break
                 if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in _ESCAPES:
+                    if i + 1 >= n or text[i + 1] not in _UNESCAPES:
                         raise ParseError("bad escape in string literal", Span(i, i + 2))
-                    out.append(_ESCAPES[text[i + 1]])
+                    out.append(_UNESCAPES[text[i + 1]])
                     i += 2
                     continue
                 if c == "\n":
@@ -140,12 +147,11 @@ def tokenize(text: str) -> list[Token]:
             word = text[start:i]
             # Hyphenated strategy keywords are lexed greedily when the
             # hyphen is adjacent: top-down(-break), bottom-up(-break).
-            if word in ("top", "bottom"):
-                for suffix in ("-down-break", "-down", "-up-break", "-up"):
-                    cand = word + suffix
-                    if cand in STRATEGIES and text.startswith(suffix, i):
-                        word = cand
-                        i += len(suffix)
+            if text.startswith("-", i):
+                for name in _HYPHENATED:
+                    if text.startswith(name, start):
+                        word = name
+                        i = start + len(name)
                         break
             kind = "kw" if word in KEYWORDS else "ident"
             toks.append(Token(kind, word, start, i))
@@ -207,6 +213,17 @@ class Parser:
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.peek().span)
 
+    def sep_list(self, item, sep: str, closer: str | None) -> list:
+        """``item (sep item)*``, or no items when the next token is the
+        punctuation or keyword ``closer``; the closer is left unread."""
+        if closer is not None and (self.at("punct", closer) or self.at("kw", closer)):
+            return []
+        items = [item()]
+        while self.at("punct", sep):
+            self.advance()
+            items.append(item())
+        return items
+
     # -- modules ----------------------------------------------------------
 
     def parse_module(self) -> sx.ModuleDef:
@@ -251,28 +268,20 @@ class Parser:
         start = self.expect("kw", "data")
         name = self.expect("ident").value
         self.expect("punct", "=")
-        constructors = [self.parse_consdef()]
-        while self.at("punct", "|"):
-            self.advance()
-            constructors.append(self.parse_consdef())
+        constructors = self.sep_list(self.parse_consdef, "|", None)
         end = self.expect("punct", ";")
         return sx.DataDef(name, tuple(constructors), Span(start.start, end.end))
 
     def parse_consdef(self) -> sx.ConsDef:
         name_tok = self.expect("ident")
         self.expect("punct", "(")
-        fields: list[sx.FieldDef] = []
-        if not self.at("punct", ")"):
-            while True:
-                t = self.parse_type()
-                fname = self.expect("ident")
-                fields.append(
-                    sx.FieldDef(t, fname.value, Span(name_tok.start, fname.end))
-                )
-                if self.at("punct", ","):
-                    self.advance()
-                    continue
-                break
+
+        def field_def() -> sx.FieldDef:
+            t = self.parse_type()
+            fname = self.expect("ident")
+            return sx.FieldDef(t, fname.value, Span(name_tok.start, fname.end))
+
+        fields = self.sep_list(field_def, ",", ")")
         end = self.expect("punct", ")")
         return sx.ConsDef(name_tok.value, tuple(fields), Span(name_tok.start, end.end))
 
@@ -290,16 +299,7 @@ class Parser:
         t = self.parse_type()
         name = self.expect("ident").value
         self.expect("punct", "(")
-        params: list[sx.Param] = []
-        if not self.at("punct", ")"):
-            while True:
-                pt = self.parse_type()
-                pn = self.expect("ident")
-                params.append(sx.Param(pt, pn.value, pn.span))
-                if self.at("punct", ","):
-                    self.advance()
-                    continue
-                break
+        params = self.sep_list(lambda: self.parse_declaration(sx.Param), ",", ")")
         self.expect("punct", ")")
         if self.at("punct", "{"):
             body = self.parse_braced_body()
@@ -312,6 +312,12 @@ class Parser:
             end = self.expect("punct", ";")
             end_off = end.end
         return sx.FunDef(name, t, tuple(params), body, Span(start.start, end_off))
+
+    def parse_declaration(self, node):
+        """``type name`` as a ``node`` (a parameter or a block local)."""
+        t = self.parse_type()
+        name = self.expect("ident")
+        return node(t, name.value, name.span)
 
     def parse_braced_body(self) -> sx.Expr:
         """Function-body sugar ``{ ... }``: a sequence of expressions and
@@ -428,25 +434,14 @@ class Parser:
             return sx.Assign(t.value, v, Span(t.start, v.span.end))
         return self.parse_binary(1)
 
-    _BIN_LEVELS = (
-        ("||",),
-        ("&&",),
-        ("==", "!=", "<", "<=", ">", ">=", "in"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
     def parse_binary(self, level: int) -> sx.Expr:
-        if level > len(self._BIN_LEVELS):
+        if level > len(BINARY_LEVELS):
             return self.parse_unary()
-        ops = self._BIN_LEVELS[level - 1]
+        ops = BINARY_LEVELS[level - 1]
         left = self.parse_binary(level + 1)
         while True:
             t = self.peek()
-            is_op = (t.kind == "punct" and t.value in ops) or (
-                t.kind == "kw" and t.value == "in" and "in" in ops
-            )
-            if not is_op:
+            if t.kind not in ("punct", "kw") or t.value not in ops:
                 return left
             self.advance()
             right = self.parse_binary(level + 1)
@@ -487,40 +482,19 @@ class Parser:
             self.advance()
             if self.at("punct", "("):
                 self.advance()
-                args: list[sx.Expr] = []
-                if not self.at("punct", ")"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if self.at("punct", ","):
-                            self.advance()
-                            continue
-                        break
+                args = self.sep_list(self.parse_expr, ",", ")")
                 end = self.expect("punct", ")")
                 node = sx.Cons if t.value in self.constructors else sx.Call
                 return node(t.value, tuple(args), Span(t.start, end.end))
             return sx.Var(t.value, t.span)
         if t.kind == "punct" and t.value == "[":
             self.advance()
-            items: list[sx.Expr] = []
-            if not self.at("punct", "]"):
-                while True:
-                    items.append(self.parse_expr())
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
+            items = self.sep_list(self.parse_expr, ",", "]")
             end = self.expect("punct", "]")
             return sx.ListExpr(tuple(items), Span(t.start, end.end))
         if t.kind == "punct" and t.value == "{":
             self.advance()
-            items = []
-            if not self.at("punct", "}"):
-                while True:
-                    items.append(self.parse_expr())
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
+            items = self.sep_list(self.parse_expr, ",", "}")
             end = self.expect("punct", "}")
             return sx.SetExpr(tuple(items), Span(t.start, end.end))
         if t.kind == "punct" and t.value == "(":
@@ -532,16 +506,20 @@ class Parser:
             if self.at("punct", ":"):
                 self.advance()
                 pairs = [(first, self.parse_expr())]
-                while self.at("punct", ","):
+                if self.at("punct", ","):
                     self.advance()
-                    k = self.parse_expr()
-                    self.expect("punct", ":")
-                    pairs.append((k, self.parse_expr()))
+                    pairs += self.sep_list(lambda: self.parse_pair(self.parse_expr), ",", None)
                 end = self.expect("punct", ")")
                 return sx.MapExpr(tuple(pairs), Span(t.start, end.end))
             self.expect("punct", ")")
             return first
         raise self.error(f"expected an expression, found {t.value!r}")
+
+    def parse_pair(self, item):
+        """``item : item``, one map entry."""
+        k = item()
+        self.expect("punct", ":")
+        return k, item()
 
     # -- statement-shaped expressions --------------------------------------
 
@@ -627,26 +605,14 @@ class Parser:
     def parse_solve(self) -> sx.Expr:
         start = self.expect("kw", "solve")
         self.expect("punct", "(")
-        targets = [self.expect("ident").value]
-        while self.at("punct", ","):
-            self.advance()
-            targets.append(self.expect("ident").value)
+        targets = [t.value for t in self.sep_list(lambda: self.expect("ident"), ",", None)]
         self.expect("punct", ")")
         body = self.parse_expr()
         return sx.Solve(tuple(targets), body, Span(start.start, body.span.end))
 
     def parse_local(self) -> sx.Expr:
         start = self.expect("kw", "local")
-        decls: list[sx.LocalDecl] = []
-        if not self.at("kw", "in"):
-            while True:
-                t = self.parse_type()
-                name = self.expect("ident")
-                decls.append(sx.LocalDecl(t, name.value, name.span))
-                if self.at("punct", ","):
-                    self.advance()
-                    continue
-                break
+        decls = self.sep_list(lambda: self.parse_declaration(sx.LocalDecl), ",", "in")
         self.expect("kw", "in")
         body: list[sx.Expr] = []
         while not self.at("kw", "end"):
@@ -695,12 +661,12 @@ class Parser:
             return sx.DeepPat(inner, Span(t.start, inner.span.end))
         if t.kind == "punct" and t.value == "[":
             self.advance()
-            elems = self.parse_star_patterns("]")
+            elems = tuple(self.sep_list(self.parse_star_pattern, ",", "]"))
             end = self.expect("punct", "]")
             return sx.ListPat(elems, Span(t.start, end.end))
         if t.kind == "punct" and t.value == "{":
             self.advance()
-            elems = self.parse_star_patterns("}")
+            elems = tuple(self.sep_list(self.parse_star_pattern, ",", "}"))
             end = self.expect("punct", "}")
             return sx.SetPat(elems, Span(t.start, end.end))
         typed = self.try_parse_typed_pattern()
@@ -710,14 +676,7 @@ class Parser:
             self.advance()
             if self.at("punct", "("):
                 self.advance()
-                args: list[sx.Pattern] = []
-                if not self.at("punct", ")"):
-                    while True:
-                        args.append(self.parse_pattern())
-                        if self.at("punct", ","):
-                            self.advance()
-                            continue
-                        break
+                args = self.sep_list(self.parse_pattern, ",", ")")
                 end = self.expect("punct", ")")
                 return sx.ConsPat(t.value, tuple(args), Span(t.start, end.end))
             return sx.VarPat(t.value, t.span)
@@ -736,21 +695,12 @@ class Parser:
         inner = self.parse_pattern()
         return sx.TypedPat(t, name.value, inner, Span(start.start, inner.span.end))
 
-    def parse_star_patterns(self, closer: str) -> tuple[sx.Pattern, ...]:
-        elems: list[sx.Pattern] = []
-        if not self.at("punct", closer):
-            while True:
-                if self.at("punct", "*"):
-                    star = self.advance()
-                    name = self.expect("ident")
-                    elems.append(sx.Star(name.value, Span(star.start, name.end)))
-                else:
-                    elems.append(self.parse_pattern())
-                if self.at("punct", ","):
-                    self.advance()
-                    continue
-                break
-        return tuple(elems)
+    def parse_star_pattern(self) -> sx.Pattern:
+        if self.at("punct", "*"):
+            star = self.advance()
+            name = self.expect("ident")
+            return sx.Star(name.value, Span(star.start, name.end))
+        return self.parse_pattern()
 
     # -- value literals --------------------------------------------------------
 
@@ -776,52 +726,22 @@ class Parser:
         if t.kind == "ident":
             self.advance()
             self.expect("punct", "(")
-            args: list[Value] = []
-            if not self.at("punct", ")"):
-                while True:
-                    args.append(self.parse_value())
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
+            args = self.sep_list(self.parse_value, ",", ")")
             self.expect("punct", ")")
             return VCons(t.value, tuple(args))
         if t.kind == "punct" and t.value == "[":
             self.advance()
-            items: list[Value] = []
-            if not self.at("punct", "]"):
-                while True:
-                    items.append(self.parse_value())
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
+            items = self.sep_list(self.parse_value, ",", "]")
             self.expect("punct", "]")
             return VList(tuple(items))
         if t.kind == "punct" and t.value == "{":
             self.advance()
-            items = []
-            if not self.at("punct", "}"):
-                while True:
-                    items.append(self.parse_value())
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
+            items = self.sep_list(self.parse_value, ",", "}")
             self.expect("punct", "}")
             return VSet(tuple(items))
         if t.kind == "punct" and t.value == "(":
             self.advance()
-            pairs: list[tuple[Value, Value]] = []
-            if not self.at("punct", ")"):
-                while True:
-                    k = self.parse_value()
-                    self.expect("punct", ":")
-                    pairs.append((k, self.parse_value()))
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
+            pairs = self.sep_list(lambda: self.parse_pair(self.parse_value), ",", ")")
             self.expect("punct", ")")
             return VMap(tuple(pairs))
         raise self.error(f"expected a value literal, found {t.value!r}")

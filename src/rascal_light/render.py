@@ -9,37 +9,25 @@ and case lists.
 from __future__ import annotations
 
 from . import syntax as sx
+from .parser import BINARY_LEVELS
 from .types import Type, render_type
-from .values import Value, render_value
+from .values import Value, basic_text, render_value
 
 _IND = "  "
 
-# Precedence ladder; statement-shaped forms always parenthesize when they
+# Precedence ladder: the parser's binary levels (1 loosest), then unary,
+# postfix and atoms; statement-shaped forms always parenthesize when they
 # appear as operands.
 _STMT = 0
-_OR, _AND, _CMP, _ADD, _MUL, _UNARY, _POSTFIX, _ATOM = 1, 2, 3, 4, 5, 6, 7, 8
-
-_BIN_PREC = {
-    "||": _OR,
-    "&&": _AND,
-    "==": _CMP,
-    "!=": _CMP,
-    "<": _CMP,
-    "<=": _CMP,
-    ">": _CMP,
-    ">=": _CMP,
-    "in": _CMP,
-    "+": _ADD,
-    "-": _ADD,
-    "*": _MUL,
-    "/": _MUL,
-    "%": _MUL,
-}
+_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS, 1) for op in ops}
+_OR = _LEVEL["||"]
+_UNARY = len(BINARY_LEVELS) + 1
+_POSTFIX, _ATOM = _UNARY + 1, _UNARY + 2
 
 
 def _prec(e: sx.Expr) -> int:
     if isinstance(e, sx.Binary):
-        return _BIN_PREC[e.op]
+        return _LEVEL[e.op]
     if isinstance(e, sx.Unary):
         return _UNARY
     if isinstance(e, (sx.Lookup, sx.Update)):
@@ -51,28 +39,9 @@ def _prec(e: sx.Expr) -> int:
     return _STMT
 
 
-def _str_lit(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
 def render_pattern(p: sx.Pattern) -> str:
     if isinstance(p, sx.LitPat):
-        return _str_lit(p.value) if isinstance(p.value, str) else str(p.value)
+        return basic_text(p.value)
     if isinstance(p, sx.VarPat):
         return p.name
     if isinstance(p, sx.ConsPat):
@@ -115,13 +84,13 @@ def render_expr(e: sx.Expr, min_prec: int = _STMT, indent: int = 0) -> str:
 
 def _render_expr(e: sx.Expr, indent: int) -> str:
     if isinstance(e, sx.Lit):
-        return _str_lit(e.value) if isinstance(e.value, str) else str(e.value)
+        return basic_text(e.value)
     if isinstance(e, sx.Var):
         return e.name
     if isinstance(e, sx.Unary):
         return e.op + render_expr(e.operand, _UNARY, indent)
     if isinstance(e, sx.Binary):
-        lvl = _BIN_PREC[e.op]
+        lvl = _LEVEL[e.op]
         left = render_expr(e.left, lvl, indent)
         right = render_expr(e.right, lvl + 1, indent)
         return f"{left} {e.op} {right}"

@@ -510,10 +510,6 @@ def constructor_table(m: ModuleDef) -> dict[str, tuple[str, tuple[Type, ...]]]:
     return out
 
 
-def function_table(m: ModuleDef) -> dict[str, FunDef]:
-    return {f.name: f for f in m.functions}
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 
@@ -537,7 +533,6 @@ class ModuleInfo:
     datatypes: dict[str, DataDef]
     constructors: dict[str, tuple[str, tuple[Type, ...]]]
     functions: dict[str, FunDef]
-    global_defs: dict[str, GlobalDef]
     errors: list[WellFormednessError]
     # The declared type of each assignment to a block local, keyed by the
     # ``id`` of its ``Assign`` node; globals are not listed, they resolve
@@ -545,20 +540,9 @@ class ModuleInfo:
     assign_types: dict[int, Type]
 
 
-class _Scope:
-    """A lexical scope chain entry: name -> (kind, declared type or None)."""
-
-    def __init__(self, parent: dict | None = None):
-        self.entries: dict[str, tuple[str, Type | None]] = dict(parent or {})
-
-    def child(self) -> "_Scope":
-        return _Scope(self.entries)
-
-    def add(self, name: str, kind: str, ty: Type | None) -> None:
-        self.entries[name] = (kind, ty)
-
-    def lookup(self, name: str):
-        return self.entries.get(name)
+# A lexical scope: name -> (kind, declared type or None).  A nested scope
+# is a copy, so what it binds stays inside it.
+Scope = dict[str, tuple[str, "Type | None"]]
 
 
 def _type_refs(t: Type) -> Iterator[str]:
@@ -578,7 +562,6 @@ class _Validator:
         self.datatypes: dict[str, DataDef] = {}
         self.constructors: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.functions: dict[str, FunDef] = {}
-        self.global_defs: dict[str, GlobalDef] = {}
         self.assign_types: dict[int, Type] = {}
 
     def error(self, kind: str, name: str, span: Span, message: str) -> None:
@@ -630,8 +613,7 @@ class _Validator:
                     seen_fields.add(fd.name)
 
         for g in m.globals:
-            if declare(g.name, "global variable", g.span):
-                self.global_defs[g.name] = g
+            declare(g.name, "global variable", g.span)
 
         for f in m.functions:
             if declare(f.name, "function", f.span):
@@ -645,15 +627,15 @@ class _Validator:
         for g in m.globals:
             self.check_type(g.type, g.span)
 
-        globals_scope = _Scope({g.name: ("global", g.type) for g in m.globals})
+        globals_scope: Scope = {g.name: ("global", g.type) for g in m.globals}
         for g in m.globals:
             # Global initializers run before any function; they see only
             # the globals themselves (plus their own block locals).
-            self.walk(g.init, globals_scope.child())
+            self.walk(g.init, dict(globals_scope))
 
         for f in m.functions:
             self.check_type(f.return_type, f.span)
-            scope = globals_scope.child()
+            scope = dict(globals_scope)
             seen: set[str] = set()
             for p in f.params:
                 self.check_type(p.type, p.span)
@@ -664,7 +646,7 @@ class _Validator:
                         p.span,
                         f"duplicate parameter {p.name!r} in function {f.name!r}",
                     )
-                if scope.lookup(p.name) is not None:
+                if p.name in scope:
                     self.error(
                         "shadowing",
                         p.name,
@@ -672,7 +654,7 @@ class _Validator:
                         f"parameter {p.name!r} shadows an enclosing declaration",
                     )
                 seen.add(p.name)
-                scope.add(p.name, "param", p.type)
+                scope[p.name] = ("param", p.type)
             self.walk(f.body, scope)
 
         return ModuleInfo(
@@ -680,7 +662,6 @@ class _Validator:
             datatypes=self.datatypes,
             constructors=self.constructors,
             functions=self.functions,
-            global_defs=self.global_defs,
             errors=self.errors,
             assign_types=self.assign_types,
         )
@@ -696,21 +677,21 @@ class _Validator:
 
     # -- expressions ---------------------------------------------------
 
-    def introduce(self, scope: _Scope, name: str, kind: str, ty: Type | None, span: Span) -> None:
-        if scope.lookup(name) is not None:
+    def introduce(self, scope: Scope, name: str, kind: str, ty: Type | None, span: Span) -> None:
+        if name in scope:
             self.error(
                 "shadowing",
                 name,
                 span,
                 f"{kind} {name!r} shadows an enclosing binding",
             )
-        scope.add(name, kind, ty)
+        scope[name] = (kind, ty)
 
-    def walk(self, e: Expr, scope: _Scope) -> None:
+    def walk(self, e: Expr, scope: Scope) -> None:
         if isinstance(e, Lit) or isinstance(e, (BreakExpr, ContinueExpr, FailExpr)):
             return
         if isinstance(e, Var):
-            if scope.lookup(e.name) is None:
+            if e.name not in scope:
                 self.error(
                     "undefined-variable",
                     e.name,
@@ -720,7 +701,7 @@ class _Validator:
             return
         if isinstance(e, Assign):
             self.walk(e.value, scope)
-            entry = scope.lookup(e.name)
+            entry = scope.get(e.name)
             if entry is None:
                 self.error(
                     "undefined-variable",
@@ -779,7 +760,7 @@ class _Validator:
                 self.walk(a, scope)
             return
         if isinstance(e, Block):
-            inner = scope.child()
+            inner = dict(scope)
             seen: set[str] = set()
             for d in e.locals:
                 self.check_type(d.type, d.span)
@@ -798,14 +779,14 @@ class _Validator:
         if isinstance(e, (Switch, Visit)):
             self.walk(e.subject, scope)
             for c in e.cases:
-                inner = scope.child()
+                inner = dict(scope)
                 self.check_pattern(c.pattern, inner)
                 self.walk(c.body, inner)
             return
         if isinstance(e, For):
             g = e.generator
             self.walk(g.source, scope)
-            inner = scope.child()
+            inner = dict(scope)
             if isinstance(g, Enumerating):
                 self.introduce(inner, g.var, "range variable", None, g.span)
             else:
@@ -814,7 +795,7 @@ class _Validator:
             return
         if isinstance(e, Solve):
             for x in e.targets:
-                if scope.lookup(x) is None:
+                if x not in scope:
                     self.error(
                         "undefined-variable",
                         x,
@@ -825,7 +806,7 @@ class _Validator:
             return
         if isinstance(e, TryCatch):
             self.walk(e.body, scope)
-            inner = scope.child()
+            inner = dict(scope)
             self.introduce(inner, e.var, "catch variable", None, e.span)
             self.walk(e.handler, inner)
             return
@@ -834,7 +815,7 @@ class _Validator:
 
     # -- patterns --------------------------------------------------------
 
-    def check_pattern(self, p: Pattern, scope: _Scope) -> None:
+    def check_pattern(self, p: Pattern, scope: Scope) -> None:
         """Validate a pattern and extend ``scope`` with the variables it binds.
 
         Ordinary and star variables may coincide with existing bindings
@@ -845,12 +826,10 @@ class _Validator:
         if isinstance(p, LitPat):
             return
         if isinstance(p, VarPat):
-            if scope.lookup(p.name) is None:
-                scope.add(p.name, "pattern variable", None)
+            scope.setdefault(p.name, ("pattern variable", None))
             return
         if isinstance(p, Star):
-            if scope.lookup(p.name) is None:
-                scope.add(p.name, "pattern variable", None)
+            scope.setdefault(p.name, ("pattern variable", None))
             return
         if isinstance(p, ConsPat):
             sig = self.constructors.get(p.name)
@@ -874,7 +853,7 @@ class _Validator:
             return
         if isinstance(p, TypedPat):
             self.check_type(p.type, p.span)
-            entry = scope.lookup(p.name)
+            entry = scope.get(p.name)
             if entry is not None and entry[0] != "pattern variable":
                 self.error(
                     "shadowing",
@@ -882,7 +861,7 @@ class _Validator:
                     p.span,
                     f"label variable {p.name!r} shadows an enclosing declaration",
                 )
-            scope.add(p.name, "pattern variable", None)
+            scope[p.name] = ("pattern variable", None)
             self.check_pattern(p.pattern, scope)
             return
         if isinstance(p, (ListPat, SetPat)):
@@ -916,7 +895,7 @@ def validate_expr(e: Expr, info: ModuleInfo) -> list[WellFormednessError]:
     v.datatypes.update(info.datatypes)
     v.constructors.update(info.constructors)
     v.functions.update(info.functions)
-    v.walk(e, _Scope({g.name: ("global", g.type) for g in info.module.globals}))
+    v.walk(e, {g.name: ("global", g.type) for g in info.module.globals})
     return v.errors
 
 

@@ -1,6 +1,6 @@
 """Visit machinery: strategy dispatch, top-down and bottom-up traversals
 of one value, the sequence driver both share, and the
-reconstruct/if-fail/vcombine auxiliaries.
+reconstruct/if-fail auxiliaries.
 
 Sequence-shaped successes are represented as plain tuples of values;
 ``FAIL`` and the other exceptional results are shared with the rest of the
@@ -46,19 +46,6 @@ def if_fail(r: Result, v: Value) -> Value:
         return v
     assert isinstance(r, Success)
     return r.value
-
-
-def vcombine(r, rs, v: Value, vs: tuple[Value, ...]):
-    """Combine a head result with a tail-sequence result.
-
-    Fail only when both sides failed; otherwise a success sequence using
-    the original head/tail values as defaults for failed sides.
-    """
-    if r == FAIL and rs == FAIL:
-        return FAIL
-    head = if_fail(r, v)
-    tail = vs if rs == FAIL else rs
-    return (head,) + tuple(tail)
 
 
 def reconstruct(

@@ -73,9 +73,6 @@ STR = BaseType("str")
 VOID = VoidType()
 VALUE = ValueType()
 
-# Constructor signature: (datatype name, field types)
-ConsSig = "tuple[str, tuple[Type, ...]]"
-
 
 class IllFormedValue(Exception):
     """A constructor value violates its declaration.

@@ -554,22 +554,10 @@ def fuel_dec(n: int | None) -> int | None:
 # Rendering and serialization
 
 
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == "\\":
-            out.append("\\\\")
-        elif ch == '"':
-            out.append('\\"')
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        else:
-            out.append(ch)
-    return "".join(out)
+# The string escapes of the concrete syntax: character -> its escape.  The
+# tokenizer decodes with the inverse of this table.
+ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+_ESCAPE = str.maketrans(ESCAPES)
 
 
 def _int_text(i: int) -> str:
@@ -583,12 +571,20 @@ def _int_text(i: int) -> str:
         return str(decimal.Decimal(i))
 
 
+def basic_text(x: int | str) -> str:
+    """Source text of a basic value: a quoted, escaped string or the
+    integer's decimal digits."""
+    return '"' + x.translate(_ESCAPE) + '"' if isinstance(x, str) else _int_text(x)
+
+
 def render_value(v: Value) -> str:
-    """Deterministic text form of a value, round-trippable by the parser."""
+    """Deterministic text form of a value.  The parser reads it back to an
+    equal value, except that the tokenizer refuses an integer literal past
+    the host's limit on converting a string to an int (4300 digits by
+    default), as a ``ParseError``: that limit guards the parser against
+    quadratic-time conversion."""
     if isinstance(v, Basic):
-        if isinstance(v.val, str):
-            return '"' + _escape(v.val) + '"'
-        return _int_text(v.val)
+        return basic_text(v.val)
     if isinstance(v, VCons):
         return v.name + "(" + ", ".join(render_value(a) for a in v.args) + ")"
     if isinstance(v, VList):

@@ -19,9 +19,11 @@ from rascal_light.harness import (
     check_termination,
     check_typing,
     env_set,
+    gen_any_value,
     gen_cases_triple,
     gen_match_pair,
     gen_program,
+    literal_value,
     oracle_match,
     run_suite,
     shrink_module,
@@ -29,8 +31,9 @@ from rascal_light.harness import (
     suite_purity,
     suite_termination,
     suite_typing,
+    value_to_expr,
 )
-from rascal_light.parser import parse_module
+from rascal_light.parser import parse_expr, parse_module
 from rascal_light.patterns import match
 from rascal_light.render import render
 from rascal_light.syntax import (
@@ -40,7 +43,7 @@ from rascal_light.syntax import (
     validate_module,
     walk_exprs,
 )
-from rascal_light.values import Basic, Store, Success, Throw, VCons, VList, VSet
+from rascal_light.values import UNDEF, Basic, Store, Success, Throw, VCons, VList, VMap, VSet
 
 CONS = constructor_table(parse_module("data P = pair(int a, int b);"))
 
@@ -327,8 +330,6 @@ def test_artifacts_replay_the_case_that_failed(
         case = drawn[i]
         call = next(f for f in m.functions if f.name == "check").body
         assert isinstance(call, sx.Call) and call.name == case.function
-        # Built by the correct evaluator: the bug may break the literals
-        # that spell the store.
         inner = artifact_case(m)
         assert inner.function == case.function
         for name in [p.name for p in case.fundef.params] + [g.name for g in m.globals]:
@@ -336,6 +337,8 @@ def test_artifacts_replay_the_case_that_failed(
         replays = [inner]
         # The artifact's own check() entry point replays the case too, except
         # for termination: a call lies outside the finite subset it checks.
+        # Its store is built by the correct evaluator: the bug may break the
+        # literals that spell it.
         if suite != "termination":
             replays.append(Case(m, "check", Evaluator(m).init_globals()))
         for replay in replays:
@@ -351,6 +354,41 @@ def test_artifact_case_rejects_an_argument_that_is_not_a_value():
     with pytest.raises(ValueError, match="argument x of f"):
         artifact_case(m)
     assert artifact_case(parse_module("int f(int x) = x; int check() = f(1);")).store.get("x") == b(1)
+
+
+def test_artifact_case_reads_the_store_without_the_evaluator(monkeypatch):
+    # The E-Cons bug breaks every constructor literal the evaluator builds,
+    # so the store must come from the literals themselves.
+    m = parse_module(
+        "data D = c(int a, int b); global D g = c(1, 2); global value u = 0;"
+        "int f(D x, list<D> ys, map<int, set<D>> zs) = 0;"
+    )
+    store = Store(
+        {
+            "g": VCons("c", (b(1), b(2))),
+            "u": UNDEF,
+            "x": VCons("c", (b(-3), b(4))),
+            "ys": VList((VCons("c", (b(5), b(6))),)),
+            "zs": VMap(((b(7), VSet((VCons("c", (b(8), b(9))),))),)),
+        }
+    )
+    art = parse_module(render(_case_artifact(Case(m, "f", store))))
+    monkeypatch.setitem(interp._RULES, sx.Cons, _cons_dropping_last_arg(interp._RULES[sx.Cons]))
+    case = artifact_case(art)
+    assert case.function == "f"
+    assert dict(case.store.items()) == dict(store.items())
+
+
+def test_literal_value_inverts_value_to_expr():
+    gen = _ModuleGen(random.Random(5), GenBudget(seed=5), finite=False)
+    gen.build_datatypes()
+    rng = random.Random(5)
+    for _ in range(300):
+        v = gen_any_value(rng, gen.cons_by_type, 3)
+        assert literal_value(value_to_expr(v)) == v
+    for text in ("x", "f(1)", "-(1 + 2)", "switch (1) { }", "[1][0]"):
+        with pytest.raises(ValueError, match="not a value literal"):
+            literal_value(parse_expr(text))
 
 
 def test_a_shrunk_case_keeps_the_store_its_artifact_replays(monkeypatch):

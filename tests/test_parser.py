@@ -175,6 +175,21 @@ def test_value_literals_roundtrip():
     assert parse_value("{2, 1, 2}") == VSet((Basic(1), Basic(2)))
 
 
+def test_integers_past_the_digit_limit_render_but_do_not_parse_back():
+    # The tokenizer keeps the host's limit on str-to-int conversion, which
+    # guards against quadratic time; the printers are exact past it.
+    n = 7 * 10**6999 + 12345
+    digits = "7" + "0" * 6994 + "12345"
+    for x in (Basic(n), sx.Lit(n), sx.LitPat(n)):
+        assert render(x) == digits
+    assert render(sx.Unary("-", sx.Lit(n))) == render(Basic(-n)) == "-" + digits
+    for text in (digits, f"[1, {digits}]"):
+        with pytest.raises(ParseError, match="^malformed or overlong integer literal$") as info:
+            parse_value(text)
+        start = text.index(digits)
+        assert info.value.span == sx.Span(start, start + 7000)
+
+
 def test_render_parenthesizes_statement_operands():
     e = sx.Binary(sx.BreakExpr(), "+", sx.Lit(1))
     text = render_expr(e)

@@ -64,12 +64,6 @@ def test_if_fail():
     assert tv.if_fail(Success(UNDEF), b(7)) == UNDEF
 
 
-def test_vcombine():
-    assert tv.vcombine(FAIL, FAIL, b(1), (b(2), b(3))) == FAIL
-    assert tv.vcombine(Success(b(1)), FAIL, b(0), (b(2), b(3))) == (b(1), b(2), b(3))
-    assert tv.vcombine(FAIL, (b(9),), b(1), (b(2),)) == (b(1), b(9))
-
-
 def test_reconstruct_table():
     assert tv.reconstruct(b(42), (), CONS) == Success(b(42))
     assert tv.reconstruct(b(42), (b(1),), CONS) == ERROR
