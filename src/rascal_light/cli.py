@@ -23,7 +23,7 @@ from .values import (
     Success,
     Throw,
     Timeout,
-    TimeoutSignal,
+    budget,
     result_kind,
     result_to_tree,
     value_to_tree,
@@ -62,6 +62,11 @@ def _diag(source: SourceFile | None, span, message: str) -> None:
     print(f"{where}: {message}", file=sys.stderr)
 
 
+def _print_trace(t: TraceEntry) -> None:
+    changed = (" [" + ", ".join(t.changed) + "]") if t.changed else ""
+    print(f"{t.rule} @ {t.span.start}-{t.span.end} -> {t.kind}{changed}", file=sys.stderr)
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="rascal-light",
@@ -74,7 +79,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     run.add_argument("file", nargs="?", help="module file (.rsl); optional with --eval")
     run.add_argument("--call", metavar="F(ARGS)", help="function call with value-literal arguments")
     run.add_argument("--eval", dest="eval_expr", metavar="EXPR", help="expression to evaluate in module scope")
-    run.add_argument("--fuel", type=int, default=None, help=f"evaluation budget (default: ${FUEL_ENV_VAR} or unbounded)")
+    run.add_argument("--fuel", type=int, default=None, help=f"evaluation budget, a natural number (default: ${FUEL_ENV_VAR} or unbounded)")
     run.add_argument("--trace", action="store_true", help="print one line per rule firing to stderr")
     run.add_argument("--format", choices=("text", "tree"), default="text", help="output format")
     run.add_argument("--print-globals", action="store_true", help="also print the final global store")
@@ -95,6 +100,11 @@ def _cmd_run(args) -> int:
         except ValueError:
             print(f"invalid {FUEL_ENV_VAR} value", file=sys.stderr)
             return EXIT_BAD_INPUT
+    try:
+        fuel = budget(fuel)
+    except ValueError as exc:
+        print(f"invalid fuel {fuel}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
     # Every stage recurses over its input, so all of them run on the
     # large-stack worker: nesting deep enough to exhaust even its stack
@@ -116,16 +126,15 @@ def _cmd_run(args) -> int:
         else:
             module = ModuleDef()
 
-        trace_entries: list[TraceEntry] = []
         try:
-            ev = Evaluator(module, trace=trace_entries.append if args.trace else None)
+            ev = Evaluator(module, trace=_print_trace if args.trace else None)
         except IllFormedModule as exc:
             for err in exc.errors:
                 _diag(source, err.span, err.message)
             return EXIT_BAD_INPUT
 
         snippet = None
-        if args.eval_expr:
+        if args.eval_expr is not None:
             try:
                 snippet = parse_expr(args.eval_expr, module)
             except ParseError as exc:
@@ -138,7 +147,7 @@ def _cmd_run(args) -> int:
                 return EXIT_BAD_INPUT
 
         call = None
-        if args.call:
+        if args.call is not None:
             # A call f(v, ...) has the shape of a constructor value literal.
             try:
                 p = Parser(SourceFile("<call>", args.call))
@@ -183,10 +192,6 @@ def _cmd_run(args) -> int:
             if args.print_globals:
                 lines += [f"global {g.name} = {render(store.get(g.name))}" for g in module.globals]
 
-        if args.trace:
-            for t in trace_entries:
-                changed = (" [" + ", ".join(t.changed) + "]") if t.changed else ""
-                print(f"{t.rule} @ {t.span.start}-{t.span.end} -> {t.kind}{changed}", file=sys.stderr)
         for line in lines:
             print(line)
         return _exit_code(res) if res is not None else EXIT_OK
@@ -194,12 +199,11 @@ def _cmd_run(args) -> int:
     try:
         return call_with_stack(go)
     except InitError as exc:
-        print(f"module initialization failed at global {exc.name!r}", file=sys.stderr)
-        code = _exit_code(exc.result)
-        return code if code != EXIT_OK else EXIT_ERROR
-    except TimeoutSignal:
-        print("timeout during module initialization", file=sys.stderr)
-        return EXIT_TIMEOUT
+        if isinstance(exc.result, Timeout):
+            print("timeout during module initialization", file=sys.stderr)
+        else:
+            print(f"module initialization failed at global {exc.name!r}", file=sys.stderr)
+        return _exit_code(exc.result)
     except HostStackGuard as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

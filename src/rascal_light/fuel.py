@@ -1,7 +1,7 @@
 """Fuel-instrumented evaluation utilities.
 
-The evaluator itself threads an optional budget (see ``interp``); this
-module provides the bounded-evaluation boundary, the search for minimal
+The evaluator itself threads the budget (see ``interp``); this module
+provides the bounded-evaluation boundary, the search for minimal
 sufficient fuel on the terminating subset, and a large-stack runner that
 serves as the host-stack guard for effectively-unbounded evaluation.
 """
@@ -13,23 +13,15 @@ import threading
 from typing import Callable
 
 from .interp import Evaluator
-from .stackguard import HostStackGuard
+from .stackguard import HostStackGuard, stack_guarded  # HostStackGuard is re-exported
 from .syntax import Expr, is_finite_subset
 from .values import Result, Store, Timeout
 
 
 def eval_expr_fuel(ev: Evaluator, e: Expr, store: Store, fuel: int) -> tuple[Result, Store]:
     """Evaluate with a recursion budget; exhaustion yields a timeout result
-    with the store at the point of exhaustion."""
-    if fuel < 0:
-        raise ValueError("fuel must be a natural number")
-    try:
-        return ev.evaluate(e, store, fuel)
-    except RecursionError:
-        raise HostStackGuard(
-            "host stack exhausted before the fuel budget; rerun under "
-            "call_with_stack or with a smaller budget"
-        ) from None
+    with the store at the point of exhaustion (``Evaluator.evaluate``)."""
+    return ev.evaluate(e, store, fuel)
 
 
 def min_sufficient_fuel(ev: Evaluator, e: Expr, store: Store, cap: int = 1 << 22) -> int:
@@ -105,7 +97,7 @@ def call_with_stack(
 
     def run():
         try:
-            out["value"] = fn(*args, **kwargs)
+            out["value"] = stack_guarded(fn)(*args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - transported to caller
             out["error"] = exc
 
@@ -137,8 +129,5 @@ def call_with_stack(
                 raise
         t.join()
     if "error" in out:
-        err = out["error"]
-        if isinstance(err, RecursionError):
-            raise HostStackGuard("host stack exhausted") from None
-        raise err
+        raise out["error"]
     return out["value"]

@@ -61,7 +61,6 @@ class BudgetExceeded(Exception):
 @dataclass(frozen=True)
 class GenBudget:
     max_depth: int = 4
-    max_collection: int = 3
     max_functions: int = 3
     seed: int = 0
 
@@ -499,14 +498,11 @@ class _ModuleGen:
         match time turns them into equality checks against the store.
         """
         rng = self.rng
-        bound: set[str] = set()
 
         def patvar() -> sx.Pattern:
             if scope.readables and rng.random() < 0.15:
                 return sx.VarPat(rng.choice(sorted(scope.readables)))
-            name = self.fresh("v")
-            bound.add(name)
-            return sx.VarPat(name)
+            return sx.VarPat(self.fresh("v"))
 
         def go(d: int) -> sx.Pattern:
             r = rng.random()
@@ -539,8 +535,7 @@ class _ModuleGen:
             return self._nonlinear() or patvar()
 
         pat = go(depth)
-        bound = set(sx.pattern_vars(pat))
-        return pat, bound
+        return pat, set(sx.pattern_vars(pat))
 
     def _nonlinear(self) -> sx.Pattern | None:
         """A deconstructor repeating one variable across all fields."""

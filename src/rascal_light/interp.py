@@ -1,10 +1,10 @@
 """The expression evaluator and its companion judgments: sequences, cases,
 enumeration, generators, and the built-in operator tables.
 
-Every function threads an explicit store and an optional fuel budget; the
-budget is decremented on each recursive premise and exhaustion raises a
-timeout signal that the evaluation boundary turns into a timeout result.
-All user-visible failures are in-band results.
+Every function threads an explicit store and a fuel budget, a number that
+is ``sys.maxsize`` for no budget; it is decremented on each recursive premise
+and exhaustion raises a timeout signal that the evaluation boundary turns
+into a timeout result.  All user-visible failures are in-band results.
 
 The expression judgment is a table of rule groups keyed by expression
 class (``_RULES``): one method per expression form, named ``_e_<Form>``,
@@ -20,6 +20,7 @@ from typing import Callable
 from . import syntax as sx
 from . import traversal
 from .patterns import match
+from .stackguard import stack_guarded
 from .syntax import ModuleDef, Span, WellFormednessError, analyze_module, snippet_assignables
 from .types import subtype, type_of, typed_join
 from .values import (
@@ -47,6 +48,7 @@ from .values import (
     VList,
     VMap,
     VSet,
+    budget,
     last,
     map_update,
     result_kind,
@@ -286,46 +288,55 @@ class Evaluator:
         return ev
 
     # -- boundaries ----------------------------------------------------
+    # Each takes a budget (None is unbounded, see ``budget``); running out
+    # of it is a timeout, and running out of host stack is HostStackGuard.
 
+    @stack_guarded
     def evaluate(self, e: sx.Expr, store: Store, fuel: int | None = None):
-        """Evaluate a standalone expression; timeouts become results."""
+        """Evaluate a standalone expression."""
         try:
-            return self._for_roots(e).eval_expr(e, store, fuel)
+            return self._for_roots(e).eval_expr(e, store, budget(fuel))
         except TimeoutSignal as t:
             return TIMEOUT, t.store
 
+    @stack_guarded
     def init_globals(self, fuel: int | None = None) -> Store:
-        """Evaluate global initializers in declaration order."""
+        """Evaluate global initializers in order; a failure raises ``InitError``."""
+        n = budget(fuel)
         store = Store()
         for g in self.module.globals:
-            res, store = self.eval_expr(g.init, store, fuel)
+            try:
+                res, store = self.eval_expr(g.init, store, n)
+            except TimeoutSignal:
+                raise InitError(g.name, TIMEOUT) from None
             if not isinstance(res, Success):
                 raise InitError(g.name, res)
-            vt = type_of(res.value, self.constructors)
-            if not subtype(vt, g.type):
+            if not subtype(type_of(res.value, self.constructors), g.type):
                 raise InitError(g.name, ERROR)
             store = store.updated(g.name, res.value)
         return store
 
+    @stack_guarded
     def call_function(self, name: str, args: tuple[Value, ...], store: Store, fuel: int | None = None):
         """Invoke a function on argument values at the call boundary."""
+        span = self.functions[name].span if name in self.functions else sx.DUMMY_SPAN
         try:
-            span = self.functions[name].span if name in self.functions else sx.DUMMY_SPAN
-            return self._apply_function(name, tuple(args), store, fuel, span)
+            return self._apply_function(name, tuple(args), store, budget(fuel), span)
         except TimeoutSignal as t:
             return TIMEOUT, t.store
 
+    @stack_guarded
     def run_cases(self, cases, v: Value, store: Store, fuel: int | None = None):
         cases = tuple(cases)
         ev = self._for_roots(*(c.body for c in cases))
         try:
-            return ev.eval_cases(cases, v, store, fuel, sx.DUMMY_SPAN)
+            return ev.eval_cases(cases, v, store, budget(fuel), sx.DUMMY_SPAN)
         except TimeoutSignal as t:
             return TIMEOUT, t.store
 
     # -- the main judgment ----------------------------------------------
 
-    def eval_expr(self, e: sx.Expr, store: Store, n: int | None):
+    def eval_expr(self, e: sx.Expr, store: Store, n: int):
         """The expression judgment: the rule group of ``e``'s form.
 
         Only the root is checked here.  The nodes below it are trusted: the
@@ -339,7 +350,7 @@ class Evaluator:
             raise TypeError(f"not an expression: {e!r}")
         return rule(self, e, store, n)
 
-    def _e_Lit(self, e: sx.Lit, store: Store, n: int | None):
+    def _e_Lit(self, e: sx.Lit, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         # The conclusion depends on the node alone: build it on the first
@@ -350,7 +361,7 @@ class Evaluator:
             object.__setattr__(e, "_result", res)
         return self.fire("E-Val", e.span, res, store, store)
 
-    def _e_Var(self, e: sx.Var, store: Store, n: int | None):
+    def _e_Var(self, e: sx.Var, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         v = store.get(e.name)
@@ -358,20 +369,19 @@ class Evaluator:
             return self.fire("E-Var-Err", e.span, ERROR, store, store)
         return self.fire("E-Var-Sucs", e.span, Success(v), store, store)
 
-    def _e_Unary(self, e: sx.Unary, store: Store, n: int | None):
+    def _e_Unary(self, e: sx.Unary, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
         x = e.operand
-        r, s1 = _RULES[type(x)](self, x, store, n1)
+        r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
             return self.fire("E-Un-Exc", e.span, r, store, s1)
         return self.fire("E-Un-Sucs", e.span, apply_unary(e.op, r.value), store, s1)
 
-    def _e_Binary(self, e: sx.Binary, store: Store, n: int | None):
+    def _e_Binary(self, e: sx.Binary, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         x = e.left
         r1, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r1) in EXRES:
@@ -386,10 +396,10 @@ class Evaluator:
             typed_join(res.value, r1.value, r2.value, self.constructors)
         return self.fire("E-Bin-Sucs", e.span, res, store, s1)
 
-    def _e_Cons(self, e: sx.Cons, store: Store, n: int | None):
+    def _e_Cons(self, e: sx.Cons, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        rs, s1 = self.eval_expr_star(e.args, store, None if n is None else n - 1, e.span)
+        rs, s1 = self.eval_expr_star(e.args, store, n - 1, e.span)
         if type(rs) in EXRES:
             return self.fire("E-Cons-Exc", e.span, rs, store, s1)
         sig = self.constructors.get(e.name)
@@ -403,31 +413,31 @@ class Evaluator:
             return self.fire("E-Cons-Err", e.span, ERROR, store, s1)
         return self.fire("E-Cons-Sucs", e.span, Success(VCons(e.name, rs)), store, s1)
 
-    def _e_ListExpr(self, e: sx.ListExpr, store: Store, n: int | None):
+    def _e_ListExpr(self, e: sx.ListExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        rs, s1 = self.eval_expr_star(e.items, store, None if n is None else n - 1, e.span)
+        rs, s1 = self.eval_expr_star(e.items, store, n - 1, e.span)
         if type(rs) in EXRES:
             return self.fire("E-List-Exc", e.span, rs, store, s1)
         if any(v == UNDEF for v in rs):
             return self.fire("E-List-Err", e.span, ERROR, store, s1)
         return self.fire("E-List-Sucs", e.span, Success(VList(rs)), store, s1)
 
-    def _e_SetExpr(self, e: sx.SetExpr, store: Store, n: int | None):
+    def _e_SetExpr(self, e: sx.SetExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        rs, s1 = self.eval_expr_star(e.items, store, None if n is None else n - 1, e.span)
+        rs, s1 = self.eval_expr_star(e.items, store, n - 1, e.span)
         if type(rs) in EXRES:
             return self.fire("E-Set-Exc", e.span, rs, store, s1)
         if any(v == UNDEF for v in rs):
             return self.fire("E-Set-Err", e.span, ERROR, store, s1)
         return self.fire("E-Set-Sucs", e.span, Success(VSet(rs)), store, s1)
 
-    def _e_MapExpr(self, e: sx.MapExpr, store: Store, n: int | None):
+    def _e_MapExpr(self, e: sx.MapExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         flat = tuple(x for kv in e.pairs for x in kv)
-        rs, s1 = self.eval_expr_star(flat, store, None if n is None else n - 1, e.span)
+        rs, s1 = self.eval_expr_star(flat, store, n - 1, e.span)
         if type(rs) in EXRES:
             return self.fire("E-Map-Exc", e.span, rs, store, s1)
         if any(v == UNDEF for v in rs):
@@ -435,10 +445,10 @@ class Evaluator:
         pairs = tuple((rs[i], rs[i + 1]) for i in range(0, len(rs), 2))
         return self.fire("E-Map-Sucs", e.span, Success(VMap(pairs)), store, s1)
 
-    def _e_Lookup(self, e: sx.Lookup, store: Store, n: int | None):
+    def _e_Lookup(self, e: sx.Lookup, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         x = e.map
         r1, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r1) in EXRES:
@@ -456,10 +466,10 @@ class Evaluator:
             return self.fire("E-Lookup-NoKey", e.span, thrown, store, s1)
         return self.fire("E-Lookup-Sucs", e.span, Success(found), store, s1)
 
-    def _e_Update(self, e: sx.Update, store: Store, n: int | None):
+    def _e_Update(self, e: sx.Update, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         x = e.map
         r1, s3 = _RULES[type(x)](self, x, store, n1)
         if type(r1) in EXRES:
@@ -481,29 +491,29 @@ class Evaluator:
         typed_join(out, m, VMap(((r2.value, r3.value),)), self.constructors)
         return self.fire("E-Update-Sucs", e.span, Success(out), store, s1)
 
-    def _e_Call(self, e: sx.Call, store: Store, n: int | None):
+    def _e_Call(self, e: sx.Call, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         rs, s2 = self.eval_expr_star(e.args, store, n1, e.span)
         if type(rs) in EXRES:
             return self.fire("E-Call-Arg-Exc", e.span, rs, store, s2)
         return self._apply_function(e.name, rs, s2, n1, e.span)
 
-    def _e_ReturnExpr(self, e: sx.ReturnExpr, store: Store, n: int | None):
+    def _e_ReturnExpr(self, e: sx.ReturnExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         x = e.value
-        r, s1 = _RULES[type(x)](self, x, store, None if n is None else n - 1)
+        r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
             return self.fire("E-Ret-Exc", e.span, r, store, s1)
         return self.fire("E-Ret-Sucs", e.span, Return(r.value), store, s1)
 
-    def _e_Assign(self, e: sx.Assign, store: Store, n: int | None):
+    def _e_Assign(self, e: sx.Assign, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         x = e.value
-        r, s1 = _RULES[type(x)](self, x, store, None if n is None else n - 1)
+        r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
             return self.fire("E-Asgn-Exc", e.span, r, store, s1)
         decl = self.local_types.get(id(e))
@@ -517,10 +527,10 @@ class Evaluator:
             "E-Asgn-Sucs", e.span, Success(r.value), store, s1.updated(e.name, r.value)
         )
 
-    def _e_If(self, e: sx.If, store: Store, n: int | None):
+    def _e_If(self, e: sx.If, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         x = e.cond
         rc, s2 = _RULES[type(x)](self, x, store, n1)
         if type(rc) in EXRES:
@@ -535,10 +545,10 @@ class Evaluator:
             return self.fire("E-If-False", e.span, r, store, s1)
         return self.fire("E-If-Err", e.span, ERROR, store, s2)
 
-    def _e_Switch(self, e: sx.Switch, store: Store, n: int | None):
+    def _e_Switch(self, e: sx.Switch, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         x = e.subject
         r, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r) in EXRES:
@@ -550,10 +560,10 @@ class Evaluator:
             return self.fire("E-Switch-Exc2", e.span, rc, store, s1)
         return self.fire("E-Switch-Sucs", e.span, rc, store, s1)
 
-    def _e_Visit(self, e: sx.Visit, store: Store, n: int | None):
+    def _e_Visit(self, e: sx.Visit, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         x = e.subject
         r, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r) in EXRES:
@@ -565,34 +575,34 @@ class Evaluator:
             return self.fire("E-Visit-Exc2", e.span, rv, store, s1)
         return self.fire("E-Visit-Sucs", e.span, rv, store, s1)
 
-    def _e_BreakExpr(self, e: sx.BreakExpr, store: Store, n: int | None):
+    def _e_BreakExpr(self, e: sx.BreakExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         return self.fire("E-Break", e.span, BREAK, store, store)
 
-    def _e_ContinueExpr(self, e: sx.ContinueExpr, store: Store, n: int | None):
+    def _e_ContinueExpr(self, e: sx.ContinueExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         return self.fire("E-Continue", e.span, CONTINUE, store, store)
 
-    def _e_FailExpr(self, e: sx.FailExpr, store: Store, n: int | None):
+    def _e_FailExpr(self, e: sx.FailExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         return self.fire("E-Fail", e.span, FAIL, store, store)
 
-    def _e_Block(self, e: sx.Block, store: Store, n: int | None):
+    def _e_Block(self, e: sx.Block, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        rs, s1 = self.eval_expr_star(e.body, store, None if n is None else n - 1, e.span)
+        rs, s1 = self.eval_expr_star(e.body, store, n - 1, e.span)
         s1 = s1.without([d.name for d in e.locals])
         if type(rs) in EXRES:
             return self.fire("E-Block-Exc", e.span, rs, store, s1)
         return self.fire("E-Block-Sucs", e.span, Success(last(rs)), store, s1)
 
-    def _e_For(self, e: sx.For, store: Store, n: int | None):
+    def _e_For(self, e: sx.For, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         renv, s2 = self.eval_gen(e.generator, store, n1)
         if type(renv) in EXRES:
             return self.fire("E-For-Exc", e.span, renv, store, s2)
@@ -602,14 +612,14 @@ class Evaluator:
     # While and solve are self-recursive rules; their rule groups iterate,
     # checking the fuel premise of each round.
 
-    def _e_While(self, e: sx.While, store: Store, n: int | None):
+    def _e_While(self, e: sx.While, store: Store, n: int):
         cur = store
         while True:
             if n == 0:
                 raise TimeoutSignal(cur)
-            n1 = None if n is None else n - 1
+            n -= 1
             x = e.cond
-            rc, s2 = _RULES[type(x)](self, x, cur, n1)
+            rc, s2 = _RULES[type(x)](self, x, cur, n)
             if type(rc) in EXRES:
                 return self.fire("E-While-Exc1", e.span, rc, cur, s2)
             if rc.value == FALSE:
@@ -617,23 +627,22 @@ class Evaluator:
             if rc.value != TRUE:
                 return self.fire("E-While-Err", e.span, ERROR, cur, s2)
             x = e.body
-            rb, s3 = _RULES[type(x)](self, x, s2, n1)
+            rb, s3 = _RULES[type(x)](self, x, s2, n)
             if type(rb) is Break:
                 return self.fire("E-While-True-Break", e.span, Success(UNDEF), cur, s3)
             if type(rb) in EXRES and type(rb) is not Continue:
                 return self.fire("E-While-Exc2", e.span, rb, cur, s3)
             self.fire("E-While-True-Sucs", e.span, rb, cur, s3)
             cur = s3
-            n = n1
 
-    def _e_Solve(self, e: sx.Solve, store: Store, n: int | None):
+    def _e_Solve(self, e: sx.Solve, store: Store, n: int):
         cur = store
         while True:
             if n == 0:
                 raise TimeoutSignal(cur)
-            n1 = None if n is None else n - 1
+            n -= 1
             x = e.body
-            r, s2 = _RULES[type(x)](self, x, cur, n1)
+            r, s2 = _RULES[type(x)](self, x, cur, n)
             if type(r) in EXRES:
                 return self.fire("E-Solve-Exc", e.span, r, cur, s2)
             if any(x not in cur or x not in s2 for x in e.targets):
@@ -642,21 +651,20 @@ class Evaluator:
                 return self.fire("E-Solve-Eq", e.span, r, cur, s2)
             self.fire("E-Solve-Neq", e.span, r, cur, s2)
             cur = s2
-            n = n1
 
-    def _e_ThrowExpr(self, e: sx.ThrowExpr, store: Store, n: int | None):
+    def _e_ThrowExpr(self, e: sx.ThrowExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         x = e.value
-        r, s1 = _RULES[type(x)](self, x, store, None if n is None else n - 1)
+        r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
             return self.fire("E-Thr-Exc", e.span, r, store, s1)
         return self.fire("E-Thr-Sucs", e.span, Throw(r.value), store, s1)
 
-    def _e_TryFinally(self, e: sx.TryFinally, store: Store, n: int | None):
+    def _e_TryFinally(self, e: sx.TryFinally, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         x = e.body
         r1, s2 = _RULES[type(x)](self, x, store, n1)
         x = e.fin
@@ -665,10 +673,10 @@ class Evaluator:
             return self.fire("E-Fin-Exc", e.span, r2, store, s1)
         return self.fire("E-Fin-Sucs", e.span, r1, store, s1)
 
-    def _e_TryCatch(self, e: sx.TryCatch, store: Store, n: int | None):
+    def _e_TryCatch(self, e: sx.TryCatch, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        n1 = None if n is None else n - 1
+        n1 = n - 1
         x = e.body
         r1, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r1) is not Throw:
@@ -679,70 +687,66 @@ class Evaluator:
 
     # -- companion judgments ---------------------------------------------
 
-    def eval_expr_star(self, exprs, store: Store, n: int | None, span: Span):
+    def eval_expr_star(self, exprs, store: Store, n: int, span: Span):
         """Left-to-right sequence evaluation; the first exceptional result aborts."""
         vals: list[Value] = []
         cur = store
         for i, e in enumerate(exprs):
             if n == 0:
                 raise TimeoutSignal(cur)
-            n1 = None if n is None else n - 1
-            r, cur = _RULES[type(e)](self, e, cur, n1)
+            n -= 1
+            r, cur = _RULES[type(e)](self, e, cur, n)
             if type(r) in EXRES:
                 rule = "ES-Exc1" if i == 0 else "ES-Exc2"
                 return self.fire(rule, span, r, store, cur)
             vals.append(r.value)
-            n = n1
         if n == 0:
             raise TimeoutSignal(cur)
         return tuple(vals), cur
 
-    def eval_cases(self, cases, v: Value, store: Store, n: int | None, span: Span):
+    def eval_cases(self, cases, v: Value, store: Store, n: int, span: Span):
         """Try cases in order; a fail restores the initial store for the next."""
         for cs in cases:
             if n == 0:
                 raise TimeoutSignal(store)
-            n1 = None if n is None else n - 1
+            n -= 1
             envs = match(cs.pattern, v, store, self.constructors)
-            r, s2 = self.eval_case(envs, cs.body, store, n1, cs.span)
+            r, s2 = self.eval_case(envs, cs.body, store, n, cs.span)
             if type(r) is not Fail:
                 return self.fire("ECS-More-Ord", cs.span, r, store, s2)
             self.fire("ECS-More-Fail", cs.span, FAIL, store, store)
-            n = n1
         if n == 0:
             raise TimeoutSignal(store)
         return self.fire("ECS-Emp", span, FAIL, store, store)
 
-    def eval_case(self, envs, body: sx.Expr, store: Store, n: int | None, span: Span):
+    def eval_case(self, envs, body: sx.Expr, store: Store, n: int, span: Span):
         """Try each candidate binding; non-fail wins and its bindings are stripped."""
         rule = _RULES[type(body)]
         for env in envs:
             if n == 0:
                 raise TimeoutSignal(store)
-            n1 = None if n is None else n - 1
-            r, s2 = rule(self, body, store.extended(env), n1)
+            n -= 1
+            r, s2 = rule(self, body, store.extended(env), n)
             if type(r) is not Fail:
                 return self.fire("EC-More-Ord", span, r, store, s2.without(env.keys()))
             self.fire("EC-More-Fail", span, FAIL, store, store)
-            n = n1
         if n == 0:
             raise TimeoutSignal(store)
         return self.fire("EC-Emp", span, FAIL, store, store)
 
-    def eval_each(self, body: sx.Expr, envs, store: Store, n: int | None, span: Span):
+    def eval_each(self, body: sx.Expr, envs, store: Store, n: int, span: Span):
         """Iterate a body over bindings; break stops early with success."""
         rule = _RULES[type(body)]
         cur = store
         for env in envs:
             if n == 0:
                 raise TimeoutSignal(cur)
-            n1 = None if n is None else n - 1
-            r, s2 = rule(self, body, cur.extended(env), n1)
+            n -= 1
+            r, s2 = rule(self, body, cur.extended(env), n)
             stripped = s2.without(env.keys())
             if type(r) is Success or type(r) is Continue:
                 self.fire("EE-More-Sucs", span, r, cur, stripped)
                 cur = stripped
-                n = n1
                 continue
             if type(r) is Break:
                 return self.fire("EE-More-Break", span, Success(UNDEF), cur, stripped)
@@ -751,11 +755,11 @@ class Evaluator:
             raise TimeoutSignal(cur)
         return self.fire("EE-Emp", span, Success(UNDEF), cur, cur)
 
-    def eval_gen(self, g: sx.Generator, store: Store, n: int | None):
+    def eval_gen(self, g: sx.Generator, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         x = g.source
-        r, s1 = _RULES[type(x)](self, x, store, None if n is None else n - 1)
+        r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if isinstance(g, sx.Matching):
             if type(r) in EXRES:
                 return self.fire("G-Pat-Exc", g.span, r, store, s1)
@@ -777,7 +781,7 @@ class Evaluator:
 
     # -- function calls ---------------------------------------------------
 
-    def _apply_function(self, name: str, args: tuple[Value, ...], store: Store, n: int | None, span: Span):
+    def _apply_function(self, name: str, args: tuple[Value, ...], store: Store, n: int, span: Span):
         """The call boundary: typed arguments, fresh callee store of globals
         plus parameters, result typing, and global write-back."""
         fd = self.functions.get(name)
@@ -829,12 +833,6 @@ _RULES = {
 def init_module(m: ModuleDef, fuel: int | None = None) -> Store:
     """Initialize a module's globals, returning the resulting store."""
     return Evaluator(m).init_globals(fuel)
-
-
-def eval_expr(e: sx.Expr, store: Store, module: ModuleDef | None = None, fuel: int | None = None):
-    """Evaluate one expression against a store (empty module by default)."""
-    ev = Evaluator(module if module is not None else ModuleDef())
-    return ev.evaluate(e, store, fuel)
 
 
 def boundary_result(res: Result) -> Result:

@@ -96,6 +96,10 @@ class Token:
     def span(self) -> Span:
         return Span(self.start, self.end)
 
+    def describe(self) -> str:
+        """The token as a diagnostic names it."""
+        return "end of input" if self.kind == "eof" else repr(self.value)
+
 
 def tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
@@ -204,7 +208,7 @@ class Parser:
         if t.kind != kind or (value is not None and t.value != value):
             want = value if value is not None else kind
             raise ParseError(
-                f"expected {want!r}, found {t.value!r}",
+                f"expected {want!r}, found {t.describe()}",
                 t.span,
                 expected=(str(want),),
             )
@@ -363,7 +367,7 @@ class Parser:
             self.advance()
             return VALUE
         if t.kind != "ident":
-            raise self.error(f"expected a type, found {t.value!r}")
+            raise self.error(f"expected a type, found {t.describe()}")
         name = t.value
         if name == "int":
             self.advance()
@@ -513,7 +517,7 @@ class Parser:
                 return sx.MapExpr(tuple(pairs), Span(t.start, end.end))
             self.expect("punct", ")")
             return first
-        raise self.error(f"expected an expression, found {t.value!r}")
+        raise self.error(f"expected an expression, found {t.describe()}")
 
     def parse_pair(self, item):
         """``item : item``, one map entry."""
@@ -680,7 +684,7 @@ class Parser:
                 end = self.expect("punct", ")")
                 return sx.ConsPat(t.value, tuple(args), Span(t.start, end.end))
             return sx.VarPat(t.value, t.span)
-        raise self.error(f"expected a pattern, found {t.value!r}")
+        raise self.error(f"expected a pattern, found {t.describe()}")
 
     def try_parse_typed_pattern(self) -> sx.Pattern | None:
         saved = self.pos
@@ -744,7 +748,7 @@ class Parser:
             pairs = self.sep_list(lambda: self.parse_pair(self.parse_value), ",", ")")
             self.expect("punct", ")")
             return VMap(tuple(pairs))
-        raise self.error(f"expected a value literal, found {t.value!r}")
+        raise self.error(f"expected a value literal, found {t.describe()}")
 
 
 # ---------------------------------------------------------------------------

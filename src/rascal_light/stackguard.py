@@ -1,6 +1,6 @@
 """The host-stack guard: the diagnostic for input or evaluation nested
 deeper than the Python stack allows, and the decorator that gives it to
-the library's recursive entry points (parsing and module analysis)."""
+the library's recursive entry points (parsing, analysis, evaluation)."""
 
 from __future__ import annotations
 
@@ -16,8 +16,8 @@ class HostStackGuard(Exception):
 
 
 def stack_guarded(entry):
-    """Input nested deeper than the host stack allows raises HostStackGuard
-    from ``entry``, as it does from ``fuel.call_with_stack``."""
+    """Input or evaluation nested deeper than the host stack allows raises
+    HostStackGuard from ``entry``."""
 
     @functools.wraps(entry)
     def guarded(*args, **kwargs):

@@ -17,10 +17,13 @@ from .types import Type, subtype, type_of
 from .values import (
     Basic,
     ERROR,
+    EXRES,
     FAIL,
+    Fail,
     Result,
     Store,
     Success,
+    TimeoutSignal,
     UNDEF,
     Undefined,
     Value,
@@ -28,10 +31,8 @@ from .values import (
     VList,
     VMap,
     VSet,
+    budget,
     children,
-    fuel_check,
-    fuel_dec,
-    is_exres,
 )
 
 
@@ -71,18 +72,12 @@ def reconstruct(
             if arg == UNDEF or not subtype(type_of(arg, constructors), ft):
                 return ERROR
         return Success(VCons(v.name, tuple(new_children)))
-    if isinstance(v, VList):
+    if isinstance(v, (VList, VSet)):
         if any(x == UNDEF for x in new_children):
             return ERROR
-        return Success(VList(tuple(new_children)))
-    if isinstance(v, VSet):
-        if any(x == UNDEF for x in new_children):
-            return ERROR
-        return Success(VSet(tuple(new_children)))
+        return Success(type(v)(tuple(new_children)))
     if isinstance(v, VMap):
-        if len(new_children) != 2 * len(v.pairs):
-            return ERROR
-        if any(x == UNDEF for x in new_children):
+        if len(new_children) != 2 * len(v.pairs) or any(x == UNDEF for x in new_children):
             return ERROR
         half = len(new_children) // 2
         keys, vals = new_children[:half], new_children[half:]
@@ -104,19 +99,26 @@ def eval_visit(
     fuel: int | None,
     span: Span,
 ):
-    fuel_check(fuel, store)
+    """The visit judgment.  ``fuel`` is a number, as everywhere in the
+    evaluator, or None for no budget (``budget``), so that the judgment
+    can also be run on its own."""
+    n = budget(fuel)
+    if n == 0:
+        raise TimeoutSignal(store)
     one_pass = _ONE_PASS.get(st)
     if one_pass is not None:
         visit_one, br, rule = one_pass
-        res, out = visit_one(ev, cases, v, store, br, fuel_dec(fuel), span)
+        res, out = visit_one(ev, cases, v, store, br, n - 1, span)
         return ev.fire(rule, span, res, store, out)
 
     visit_one, (eq, neq, exc) = _FIXPOINT[st]
-    cur_v, cur_store, n = v, store, fuel
+    cur_v, cur_store = v, store
     while True:
-        fuel_check(n, cur_store)
-        res, out = visit_one(ev, cases, cur_v, cur_store, BreakMode.NO_BREAK, fuel_dec(n), span)
-        if is_exres(res) and res != FAIL:
+        if n == 0:
+            raise TimeoutSignal(cur_store)
+        n -= 1
+        res, out = visit_one(ev, cases, cur_v, cur_store, BreakMode.NO_BREAK, n, span)
+        if type(res) in _EXC:
             return ev.fire(exc, span, res, cur_store, out)
         # A pass that matched nothing leaves the iterate unchanged, which
         # confirms the fixed point; rewrites done by earlier passes are kept.
@@ -124,7 +126,7 @@ def eval_visit(
         if new_v == cur_v:
             return ev.fire(eq, span, Success(cur_v), cur_store, out)
         ev.fire(neq, span, res, cur_store, out)
-        cur_v, cur_store, n = new_v, out, fuel_dec(n)
+        cur_v, cur_store = new_v, out
 
 
 def td_visit(
@@ -133,22 +135,23 @@ def td_visit(
     v: Value,
     store: Store,
     br: BreakMode,
-    fuel: int | None,
+    n: int,
     span: Span,
 ):
-    fuel_check(fuel, store)
-    n1 = fuel_dec(fuel)
+    if n == 0:
+        raise TimeoutSignal(store)
+    n1 = n - 1
     res, s2 = ev.eval_cases(cases, v, store, n1, span)
     if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
         return ev.fire("ETV-Break-Sucs", span, res, store, s2)
-    if is_exres(res) and res != FAIL:
+    if type(res) in _EXC:
         return ev.fire("ETV-Exc1", span, res, store, s2)
     v2 = if_fail(res, v)
     kids = children(v2)
     star, s1 = visit_star(td_visit, ev, cases, kids, s2, br, n1, span)
     if star == FAIL:
         return ev.fire("ETV-Ord-Sucs1", span, res, store, s1)
-    if is_exres(star):
+    if type(star) in EXRES:
         return ev.fire("ETV-Exc2", span, star, store, s1)
     rc = reconstruct(v2, star, ev.constructors)
     return ev.fire("ETV-Ord-Sucs2", span, rc, store, s1)
@@ -160,14 +163,15 @@ def bu_visit(
     v: Value,
     store: Store,
     br: BreakMode,
-    fuel: int | None,
+    n: int,
     span: Span,
 ):
-    fuel_check(fuel, store)
-    n1 = fuel_dec(fuel)
+    if n == 0:
+        raise TimeoutSignal(store)
+    n1 = n - 1
     kids = children(v)
     star, s2 = visit_star(bu_visit, ev, cases, kids, store, br, n1, span)
-    if is_exres(star) and star != FAIL:
+    if type(star) in _EXC:
         return ev.fire("EBU-Exc", span, star, store, s2)
     if star == FAIL:
         res, s1 = ev.eval_cases(cases, v, s2, n1, span)
@@ -180,7 +184,7 @@ def bu_visit(
         return ev.fire("EBU-No-Break-Err", span, ERROR, store, s2)
     assert isinstance(rc, Success)
     res, s1 = ev.eval_cases(cases, rc.value, s2, n1, span)
-    if is_exres(res) and res != FAIL:
+    if type(res) in _EXC:
         return ev.fire("EBU-No-Break-Exc", span, res, store, s1)
     out = Success(if_fail(res, rc.value))
     return ev.fire("EBU-No-Break-Sucs", span, out, store, s1)
@@ -193,34 +197,42 @@ def visit_star(
     vals: tuple[Value, ...],
     store: Store,
     br: BreakMode,
-    fuel: int | None,
+    n: int,
     span: Span,
 ):
     """The sequence judgment of both directions: ``visit_one`` (``td_visit``
     or ``bu_visit``) over ``vals`` left to right, firing the ``ETVS-`` or
     ``EBUS-`` rules respectively."""
-    prefix = "ETVS" if visit_one is td_visit else "EBUS"
+    exc1, exc2, brk, emp, more = _STAR_RULES[visit_one]
     results: list = []
     cur = store
-    n = fuel
     for i, v in enumerate(vals):
-        fuel_check(n, cur)
-        res, cur = visit_one(ev, cases, v, cur, br, fuel_dec(n), span)
-        if is_exres(res) and res != FAIL:
-            rule = "Exc1" if i == 0 else "Exc2"
-            return ev.fire(f"{prefix}-{rule}", span, res, store, cur)
+        if n == 0:
+            raise TimeoutSignal(cur)
+        n -= 1
+        res, cur = visit_one(ev, cases, v, cur, br, n, span)
+        if type(res) in _EXC:
+            return ev.fire(exc1 if i == 0 else exc2, span, res, store, cur)
         if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
             out = tuple(vals[:i]) + (res.value,) + tuple(vals[i + 1 :])
-            return ev.fire(f"{prefix}-Break", span, out, store, cur)
+            return ev.fire(brk, span, out, store, cur)
         results.append(res)
-        n = fuel_dec(n)
-    fuel_check(n, cur)
+    if n == 0:
+        raise TimeoutSignal(cur)
     if all(r == FAIL for r in results):
-        rule = "Emp" if not vals else "More"
-        return ev.fire(f"{prefix}-{rule}", span, FAIL, store, cur)
+        return ev.fire(more if vals else emp, span, FAIL, store, cur)
     out = tuple(if_fail(r, v) for r, v in zip(results, vals))
-    return ev.fire(f"{prefix}-More", span, out, store, cur)
+    return ev.fire(more, span, out, store, cur)
 
+
+# The exceptional results that abort a traversal: all but fail.
+_EXC = EXRES - {Fail}
+
+# The sequence rules of each direction.
+_STAR_RULES = {
+    td_visit: ("ETVS-Exc1", "ETVS-Exc2", "ETVS-Break", "ETVS-Emp", "ETVS-More"),
+    bu_visit: ("EBUS-Exc1", "EBUS-Exc2", "EBUS-Break", "EBUS-Emp", "EBUS-More"),
+}
 
 # Strategies that make one traversal pass: the pass, its break mode, and
 # the rule that concludes the visit.

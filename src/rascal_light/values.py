@@ -11,6 +11,7 @@ not part of equality or hashing.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping
@@ -509,11 +510,6 @@ TIMEOUT = Timeout()
 EXRES = frozenset({Return, Throw, Break, Continue, Fail, Error})
 
 
-def is_exres(r: Result) -> bool:
-    """True for exceptional results: return, throw, break, continue, fail, error."""
-    return type(r) in EXRES
-
-
 def result_kind(r: Result) -> str:
     return {
         Success: "success",
@@ -539,15 +535,16 @@ class TimeoutSignal(Exception):
         self.store = store
 
 
-def fuel_check(n: int | None, store: Store) -> None:
-    """Abort with a timeout when the budget for this derivation is zero."""
-    if n == 0:
-        raise TimeoutSignal(store)
-
-
-def fuel_dec(n: int | None) -> int | None:
-    """Budget for a recursive premise: one less, or unlimited."""
-    return None if n is None else n - 1
+def budget(fuel: int | None) -> int:
+    """The budget an evaluation runs on: a natural number ``fuel``, or for
+    None ``sys.maxsize``, more than a run can spend: a derivation that deep,
+    or a loop of that many rounds, would take millennia.  (Not ``math.inf``:
+    float arithmetic on every premise slows unbounded runs by ~3%.)"""
+    if fuel is None:
+        return sys.maxsize
+    if fuel < 0:
+        raise ValueError("fuel must be a natural number")
+    return fuel
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import functools
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -229,6 +230,45 @@ def test_init_timeout_exit_code(tmp_path, capsys):
     assert code == 4 and "timeout" in err
 
 
+def test_negative_fuel_is_bad_input(capsys, monkeypatch):
+    # Run unbounded, this call never ends.
+    argv = ("run", program_path("infincrement.rsl"), "--call", "infincrement(succ(zero()))")
+    for extra, env in ((("--fuel", "-1"), None), ((), "-1"), ((), "-5")):
+        if env is None:
+            monkeypatch.delenv("RASCAL_LIGHT_FUEL", raising=False)
+        else:
+            monkeypatch.setenv("RASCAL_LIGHT_FUEL", env)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (5, "")
+        assert err == f"invalid fuel {extra[1] if extra else env}: fuel must be a natural number\n"
+
+
+def test_parse_errors_at_the_end_of_input_name_it(capsys):
+    code, _, err = run_cli(capsys, "run", program_path("prod.rsl"), "--call", "prod")
+    assert (code, err) == (5, "offset 4: bad --call: expected '(', found end of input\n")
+    code, _, err = run_cli(capsys, "run", "--eval", "1 +")
+    assert (code, err) == (5, "offset 3: parse error in --eval: expected an expression, found end of input\n")
+
+
+def test_trace_streams_through_failed_initialization(tmp_path, capsys):
+    mod = tmp_path / "bad.rsl"
+    mod.write_text("global int g = 1 / 0;\n")
+    code, out, err = run_cli(capsys, "run", str(mod), "--eval", "1", "--trace")
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "E-Val @ 15-16 -> success",
+        "E-Val @ 19-20 -> success",
+        "E-Bin-Sucs @ 15-20 -> error",
+        "module initialization failed at global 'g'",
+    ]
+    mod.write_text("global int g = 1 + (2 + 3);\n")
+    code, out, err = run_cli(capsys, "run", str(mod), "--eval", "g", "--trace", "--fuel", "2")
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["E-Val @ 15-16 -> success", "timeout during module initialization"]
+
+
 def test_init_error_exit_code(tmp_path, capsys):
     mod = tmp_path / "bad.rsl"
     mod.write_text("global int g = 1 / 0;\n")
@@ -369,6 +409,8 @@ ADVERSARIAL = {
     "huge-int-eval": (None, ["--eval", "7" * 6000], 5),
     "huge-int-call": (NAT + "int g(int n) = n;", ["--call", "g(" + "7" * 6000 + ")"], 5),
     "malformed-utf8": (b"int f() = 1;\xff\n", ["--call", "f()"], 5),
+    "empty-call": (NAT, ["--call", ""], 5),
+    "empty-eval": (None, ["--eval", ""], 5),
 }
 
 

@@ -11,7 +11,9 @@ checkout, run ``PYTHONPATH=src python tests/test_dispatch.py``.
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -19,6 +21,7 @@ import sys
 
 import pytest
 
+from rascal_light import interp, traversal
 from rascal_light import syntax as sx
 from rascal_light.harness import GenBudget, _cons_by_type, gen_program, gen_store
 from rascal_light.interp import Evaluator, apply_binary, apply_unary
@@ -28,6 +31,7 @@ from rascal_light.values import (
     FALSE,
     Store,
     Success,
+    TIMEOUT,
     TRUE,
     UNDEF,
     VCons,
@@ -74,6 +78,71 @@ def test_trace_digests_match_the_recorded_evaluator():
     assert len(expected) == len(SEEDS)
     differ = [s for s in SEEDS if program_digest(s) != expected[s]]
     assert differ == []
+
+
+def test_unbounded_evaluation_runs_the_fueled_rules():
+    # No budget is an unbounded one: wherever fuel 10^6 suffices, both
+    # entry points fire the same rules and end with the same result and
+    # store without a budget.
+    compared = 0
+    for seed in SEEDS:
+        module = gen_program(GenBudget(max_depth=MAX_DEPTH, seed=seed), "all")
+        firings = []
+        ev = Evaluator(module, trace=firings.append)
+        rng = random.Random(seed)
+        cbt = _cons_by_type(module)
+        for fd in module.functions:
+            store = gen_store(rng, module, cbt, fd.params)
+            args = tuple(store.get(p.name) for p in fd.params)
+            for entry in ("evaluate", "call_function"):
+                runs = []
+                for fuel in (10**6, None):
+                    firings.clear()
+                    if entry == "evaluate":
+                        res, out = ev.evaluate(fd.body, store, fuel)
+                    else:
+                        res, out = ev.call_function(fd.name, args, store, fuel)
+                    runs.append((list(firings), res, list(out.items())))
+                if runs[0][1] != TIMEOUT:
+                    assert runs[1] == runs[0], (seed, fd.name, entry)
+                    compared += 1
+    assert compared > 800
+
+
+# ---------------------------------------------------------------------------
+# Rule names
+
+
+def literal_strings(*modules) -> set[str]:
+    """Every string constant in the source of ``modules``."""
+    return {
+        node.value
+        for m in modules
+        for node in ast.walk(ast.parse(inspect.getsource(m)))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+
+
+def test_every_fired_rule_name_is_a_literal(monkeypatch):
+    # A rule name built at run time would escape a search of the source
+    # for the rules the evaluator implements.
+    import test_traversal
+
+    fired = set()
+    fire = Evaluator.fire
+
+    def recording(self, rule, span, res, pre, post):
+        fired.add(rule)
+        return fire(self, rule, span, res, pre, post)
+
+    monkeypatch.setattr(Evaluator, "fire", recording)
+    for seed in SEEDS:
+        program_digest(seed)
+    for name, test in vars(test_traversal).items():
+        if name.startswith("test_"):
+            test()
+    assert len(fired) > 90
+    assert fired - literal_strings(interp, traversal) == set()
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ example and benchmark programs, generated modules, every sub-expression
 of the programs, generated values, and malformed input cut from the
 programs.  Trees must be equal with their spans, printed text
 byte-identical, and a rejected input must give equal ``ParseError``s
-(message, span and expected tokens) on both sides.
+(message, span and expected tokens) on both sides.  The one difference
+allowed is the token a message names at the end of input: ``None`` on
+the earlier side, ``end of input`` now.
 """
 
 import glob
@@ -1284,7 +1286,11 @@ def _outcome(module, entry: str, *args):
 
 def _agree(old, entry: str, *args):
     got = _outcome(parser, entry, *args)
-    assert got == _outcome(old.parser, entry, *args), (entry, args)
+    want = _outcome(old.parser, entry, *args)
+    if want[0] == "error" and want[1].endswith(", found None"):
+        # The earlier parser printed the end of input as Python's None.
+        want = (want[0], want[1].removesuffix("None") + "end of input", *want[2:])
+    assert got == want, (entry, args)
     return got
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from rascal_light.fuel import (
@@ -6,7 +8,7 @@ from rascal_light.fuel import (
     eval_expr_fuel,
     min_sufficient_fuel,
 )
-from rascal_light.interp import Evaluator
+from rascal_light.interp import Evaluator, InitError
 from rascal_light.parser import parse_expr, parse_module
 from rascal_light.values import Basic, Store, Success, TIMEOUT
 
@@ -102,6 +104,74 @@ def test_host_stack_guard_is_distinct_from_timeout():
     e = parse_expr("spin(1)", m)
     with pytest.raises(HostStackGuard):
         eval_expr_fuel(ev, e, ev.init_globals(), 1 << 30)
+
+
+# -- the evaluation boundary ---------------------------------------------
+
+NAT = parse_module(
+    "data Nat = zero() | succ(Nat pred);\n"
+    "Nat nat(int n) = if n == 0 then zero() else succ(nat(n - 1));\n"
+    "global int g = 1 + 2 + 3;"
+)
+
+
+def _entry_points(n):
+    """Each entry point as a function of the budget; all but init_globals
+    evaluate nat(n)."""
+    ev, store = Evaluator(NAT), Store({"g": b(6)})
+    e = parse_expr(f"nat({n})", NAT)
+    cases = parse_expr(f"switch (0) {{ case _ => nat({n}) }}", NAT).cases
+    return {
+        "evaluate": lambda fuel: ev.evaluate(e, store, fuel),
+        "call_function": lambda fuel: ev.call_function("nat", (b(n),), store, fuel),
+        "run_cases": lambda fuel: ev.run_cases(cases, b(0), store, fuel),
+        "init_globals": lambda fuel: ev.init_globals(fuel),
+        "eval_expr_fuel": lambda fuel: eval_expr_fuel(ev, e, store, fuel),
+    }
+
+
+@pytest.mark.parametrize("entry", ["evaluate", "call_function", "run_cases", "init_globals", "eval_expr_fuel"])
+def test_a_budget_is_a_natural_number(entry):
+    run = _entry_points(3)[entry]
+    for fuel in (-1, -5):
+        with pytest.raises(ValueError, match="^fuel must be a natural number$"):
+            run(fuel)
+
+
+def test_init_timeout_is_an_init_error():
+    ev = Evaluator(NAT)
+    with pytest.raises(InitError) as exc:
+        ev.init_globals(1)
+    assert exc.value.name == "g" and exc.value.result == TIMEOUT
+    assert ev.init_globals(5).get("g") == b(6)
+
+
+@pytest.mark.parametrize("entry", ["evaluate", "call_function", "run_cases", "eval_expr_fuel"])
+@pytest.mark.parametrize("fuel", [None, 10**6])
+def test_every_entry_point_guards_the_host_stack(entry, fuel):
+    # At Python's default recursion limit nat(3000) needs more stack than
+    # the host gives; the boundary reports that as HostStackGuard.
+    run = _entry_points(3000)[entry]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(HostStackGuard, match="^host stack exhausted$"):
+            run(fuel)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_init_globals_guards_the_host_stack():
+    # An initializer cannot call a function, so it nests 3000 negations.
+    ev = call_with_stack(lambda: Evaluator(parse_module("global int g = " + "- " * 3000 + "1;")))
+    assert call_with_stack(ev.init_globals).get("g") == b(1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(HostStackGuard, match="^host stack exhausted$"):
+            ev.init_globals()
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_call_with_stack_runs_deep():

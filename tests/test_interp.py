@@ -13,6 +13,7 @@ from rascal_light.interp import (
     init_module,
 )
 from rascal_light.parser import load_module, parse_expr, parse_module, parse_value
+from rascal_light.stackguard import HostStackGuard
 from rascal_light.values import (
     BREAK,
     Basic,
@@ -608,7 +609,7 @@ def test_deep_derivation_fits_the_main_thread_stack():
     sys.setrecursionlimit(12_000)
     try:
         res, _ = ev.call_function("nat", (Basic(2000),), Store())
-    except RecursionError:
+    except HostStackGuard:
         pytest.fail("nat(2000) overflowed the stack", pytrace=False)
     finally:
         sys.setrecursionlimit(limit)

@@ -108,6 +108,24 @@ def test_parse_error_cases():
             parse_module(bad)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_expr, "(1", "expected ')', found end of input"),
+        (parse_module, "global ", "expected a type, found end of input"),
+        (parse_expr, "1 +", "expected an expression, found end of input"),
+        (parse_expr, "switch (1) { case ", "expected a pattern, found end of input"),
+        (parse_value, "[1, ", "expected a value literal, found end of input"),
+        (parse_expr, "1 + ;", "expected an expression, found ';'"),
+        (parse_value, "[1, ;]", "expected a value literal, found ';'"),
+    ],
+)
+def test_parse_errors_name_the_token_found(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.message == message
+
+
 def test_expression_grammar_corners():
     # Empty map vs grouping vs map literal.
     assert isinstance(parse_expr("()"), sx.MapExpr)

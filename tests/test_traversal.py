@@ -10,11 +10,12 @@ from rascal_light.values import (
     Store,
     Success,
     Throw,
-    UNDEF,
+        UNDEF,
     VCons,
     VList,
     VMap,
     VSet,
+    budget,
     children,
 )
 
@@ -105,7 +106,7 @@ def test_reconstruct_children_roundtrip():
 
 def test_td_no_match_fails():
     ev = evaluator()
-    res, out = tv.td_visit(ev, SIMPLIFY_CASES, b(42), Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
+    res, out = tv.td_visit(ev, SIMPLIFY_CASES, b(42), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
     assert res == FAIL
 
 
@@ -113,7 +114,7 @@ def test_td_rewrites_children_and_reconstructs():
     ev = evaluator()
     cases = (case("intlit(0)", "intlit(9)"),)
     v = plus(intlit(0), intlit(1))
-    res, _ = tv.td_visit(ev, cases, v, Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
+    res, _ = tv.td_visit(ev, cases, v, Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
     assert res == Success(plus(intlit(9), intlit(1)))
 
 
@@ -125,14 +126,14 @@ def test_td_root_throw_skips_children():
         case("intlit(0)", "local in log = 99; intlit(1) end"),
     )
     v = plus(intlit(0), intlit(1))
-    res, out = tv.td_visit(ev, cases, v, store, tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
+    res, out = tv.td_visit(ev, cases, v, store, tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
     assert res == Throw(b(1))
     assert out.get("log") == b(0)  # children were never traversed
 
 
 def test_td_star_empty_fails():
     ev = evaluator()
-    res, out = tv.visit_star(tv.td_visit, ev, SIMPLIFY_CASES, (), Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
+    res, out = tv.visit_star(tv.td_visit, ev, SIMPLIFY_CASES, (), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
     assert res == FAIL
 
 
@@ -140,7 +141,7 @@ def test_td_star_mixed_results_use_originals():
     ev = evaluator()
     cases = (case("intlit(0)", "intlit(9)"),)
     vals = (intlit(0), b(5))
-    res, _ = tv.visit_star(tv.td_visit, ev, cases, vals, Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
+    res, _ = tv.visit_star(tv.td_visit, ev, cases, vals, Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
     assert res == (intlit(9), b(5))
 
 
@@ -148,7 +149,7 @@ def test_td_star_break_keeps_rest_verbatim():
     ev = evaluator()
     cases = (case("intlit(x)", "intlit(x + 1)"),)
     vals = (intlit(0), intlit(5))
-    res, _ = tv.visit_star(tv.td_visit, ev, cases, vals, Store(), tv.BreakMode.BREAK_ON_FIRST, None, DUMMY_SPAN)
+    res, _ = tv.visit_star(tv.td_visit, ev, cases, vals, Store(), tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
     assert res == (intlit(1), intlit(5))
 
 
@@ -180,7 +181,7 @@ def test_bu_simplifier_examples():
         plus(plus(intlit(0), intlit(2)), intlit(0)),
         Store(),
         tv.BreakMode.NO_BREAK,
-        None,
+        budget(None),
         DUMMY_SPAN,
     )
     assert res == Success(intlit(2))
@@ -188,7 +189,7 @@ def test_bu_simplifier_examples():
 
 def test_bu_leaf_no_match_fails():
     ev = evaluator()
-    res, _ = tv.bu_visit(ev, SIMPLIFY_CASES, b(7), Store(), tv.BreakMode.NO_BREAK, None, DUMMY_SPAN)
+    res, _ = tv.bu_visit(ev, SIMPLIFY_CASES, b(7), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
     assert res == FAIL
 
 
@@ -200,7 +201,7 @@ def test_bu_break_skips_parent_cases():
         case("plus(a, c)", "local in log = 99; intlit(0) end"),
     )
     v = plus(intlit(0), intlit(1))
-    res, out = tv.bu_visit(ev, cases, v, store, tv.BreakMode.BREAK_ON_FIRST, None, DUMMY_SPAN)
+    res, out = tv.bu_visit(ev, cases, v, store, tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
     # The child rewrite succeeded, so the parent's cases never ran.
     assert res == Success(plus(intlit(9), intlit(1)))
     assert out.get("log") == b(0)
@@ -211,7 +212,7 @@ def test_bus_break_threads_store_from_successful_child():
     store = ev.init_globals()
     cases = (case("intlit(x)", "local in log = log + 1; intlit(x + 1) end"),)
     vals = (intlit(0), intlit(5))
-    res, out = tv.visit_star(tv.bu_visit, ev, cases, vals, store, tv.BreakMode.BREAK_ON_FIRST, None, DUMMY_SPAN)
+    res, out = tv.visit_star(tv.bu_visit, ev, cases, vals, store, tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
     assert res == (intlit(1), intlit(5))
     assert out.get("log") == b(1)
 
