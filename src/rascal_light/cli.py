@@ -2,8 +2,9 @@
 evaluate a snippet, and print results.
 
 Exit codes: 0 success, 2 thrown exception, 3 error, 4 timeout, 5 unreadable
-input, parse or validation failure.  A host-stack guard trip (resource
-exhaustion, not part of the bounded semantics) exits 70.
+input, parse or validation failure, or a malformed command line.  A
+host-stack guard trip (resource exhaustion, not part of the bounded
+semantics) exits 70.
 """
 
 from __future__ import annotations
@@ -67,8 +68,17 @@ def _print_trace(t: TraceEntry) -> None:
     print(f"{t.rule} @ {t.span.start}-{t.span.end} -> {t.kind}{changed}", file=sys.stderr)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 5, bad input: argparse's own 2 is a thrown
+    exception's code.  Subparsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="rascal-light",
         description="Run Rascal Light modules: call functions, evaluate "
         "snippets, and drive the metatheory property suites.",
@@ -220,7 +230,10 @@ def _cmd_harness(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
+    try:
+        args = _build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # after --help (0) or a usage error (5)
+        return exc.code
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_harness(args)

@@ -24,19 +24,23 @@ def eval_expr_fuel(ev: Evaluator, e: Expr, store: Store, fuel: int) -> tuple[Res
     return ev.evaluate(e, store, fuel)
 
 
-def min_sufficient_fuel(ev: Evaluator, e: Expr, store: Store, cap: int = 1 << 22) -> int:
+_FUEL_CAP = 1 << 22
+
+
+def min_sufficient_fuel(ev: Evaluator, e: Expr, store: Store) -> int:
     """Smallest budget at which ``e`` evaluates without timing out.
 
     Only defined on the terminating subset, where a sufficient finite
-    budget is guaranteed to exist; found by doubling then binary search.
+    budget is guaranteed to exist; found by doubling then binary search,
+    up to ``_FUEL_CAP``.
     """
     if not is_finite_subset(e):
         raise ValueError("expression is outside the terminating subset")
     hi = 1
     while isinstance(eval_expr_fuel(ev, e, store, hi)[0], Timeout):
         hi *= 2
-        if hi > cap:
-            raise RuntimeError(f"no sufficient fuel found below {cap}")
+        if hi > _FUEL_CAP:
+            raise RuntimeError(f"no sufficient fuel found below {_FUEL_CAP}")
     lo = hi // 2 + 1 if hi > 1 else 1
     while lo < hi:
         mid = (lo + hi) // 2

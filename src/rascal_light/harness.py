@@ -61,7 +61,6 @@ class BudgetExceeded(Exception):
 @dataclass(frozen=True)
 class GenBudget:
     max_depth: int = 4
-    max_functions: int = 3
     seed: int = 0
 
 
@@ -260,7 +259,7 @@ class _ModuleGen:
     def build_module(self) -> sx.ModuleDef:
         self.build_datatypes()
         self.build_globals()
-        n = self.rng.randint(1, self.budget.max_functions)
+        n = self.rng.randint(1, 3)  # functions in the module
         for _ in range(n):
             name = self.fresh("fn")
             params = tuple(
@@ -584,9 +583,10 @@ def gen_program(budget: GenBudget, subset: str = "all") -> sx.ModuleDef:
     return _ModuleGen(rng, budget, subset == "finite").build_module()
 
 
-def gen_store(rng: random.Random, module: sx.ModuleDef, cons_by_type, params=()) -> Store:
+def gen_store(rng: random.Random, module: sx.ModuleDef, params=()) -> Store:
     """A store holding the module's globals, the given parameters, and a
     couple of scratch variables."""
+    cons_by_type = _cons_by_type(module)
     bindings: dict[str, Value] = {}
     for g in module.globals:
         bindings[g.name] = gen_value(rng, g.type, cons_by_type, 2)
@@ -1022,7 +1022,7 @@ def _draw_case(rng: random.Random, subset: str) -> Case:
     case_seed = rng.randrange(1 << 30)
     module = gen_program(GenBudget(max_depth=3, seed=case_seed), subset)
     fd = module.functions[rng.randrange(len(module.functions))]
-    return Case(module, fd.name, gen_store(rng, module, _cons_by_type(module), fd.params))
+    return Case(module, fd.name, gen_store(rng, module, fd.params))
 
 
 def _on(case: Case, module: sx.ModuleDef) -> Case:
@@ -1103,7 +1103,8 @@ def suite_typing(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> Suite
     return _run_cases(SuiteReport("typing"), check_typing, ("all",), cases, seed, artifacts_dir)
 
 
-_ADVERSARIAL_SNIPPETS = (
+# Parsed once, at import.
+_ADVERSARIAL_SNIPPETS = tuple(map(parse_expr, (
     "x",
     "1 / 0",
     "0 % 0",
@@ -1124,7 +1125,7 @@ _ADVERSARIAL_SNIPPETS = (
     "bottom-up visit ([1, [2, [3]]]) { case int n : 9 => n + 1 }",
     "top-down visit ({1, 2}) { case x => x }",
     "innermost visit (3) { case 3 => 3 }",
-)
+)))
 
 
 def suite_progress(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
@@ -1133,9 +1134,9 @@ def suite_progress(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> Sui
     program keeps to the finite subset."""
     report = SuiteReport("progress")
     ev = Evaluator(sx.ModuleDef())
-    for i, text in enumerate(_ADVERSARIAL_SNIPPETS):
+    for i, snippet in enumerate(_ADVERSARIAL_SNIPPETS):
         report.total += 1
-        problem = _progress(ev, parse_expr(text), Store({"q": Basic(1)}))
+        problem = _progress(ev, snippet, Store({"q": Basic(1)}))
         if problem is None:
             report.passed += 1
         else:

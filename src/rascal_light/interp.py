@@ -53,7 +53,7 @@ from .values import (
     map_update,
     result_kind,
     set_union,
-    value_order,
+    value_key,
     vbool,
 )
 
@@ -122,7 +122,7 @@ def _comparison(rel: Callable[[object, object], bool]):
             a, b = v1.val, v2.val
             if type(a) is int and type(b) is int:
                 return Success(TRUE if rel(a, b) else FALSE)
-        return Success(TRUE if rel(value_order(v1, v2), 0) else FALSE)
+        return Success(TRUE if rel(value_key(v1), value_key(v2)) else FALSE)
 
     return compare
 

@@ -756,14 +756,14 @@ class Parser:
 
 
 @stack_guarded
-def parse_module(src: SourceFile | str, path: str = "<string>") -> sx.ModuleDef:
+def parse_module(src: SourceFile | str) -> sx.ModuleDef:
     """Parse a module from a source file or raw text.
 
     Raises ParseError with a span on malformed input; the returned module
     still needs `validate_module` before evaluation.
     """
     if isinstance(src, str):
-        src = SourceFile(path, src)
+        src = SourceFile("<string>", src)
     p = Parser(src)
     return p.parse_module()
 

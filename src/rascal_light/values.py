@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from functools import cmp_to_key
 from typing import Iterable, Iterator, Mapping
 
 
@@ -112,7 +111,7 @@ class VSet(Value):
 
     def contains(self, v: Value) -> bool:
         items = self.items
-        i = _bisect(items, v, VALUE_KEY)
+        i = bisect_left(items, value_key(v), key=value_key)
         return i < len(items) and items[i] == v
 
     def __eq__(self, other):
@@ -149,7 +148,7 @@ class VMap(Value):
 
     def lookup(self, key: Value) -> Value | None:
         pairs = self.pairs
-        i = _bisect(pairs, key, _pair_key)
+        i = bisect_left(pairs, value_key(key), key=lambda kv: value_key(kv[0]))
         if i < len(pairs) and pairs[i][0] == key:
             return pairs[i][1]
         return None
@@ -196,71 +195,43 @@ def vbool(b: bool) -> VCons:
 # ---------------------------------------------------------------------------
 # Total order on values
 
-_KIND_RANK = {Basic: 0, VCons: 1, VList: 2, VSet: 3, VMap: 4, Undefined: 5}
+def value_key(v: Value) -> tuple:
+    """The sort key of ``v``, the one definition of the total value order.
 
-
-def _cmp(a, b) -> int:
-    return (a > b) - (a < b)
-
-
-def _cmp_seq(xs: tuple[Value, ...], ys: tuple[Value, ...]) -> int:
-    for x, y in zip(xs, ys):
-        c = value_order(x, y)
-        if c != 0:
-            return c
-    return _cmp(len(xs), len(ys))
+    Python orders these tuples by kind first (basic < constructor < list <
+    set < map < undefined; ints before strings), then lexicographically on
+    contents: a constructor by name, then its arguments' keys; a list or
+    set by its items' keys; a map by its keys and values interleaved.  Two
+    values have equal keys exactly when they are equal.
+    """
+    t = type(v)
+    if t is Basic:
+        x = v.val
+        return (0, 1, x) if type(x) is str else (0, 0, x)
+    if t is VCons:
+        return (1, v.name, *map(value_key, v.args))
+    if t is VList:
+        return (2, *map(value_key, v.items))
+    if t is VSet:
+        return (3, *map(value_key, v.items))
+    if t is VMap:
+        return (4, *(value_key(x) for kv in v.pairs for x in kv))
+    return (5,)
 
 
 def value_order(v1: Value, v2: Value) -> int:
-    """Total order on values: -1, 0, or 1.
-
-    Kind tag first (basic < constructor < list < set < map < undefined),
-    then lexicographically on contents.  Consistent with structural
-    equality; used to canonicalize sets and maps.
-    """
-    r1, r2 = _KIND_RANK[type(v1)], _KIND_RANK[type(v2)]
-    if r1 != r2:
-        return _cmp(r1, r2)
-    if isinstance(v1, Basic):
-        b1, b2 = (isinstance(v1.val, str), isinstance(v2.val, str))
-        if b1 != b2:
-            return _cmp(b1, b2)  # ints before strings
-        return _cmp(v1.val, v2.val)
-    if isinstance(v1, VCons):
-        if v1.name != v2.name:
-            return _cmp(v1.name, v2.name)
-        return _cmp_seq(v1.args, v2.args)
-    if isinstance(v1, VList):
-        return _cmp_seq(v1.items, v2.items)
-    if isinstance(v1, VSet):
-        return _cmp_seq(v1.items, v2.items)
-    if isinstance(v1, VMap):
-        flat1 = tuple(x for kv in v1.pairs for x in kv)
-        flat2 = tuple(x for kv in v2.pairs for x in kv)
-        return _cmp_seq(flat1, flat2)
-    return 0  # both Undefined
-
-
-VALUE_KEY = cmp_to_key(value_order)
+    """The total value order as -1, 0 or 1: the order of the keys."""
+    k1, k2 = value_key(v1), value_key(v2)
+    return (k1 > k2) - (k1 < k2)
 
 
 def canonical_items(items: Iterable[Value]) -> tuple[Value, ...]:
     """Sort under the value order and drop duplicates."""
     out: list[Value] = []
-    for v in sorted(items, key=VALUE_KEY):
-        if not out or value_order(out[-1], v) != 0:
+    for v in sorted(items, key=value_key):
+        if not out or out[-1] != v:
             out.append(v)
     return tuple(out)
-
-
-def _pair_key(kv: tuple[Value, Value]):
-    return VALUE_KEY(kv[0])
-
-
-def _bisect(seq: tuple, v: Value, key, lo: int = 0) -> int:
-    """Where ``v`` is, or would go, in ``seq[lo:]``, which is sorted under
-    ``key`` (``VALUE_KEY`` for set items, ``_pair_key`` for map entries)."""
-    return bisect_left(seq, VALUE_KEY(v), lo, key=key)
 
 
 def canonical_pairs(
@@ -269,8 +240,8 @@ def canonical_pairs(
     """Key-sort entries; for duplicate keys the last binding wins."""
     out: list[tuple[Value, Value]] = []
     # The sort is stable, so of equal keys the last binding comes last.
-    for kv in sorted(pairs, key=_pair_key):
-        if out and value_order(out[-1][0], kv[0]) == 0:
+    for kv in sorted(pairs, key=lambda kv: value_key(kv[0])):
+        if out and out[-1][0] == kv[0]:
             out[-1] = kv
         else:
             out.append(kv)
@@ -285,7 +256,7 @@ def canonical_set(items: Iterable[Value]) -> VSet:
 def map_update(m: VMap, key: Value, val: Value) -> VMap:
     """Return ``m`` with ``key`` bound to ``val``, replacing any old binding."""
     pairs = m.pairs
-    i = _bisect(pairs, key, _pair_key)
+    i = bisect_left(pairs, value_key(key), key=lambda kv: value_key(kv[0]))
     j = i + 1 if i < len(pairs) and pairs[i][0] == key else i
     out = object.__new__(VMap)  # the entries stay sorted: skip canonicalisation
     out.pairs = pairs[:i] + ((key, val),) + pairs[j:]
@@ -307,7 +278,7 @@ def set_union(s1: VSet, s2: VSet) -> VSet:
     out: list[Value] = []
     lo = 0
     for x in small:
-        i = _bisect(big, x, VALUE_KEY, lo)
+        i = bisect_left(big, value_key(x), lo, key=value_key)
         out.extend(big[lo:i])
         if i < len(big) and big[i] == x:
             out.append(x if left_small else big[i])

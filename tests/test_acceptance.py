@@ -16,7 +16,6 @@ from rascal_light.fuel import call_with_stack, eval_expr_fuel, min_sufficient_fu
 from rascal_light.harness import (
     GenBudget,
     _ModuleGen,
-    _cons_by_type,
     env_set,
     gen_match_pair,
     gen_program,
@@ -237,9 +236,8 @@ def test_criterion_7_fuel_conservativity_and_monotonicity():
             subset = "finite" if attempts % 2 == 0 else "all"
             module = gen_program(GenBudget(max_depth=3, seed=rng.randrange(1 << 30)), subset)
             ev = Evaluator(module)
-            cbt = _cons_by_type(module)
             fd = module.functions[rng.randrange(len(module.functions))]
-            store = gen_store(rng, module, cbt, fd.params)
+            store = gen_store(rng, module, fd.params)
             sufficient = 10_000
             res_n, st_n = eval_expr_fuel(ev, fd.body, store, sufficient)
             if res_n == TIMEOUT:

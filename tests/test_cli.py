@@ -411,12 +411,16 @@ ADVERSARIAL = {
     "malformed-utf8": (b"int f() = 1;\xff\n", ["--call", "f()"], 5),
     "empty-call": (NAT, ["--call", ""], 5),
     "empty-eval": (None, ["--eval", ""], 5),
+    "fuel-not-a-number": (None, ["--eval", "1", "--fuel", "abc"], 5),
+    "unknown-format": (None, ["--eval", "1", "--format", "xml"], 5),
+    "unknown-command": (None, ["bogus"], 5),
 }
 
 
 def _module_argv(tmp_path, text, args):
     if text is None:
-        return ["run", *args]
+        # Options are given to `run`; a bare word is the command itself.
+        return ["run", *args] if args[0].startswith("-") else args
     mod = tmp_path / "adversarial.rsl"
     if isinstance(text, bytes):
         mod.write_bytes(text)
@@ -438,6 +442,18 @@ def test_malformed_utf8_is_unreadable_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, *_module_argv(tmp_path, text, args))
     assert code == 5
     assert err.startswith(f"cannot read {tmp_path / 'adversarial.rsl'}: 'utf-8' codec can't decode")
+
+
+def test_usage_errors_exit_5_with_argparse_usage(capsys):
+    code, out, err = run_cli(capsys, "run", "--eval", "1", "--fuel", "abc")
+    assert (code, out) == (5, "")
+    assert err.startswith("usage: rascal-light run ")
+    assert err.endswith("rascal-light run: error: argument --fuel: invalid int value: 'abc'\n")
+    code, out, err = run_cli(capsys, "bogus")
+    assert (code, out) == (5, "")
+    assert err.startswith("usage: rascal-light ") and "invalid choice: 'bogus'" in err
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: rascal-light ")
 
 
 def test_nesting_beyond_the_guard_exits_70(tmp_path, capsys, monkeypatch):

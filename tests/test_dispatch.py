@@ -5,8 +5,17 @@ digest of the rule firings (rule, span, result kind, changed names), the
 result and the final store of evaluating each function body, with ample
 fuel and with budgets small enough to time out.  The digests were recorded
 with the ``isinstance``-chain evaluator that preceded the rule table; the
-evaluator must reproduce them exactly.  To record them afresh from a
-checkout, run ``PYTHONPATH=src python tests/test_dispatch.py``.
+evaluator must reproduce them exactly.
+
+The generated bodies never reach the success path of a call, so
+``call_digests.json`` holds the same digests of whole calls through
+``call_function``: the example programs' calls, and calls that succeed,
+throw in the callee or in an argument, and look up a present map key.
+They were recorded with the comparator-based value order that preceded
+``value_key``.
+
+To record both files afresh from a checkout, run
+``PYTHONPATH=src python tests/test_dispatch.py``.
 """
 
 from __future__ import annotations
@@ -21,10 +30,12 @@ import sys
 
 import pytest
 
+from conftest import program_path
 from rascal_light import interp, traversal
 from rascal_light import syntax as sx
-from rascal_light.harness import GenBudget, _cons_by_type, gen_program, gen_store
+from rascal_light.harness import GenBudget, gen_program, gen_store
 from rascal_light.interp import Evaluator, apply_binary, apply_unary
+from rascal_light.parser import load_module, parse_module, parse_value
 from rascal_light.values import (
     Basic,
     ERROR,
@@ -43,9 +54,25 @@ from rascal_light.values import (
 )
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "dispatch_digests.json")
+CALL_DIGESTS = os.path.join(os.path.dirname(__file__), "call_digests.json")
 SEEDS = range(200)
 MAX_DEPTH = 4
 FUELS = (10_000, 1, 4, 16)
+
+
+def _recorder(h):
+    """A trace function that adds each rule firing to the digest ``h``."""
+
+    def record(entry):
+        span = entry.span
+        h.update(f"{entry.rule}|{span.start}:{span.end}|{entry.kind}|{','.join(entry.changed)}\n".encode())
+
+    return record
+
+
+def _add_outcome(h, res, out) -> None:
+    h.update(f"= {res!r}\n".encode())
+    h.update(f"~ {sorted((k, repr(v)) for k, v in out.items())!r}\n".encode())
 
 
 def program_digest(seed: int) -> str:
@@ -53,21 +80,59 @@ def program_digest(seed: int) -> str:
     function body of one generated program."""
     module = gen_program(GenBudget(max_depth=MAX_DEPTH, seed=seed), "all")
     h = hashlib.sha256()
-
-    def record(entry):
-        span = entry.span
-        h.update(f"{entry.rule}|{span.start}:{span.end}|{entry.kind}|{','.join(entry.changed)}\n".encode())
-
-    ev = Evaluator(module, trace=record)
+    ev = Evaluator(module, trace=_recorder(h))
     rng = random.Random(seed)
-    cbt = _cons_by_type(module)
     for fd in module.functions:
-        store = gen_store(rng, module, cbt, fd.params)
+        store = gen_store(rng, module, fd.params)
         for fuel in FUELS:
-            res, out = ev.evaluate(fd.body, store, fuel)
-            h.update(f"= {res!r}\n".encode())
-            h.update(f"~ {sorted((k, repr(v)) for k, v in out.items())!r}\n".encode())
+            _add_outcome(h, *ev.evaluate(fd.body, store, fuel))
     return h.hexdigest()
+
+
+CALL_MODULE = """
+int twice(int n) = n + n;
+int quad(int n) = twice(twice(n));
+int boom(int n) = throw n;
+int uncaught(int n) = boom(n) + 1;
+int argthrows(int n) = twice(throw n);
+str label(map<int, str> m, int k) = m[k];
+"""
+
+# (program file, or None for CALL_MODULE; call with value-literal arguments)
+CALLS = (
+    ("simplifier.rsl", "simplify(plus(plus(intlit(0), plus(intlit(0), intlit(5))), "
+     "plus(plus(intlit(3), intlit(0)), plus(intlit(0), plus(intlit(7), intlit(0))))))"),
+    ("fixpoint.rsl", "fix()"),
+    ("knapsack.rsl", "slowknapsack({item(1, 60), item(2, 100), item(3, 120)}, 5)"),
+    ("prod.rsl", "prod([1, 2, 0, 3])"),
+    ("prod.rsl", "prod([1, 2, 3])"),
+    ("infincrement.rsl", "infincrement(zero())"),
+    ("infincrement.rsl", "infincrement(succ(zero()))"),
+    (None, "quad(3)"),
+    (None, "uncaught(4)"),
+    (None, "argthrows(5)"),
+    (None, 'label((1: "a", 2: "b"), 2)'),
+)
+
+
+def call_digest(program: str | None, call: str) -> str:
+    """Digest of the firings, results and final stores of one call, from
+    the module's initial globals, at each of ``FUELS``."""
+    if program is None:
+        module = parse_module(CALL_MODULE)
+    else:
+        module = load_module(program_path(program))
+    h = hashlib.sha256()
+    ev = Evaluator(module, trace=_recorder(h))
+    store = ev.init_globals()
+    v = parse_value(call)
+    for fuel in FUELS:
+        _add_outcome(h, *ev.call_function(v.name, v.args, store, fuel))
+    return h.hexdigest()
+
+
+def _call_label(program: str | None, call: str) -> str:
+    return f"{program or 'CALL_MODULE'}: {call}"
 
 
 def test_trace_digests_match_the_recorded_evaluator():
@@ -77,6 +142,15 @@ def test_trace_digests_match_the_recorded_evaluator():
     expected = recorded["digests"]
     assert len(expected) == len(SEEDS)
     differ = [s for s in SEEDS if program_digest(s) != expected[s]]
+    assert differ == []
+
+
+def test_call_digests_match_the_recorded_evaluator():
+    with open(CALL_DIGESTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert recorded["fuels"] == list(FUELS)
+    assert list(recorded["digests"]) == [_call_label(*c) for c in CALLS]
+    differ = [c for c in CALLS if call_digest(*c) != recorded["digests"][_call_label(*c)]]
     assert differ == []
 
 
@@ -90,9 +164,8 @@ def test_unbounded_evaluation_runs_the_fueled_rules():
         firings = []
         ev = Evaluator(module, trace=firings.append)
         rng = random.Random(seed)
-        cbt = _cons_by_type(module)
         for fd in module.functions:
-            store = gen_store(rng, module, cbt, fd.params)
+            store = gen_store(rng, module, fd.params)
             args = tuple(store.get(p.name) for p in fd.params)
             for entry in ("evaluate", "call_function"):
                 runs = []
@@ -123,11 +196,8 @@ def literal_strings(*modules) -> set[str]:
     }
 
 
-def test_every_fired_rule_name_is_a_literal(monkeypatch):
-    # A rule name built at run time would escape a search of the source
-    # for the rules the evaluator implements.
-    import test_traversal
-
+def _fired_rules(monkeypatch) -> set[str]:
+    """The set to which, from now on, each fired rule's name is added."""
     fired = set()
     fire = Evaluator.fire
 
@@ -136,8 +206,26 @@ def test_every_fired_rule_name_is_a_literal(monkeypatch):
         return fire(self, rule, span, res, pre, post)
 
     monkeypatch.setattr(Evaluator, "fire", recording)
+    return fired
+
+
+def test_call_corpus_reaches_the_success_and_exception_paths_of_calls(monkeypatch):
+    fired = _fired_rules(monkeypatch)
+    for call in CALLS:
+        call_digest(*call)
+    assert {"E-Call-Sucs", "E-Call-Res-Exc", "E-Call-Arg-Exc", "E-Lookup-Sucs"} <= fired
+
+
+def test_every_fired_rule_name_is_a_literal(monkeypatch):
+    # A rule name built at run time would escape a search of the source
+    # for the rules the evaluator implements.
+    import test_traversal
+
+    fired = _fired_rules(monkeypatch)
     for seed in SEEDS:
         program_digest(seed)
+    for call in CALLS:
+        call_digest(*call)
     for name, test in vars(test_traversal).items():
         if name.startswith("test_"):
             test()
@@ -313,4 +401,8 @@ if __name__ == "__main__":
     digests = [program_digest(s) for s in SEEDS]
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump({"max_depth": MAX_DEPTH, "fuels": FUELS, "digests": digests}, fh, indent=1)
+        fh.write("\n")
+    calls = {_call_label(*c): call_digest(*c) for c in CALLS}
+    with open(CALL_DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump({"fuels": FUELS, "digests": calls}, fh, indent=1)
         fh.write("\n")

@@ -199,10 +199,10 @@ def test_suite_rule_coverage():
     for _ in range(600):
         m = gen_program(GenBudget(max_depth=4, seed=rng.randrange(1 << 30)))
         ev = Evaluator(m, trace=lambda t: fired.add(t.rule))
-        from rascal_light.harness import _cons_by_type, gen_store
+        from rascal_light.harness import gen_store
 
         fd = m.functions[rng.randrange(len(m.functions))]
-        store = gen_store(rng, m, _cons_by_type(m), fd.params)
+        store = gen_store(rng, m, fd.params)
         eval_expr_fuel(ev, fd.body, store, 3000)
     must_fire = {
         "E-Val", "E-Var-Sucs", "E-Var-Err", "E-Bin-Sucs", "E-Bin-Exc1",

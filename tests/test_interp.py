@@ -551,10 +551,10 @@ def _calls_during(funcs, ev, fn, args, store):
 
 
 def _value_layer_calls(ev, fn, n):
-    """Calls of the uncached typing step and of value_order during one call."""
+    """Calls of the uncached typing step and of value_key during one call."""
     from rascal_light import types, values
 
-    funcs = (types._type_node, values.value_order)
+    funcs = (types._type_node, values.value_key)
     return _calls_during(funcs, ev, fn, (Basic(n),), Store())
 
 

@@ -2,9 +2,11 @@
 replaced.
 
 ``OLD_CLASSES`` is the earlier definition of every value and result class,
-verbatim.  It is executed over a private copy of ``rascal_light.values``, so
-that copy's ``value_order``, ``render_value`` and canonicalisation run on
-the old classes.  Generated values are rebuilt in both modules and compared
+verbatim.  It is executed over a private copy of ``rascal_light.values``,
+followed by the old comparator and its adapters (``OLD_ORDER`` in
+``test_value_order.py``), so that copy's ``render_value`` and
+canonicalisation run on the old classes, and its ``value_order`` is the old
+comparator.  Generated values are rebuilt in both modules and compared
 operation by operation.
 """
 
@@ -18,6 +20,7 @@ import pytest
 
 from rascal_light import values
 from rascal_light.harness import GenBudget, _ModuleGen, gen_any_value, gen_type, gen_value
+from test_value_order import old_order
 
 OLD_CLASSES = '''
 from dataclasses import dataclass
@@ -164,7 +167,6 @@ class Timeout(Result):
 
 
 UNDEF = Undefined()
-_KIND_RANK = {Basic: 0, VCons: 1, VList: 2, VSet: 3, VMap: 4, Undefined: 5}
 '''
 
 
@@ -177,6 +179,8 @@ def old():
     try:
         exec(compile(inspect.getsource(values), "<values copy>", "exec"), vars(mod))
         exec(compile(OLD_CLASSES, "<old value classes>", "exec"), vars(mod))
+        # The old classes search with the comparator of their time.
+        vars(mod).update(old_order(vars(mod)))
     finally:
         del sys.modules[mod.__name__]
     return mod

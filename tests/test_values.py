@@ -10,7 +10,6 @@ from rascal_light.values import (
     VList,
     VMap,
     VSet,
-    VALUE_KEY,
     canonical_items,
     canonical_pairs,
     canonical_set,
@@ -22,6 +21,7 @@ from rascal_light.values import (
     value_order,
 )
 from rascal_light.interp import apply_binary
+from test_value_order import old_order
 
 
 def b(x):
@@ -177,9 +177,12 @@ def test_render_value_text():
 # Sorted maps and sets against the quadratic and linear versions
 
 
+_OLD_KEY = old_order()["VALUE_KEY"]  # cmp_to_key over the old comparator
+
+
 def _seed_canonical_pairs(pairs):
     """Canonical map entries as first built: a quadratic last-wins dedupe,
-    then a key sort."""
+    then a key sort under the comparator that first defined the order."""
     by_key = []
     for k, v in pairs:
         for i, (k0, _) in enumerate(by_key):
@@ -188,7 +191,7 @@ def _seed_canonical_pairs(pairs):
                 break
         else:
             by_key.append((k, v))
-    return tuple(sorted(by_key, key=lambda kv: VALUE_KEY(kv[0])))
+    return tuple(sorted(by_key, key=lambda kv: _OLD_KEY(kv[0])))
 
 
 def _scan_lookup(pairs, key):
