@@ -77,6 +77,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _case_count(text: str) -> int:
+    """``--cases``: an int of at least 1 (no cases would pass vacuously)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="rascal-light",
@@ -96,7 +107,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     hz = sub.add_parser("harness", help="run a metatheorem property suite")
     hz.add_argument("--suite", required=True, choices=("purity", "typing", "progress", "termination"))
-    hz.add_argument("--cases", type=int, default=None, help="cases to run (default: the suite's full scale)")
+    hz.add_argument("--cases", type=_case_count, default=None, help="cases to run (default: the suite's full scale)")
     hz.add_argument("--seed", type=int, default=0)
     hz.add_argument("--artifacts", metavar="DIR", default=None, help="directory for minimized failure artifacts")
     return ap

@@ -1165,6 +1165,12 @@ _SUITES = {
 
 def run_suite(name: str, cases: int | None = None, seed: int = 0, artifacts_dir=None) -> SuiteReport:
     """Run one suite on a large-stack worker (``call_with_stack``), so a
-    deep generated program does not fail a case on the caller's stack."""
+    deep generated program does not fail a case on the caller's stack.
+    ``cases`` defaults to the suite's full scale; fewer than 1 is a
+    ``ValueError``, since a suite of no cases would pass vacuously."""
     fn, default_cases = _SUITES[name]
-    return call_with_stack(fn, cases if cases else default_cases, seed, artifacts_dir)
+    if cases is None:
+        cases = default_cases
+    elif cases < 1:
+        raise ValueError(f"a suite needs at least 1 case, not {cases}")
+    return call_with_stack(fn, cases, seed, artifacts_dir)

@@ -279,8 +279,12 @@ class Evaluator:
 
     def _for_roots(self, *roots: sx.Expr) -> Evaluator:
         """This evaluator, or a per-call copy that also knows the block
-        locals assigned in those ``roots`` that come from outside the module."""
-        local = snippet_assignables(*(r for r in roots if id(r) not in self.module_roots))
+        locals assigned in those ``roots`` that come from outside the module.
+        Module roots were walked by the validator and are not walked again."""
+        foreign = [r for r in roots if id(r) not in self.module_roots]
+        if not foreign:
+            return self
+        local = snippet_assignables(*foreign)
         if not local:
             return self
         ev = object.__new__(type(self))
@@ -358,7 +362,7 @@ class Evaluator:
         res = e._result
         if res is None:
             res = Success(Basic(e.value))
-            object.__setattr__(e, "_result", res)
+            e._result = res
         return self.fire("E-Val", e.span, res, store, store)
 
     def _e_Var(self, e: sx.Var, store: Store, n: int):

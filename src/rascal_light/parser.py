@@ -7,6 +7,7 @@ extension, UTF-8, LF or CRLF line endings, and ``//`` line comments.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -78,6 +79,9 @@ BINARY_LEVELS = (
     ("*", "/", "%"),
 )
 
+# Each binary operator's level, 1 for the loosest.
+_BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS, 1) for op in ops}
+
 _PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||", ":=", "=>")
 _PUNCT1 = "+-*/%<>=!()[]{},;:|"
 
@@ -85,7 +89,7 @@ _PUNCT1 = "+-*/%<>=!()[]{},;:|"
 _UNESCAPES = {esc[1]: ch for ch, esc in ESCAPES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     kind: str  # int | str | ident | kw | punct | eof
     value: object
@@ -101,77 +105,113 @@ class Token:
         return "end of input" if self.kind == "eof" else repr(self.value)
 
 
+# The ASCII tokens: whitespace and comments, integers, words (hyphenated
+# strategy names first, so they are taken whole) and punctuation, two
+# characters before one.
+_TOKEN = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]|//[^\n]*)+)"
+    r"|(?P<int>[0-9]+)"
+    r"|(?P<word>" + "|".join(map(re.escape, _HYPHENATED)) + r"|[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT2)) + "|[" + re.escape(_PUNCT1) + "])"
+)
+
+
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with one ``eof`` token.
+
+    ``_TOKEN`` reads the ASCII tokens.  A token that starts or ends next to
+    a non-ASCII character, a string literal and an error position go to
+    ``_lex_char_loop``, which decides them one character at a time (a
+    Unicode digit or letter continues a number or a word there).
+    """
     toks: list[Token] = []
     i, n = 0, len(text)
+    match = _TOKEN.match
     while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch == "/" and text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
-                i += 1
-            try:
-                value = int(text[start:i])
-            except ValueError:  # past sys.get_int_max_str_digits(), or a digit like '²'
-                raise ParseError("malformed or overlong integer literal", Span(start, i)) from None
-            toks.append(Token("int", value, start, i))
-            continue
-        if ch == '"':
-            i += 1
-            out = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string literal", Span(start, i))
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n or text[i + 1] not in _UNESCAPES:
-                        raise ParseError("bad escape in string literal", Span(i, i + 2))
-                    out.append(_UNESCAPES[text[i + 1]])
-                    i += 2
-                    continue
-                if c == "\n":
-                    raise ParseError("unterminated string literal", Span(start, i))
-                out.append(c)
-                i += 1
-            toks.append(Token("str", "".join(out), start, i))
-            continue
-        if ch.isalpha() or ch == "_":
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            word = text[start:i]
-            # Hyphenated strategy keywords are lexed greedily when the
-            # hyphen is adjacent: top-down(-break), bottom-up(-break).
-            if text.startswith("-", i):
-                for name in _HYPHENATED:
-                    if text.startswith(name, start):
-                        word = name
-                        i = start + len(name)
-                        break
-            kind = "kw" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, start, i))
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(Token("punct", two, i, i + 2))
-            i += 2
-            continue
-        if ch in _PUNCT1:
-            toks.append(Token("punct", ch, i, i + 1))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", Span(i, i + 1))
+        m = match(text, i)
+        if m is not None:
+            kind = m.lastgroup
+            j = m.end()
+            if kind == "skip":
+                i = j
+                continue
+            if j == n or text[j] < "\x80":
+                word = m.group()
+                if kind == "int":
+                    toks.append(_int_token(text, i, j))
+                elif kind == "word":
+                    toks.append(Token("kw" if word in KEYWORDS else "ident", word, i, j))
+                else:
+                    toks.append(Token("punct", word, i, j))
+                i = j
+                continue
+        i = _lex_char_loop(text, i, toks)
     toks.append(Token("eof", None, n, n))
     return toks
+
+
+def _int_token(text: str, start: int, end: int) -> Token:
+    try:
+        return Token("int", int(text[start:end]), start, end)
+    except ValueError:  # past sys.get_int_max_str_digits(), or a digit like '²'
+        raise ParseError("malformed or overlong integer literal", Span(start, end)) from None
+
+
+def _lex_char_loop(text: str, i: int, toks: list[Token]) -> int:
+    """Read the token at ``i`` into ``toks`` character by character and
+    return where it ends; raise ``ParseError`` where no token starts."""
+    n = len(text)
+    ch = text[i]
+    start = i
+    if ch.isdigit():
+        while i < n and text[i].isdigit():
+            i += 1
+        toks.append(_int_token(text, start, i))
+        return i
+    if ch == '"':
+        i += 1
+        out = []
+        while True:
+            if i >= n:
+                raise ParseError("unterminated string literal", Span(start, i))
+            c = text[i]
+            if c == '"':
+                i += 1
+                break
+            if c == "\\":
+                if i + 1 >= n or text[i + 1] not in _UNESCAPES:
+                    raise ParseError("bad escape in string literal", Span(i, i + 2))
+                out.append(_UNESCAPES[text[i + 1]])
+                i += 2
+                continue
+            if c == "\n":
+                raise ParseError("unterminated string literal", Span(start, i))
+            out.append(c)
+            i += 1
+        toks.append(Token("str", "".join(out), start, i))
+        return i
+    if ch.isalpha() or ch == "_":
+        while i < n and (text[i].isalnum() or text[i] == "_"):
+            i += 1
+        word = text[start:i]
+        # Hyphenated strategy keywords are lexed greedily when the
+        # hyphen is adjacent: top-down(-break), bottom-up(-break).
+        if text.startswith("-", i):
+            for name in _HYPHENATED:
+                if text.startswith(name, start):
+                    word = name
+                    i = start + len(name)
+                    break
+        toks.append(Token("kw" if word in KEYWORDS else "ident", word, start, i))
+        return i
+    two = text[i : i + 2]
+    if two in _PUNCT2:
+        toks.append(Token("punct", two, i, i + 2))
+        return i + 2
+    if ch in _PUNCT1:
+        toks.append(Token("punct", ch, i, i + 1))
+        return i + 1
+    raise ParseError(f"unexpected character {ch!r}", Span(i, i + 1))
 
 
 # The constructors every module has: true, false and nokey.
@@ -184,14 +224,17 @@ class Parser:
         a built-in constructor or one of ``constructors``, and a function
         call otherwise; `parse_module` adds the module's own constructors."""
         self.source = source
-        self.toks = tokenize(source.text)
+        # Two more end-of-input tokens, so that ``peek`` up to two ahead
+        # needs no bounds check.
+        toks = tokenize(source.text)
+        self.toks = toks + toks[-1:] * 2
         self.pos = 0
         self.constructors = _BUILTIN_CONSTRUCTORS.union(constructors)
 
     # -- token helpers ---------------------------------------------------
 
     def peek(self, k: int = 0) -> Token:
-        return self.toks[min(self.pos + k, len(self.toks) - 1)]
+        return self.toks[self.pos + k]
 
     def at(self, kind: str, value=None, k: int = 0) -> bool:
         t = self.peek(k)
@@ -436,19 +479,19 @@ class Parser:
             self.advance()
             v = self.parse_expr()
             return sx.Assign(t.value, v, Span(t.start, v.span.end))
-        return self.parse_binary(1)
+        return self.parse_binary()
 
-    def parse_binary(self, level: int) -> sx.Expr:
-        if level > len(BINARY_LEVELS):
-            return self.parse_unary()
-        ops = BINARY_LEVELS[level - 1]
-        left = self.parse_binary(level + 1)
+    def parse_binary(self, level: int = 1) -> sx.Expr:
+        """A chain of binary operators of ``level`` or tighter, each level
+        left-associative (precedence climbing over ``BINARY_LEVELS``)."""
+        left = self.parse_unary()
         while True:
             t = self.peek()
-            if t.kind not in ("punct", "kw") or t.value not in ops:
+            op_level = _BINARY_LEVEL.get(t.value) if t.kind in ("punct", "kw") else None
+            if op_level is None or op_level < level:
                 return left
             self.advance()
-            right = self.parse_binary(level + 1)
+            right = self.parse_binary(op_level + 1)
             left = sx.Binary(left, t.value, right, Span(left.span.start, right.span.end))
 
     def parse_unary(self) -> sx.Expr:
@@ -463,10 +506,10 @@ class Parser:
         e = self.parse_primary()
         while self.at("punct", "["):
             self.advance()
-            key = self.parse_binary(1)
+            key = self.parse_binary()
             if self.at("punct", "="):
                 self.advance()
-                value = self.parse_binary(1)
+                value = self.parse_binary()
                 end = self.expect("punct", "]")
                 e = sx.Update(e, key, value, Span(e.span.start, end.end))
             else:

@@ -1,5 +1,9 @@
 """Abstract syntax of modules, expressions and patterns, plus the
-well-formedness checks every loaded module must satisfy."""
+well-formedness checks every loaded module must satisfy.
+
+Nodes are slotted dataclasses, immutable by convention: nothing assigns a
+field after construction (only ``Lit._result``, a cache, is filled in
+later).  Equality and hash compare the fields and ignore a node's span."""
 
 from __future__ import annotations
 
@@ -22,7 +26,7 @@ from .types import (
 # Source spans
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Span:
     start: int
     end: int
@@ -39,7 +43,7 @@ def _span_field():
 # Declarations
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GlobalDef:
     name: str
     type: Type
@@ -47,14 +51,14 @@ class GlobalDef:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Param:
     type: Type
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunDef:
     name: str
     return_type: Type
@@ -63,28 +67,28 @@ class FunDef:
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FieldDef:
     type: Type
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConsDef:
     name: str
     fields: tuple[FieldDef, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DataDef:
     name: str
     constructors: tuple[ConsDef, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ModuleDef:
     globals: tuple[GlobalDef, ...] = ()
     functions: tuple[FunDef, ...] = ()
@@ -108,30 +112,29 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lit(Expr):
     value: int | str
     span: Span = _span_field()
-
     # E-Val's conclusion ``Success(Basic(value))``, recorded on the node by
-    # the evaluator on the first firing; not a field, so equality ignores it.
-    _result = None
+    # the evaluator on the first firing; equality and hash ignore it.
+    _result: object = field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Expr):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Unary(Expr):
     op: str
     operand: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Binary(Expr):
     left: Expr
     op: str
@@ -139,39 +142,39 @@ class Binary(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Cons(Expr):
     name: str
     args: tuple[Expr, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ListExpr(Expr):
     items: tuple[Expr, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetExpr(Expr):
     items: tuple[Expr, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class MapExpr(Expr):
     pairs: tuple[tuple[Expr, Expr], ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lookup(Expr):
     map: Expr
     key: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Update(Expr):
     map: Expr
     key: Expr
@@ -179,27 +182,27 @@ class Update(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call(Expr):
     name: str
     args: tuple[Expr, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ReturnExpr(Expr):
     value: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign(Expr):
     name: str
     value: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class If(Expr):
     cond: Expr
     then: Expr
@@ -207,14 +210,14 @@ class If(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Case:
     pattern: "Pattern"
     body: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Switch(Expr):
     subject: Expr
     cases: tuple[Case, ...]
@@ -230,7 +233,7 @@ class Strategy(enum.Enum):
     INNERMOST = "innermost"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Visit(Expr):
     strategy: Strategy
     subject: Expr
@@ -238,29 +241,29 @@ class Visit(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BreakExpr(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ContinueExpr(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FailExpr(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LocalDecl:
     type: Type
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Block(Expr):
     locals: tuple[LocalDecl, ...]
     body: tuple[Expr, ...]
@@ -271,48 +274,48 @@ class Generator:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Enumerating(Generator):
     var: str
     source: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Matching(Generator):
     pattern: "Pattern"
     source: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class For(Expr):
     generator: Generator
     body: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class While(Expr):
     cond: Expr
     body: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Solve(Expr):
     targets: tuple[str, ...]
     body: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ThrowExpr(Expr):
     value: Expr
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TryCatch(Expr):
     body: Expr
     var: str
@@ -320,7 +323,7 @@ class TryCatch(Expr):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TryFinally(Expr):
     body: Expr
     fin: Expr
@@ -335,26 +338,26 @@ class Pattern:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LitPat(Pattern):
     value: int | str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VarPat(Pattern):
     name: str
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConsPat(Pattern):
     name: str
     args: tuple[Pattern, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TypedPat(Pattern):
     type: Type
     name: str
@@ -362,7 +365,7 @@ class TypedPat(Pattern):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Star(Pattern):
     """A star element ``*x`` inside a list or set pattern."""
 
@@ -370,25 +373,25 @@ class Star(Pattern):
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ListPat(Pattern):
     elements: tuple[Pattern, ...]  # ordinary patterns or Star
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SetPat(Pattern):
     elements: tuple[Pattern, ...]
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NegPat(Pattern):
     pattern: Pattern
     span: Span = _span_field()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class DeepPat(Pattern):
     pattern: Pattern
     span: Span = _span_field()
@@ -514,7 +517,7 @@ def constructor_table(m: ModuleDef) -> dict[str, tuple[str, tuple[Type, ...]]]:
 # Well-formedness
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WellFormednessError:
     kind: str
     name: str
@@ -525,7 +528,7 @@ class WellFormednessError:
         return f"[{self.kind}] {self.message}"
 
 
-@dataclass
+@dataclass(slots=True)
 class ModuleInfo:
     """Static facts about a validated module used by the evaluator."""
 

@@ -15,7 +15,7 @@ class Type:
         return render_type(self)
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class BaseType(Type):
     name: str  # "int" or "str"
 
@@ -23,7 +23,7 @@ class BaseType(Type):
         return f"BaseType({self.name!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class DataType(Type):
     name: str
 
@@ -31,7 +31,7 @@ class DataType(Type):
         return f"DataType({self.name!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class SetType(Type):
     elem: Type
 
@@ -39,7 +39,7 @@ class SetType(Type):
         return f"SetType({self.elem!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class ListType(Type):
     elem: Type
 
@@ -47,7 +47,7 @@ class ListType(Type):
         return f"ListType({self.elem!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class MapType(Type):
     key: Type
     val: Type
@@ -56,13 +56,13 @@ class MapType(Type):
         return f"MapType({self.key!r}, {self.val!r})"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class VoidType(Type):
     def __repr__(self) -> str:
         return "VOID"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(slots=True, unsafe_hash=True, repr=False)
 class ValueType(Type):
     def __repr__(self) -> str:
         return "VALUE"

@@ -292,6 +292,15 @@ def test_harness_subcommand(capsys):
     assert "suite purity: 50/50 passed" in out
 
 
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_harness_needs_at_least_one_case(capsys, cases):
+    # Zero or fewer cases would pass vacuously.
+    code, out, err = run_cli(capsys, "harness", "--suite", "typing", "--cases", cases)
+    assert (code, out) == (5, "")
+    assert err.startswith("usage: rascal-light harness ")
+    assert err.endswith(f"rascal-light harness: error: argument --cases: must be at least 1, not {cases}\n")
+
+
 def test_exit_codes_are_total_over_results():
     from rascal_light.cli import _exit_code
     from rascal_light.values import (

@@ -1394,6 +1394,23 @@ LEXICAL = [
     "< undefined >",
     "<defined>",
     "x in {1} && y || !z",
+    # Unicode digits and letters next to ASCII ones, and ASCII boundaries.
+    "½",
+    "٣٤",
+    "x٣",
+    "é1",
+    "ǅx",
+    "a\u00a0b",
+    "12ab",
+    "_",
+    "__a1",
+    "x\r\ny",
+    "1 // c",
+    "a<-b",
+    "a< -b",
+    "12٣",
+    "abc²",
+    "top-downé",
 ]
 
 
@@ -1412,3 +1429,21 @@ def test_malformed_programs_are_rejected_alike(old):
         for cut in _cuts(text):
             rejected += _agree(old, "parse_module", cut)[0] == "error"
     assert rejected > 2000
+
+
+# Pieces the tokenizer's fast and slow paths meet at: ASCII tokens,
+# Unicode digits, letters and spaces, hyphenated keywords, comments, line
+# ends, string quotes and escapes, and characters that start no token.
+_LEXEMES = (
+    "1", "42", "x", "_a", "in", "top", "down", "-", "top-down", "bottom-up-break",
+    "+", "<", "<=", "==", "=>", ":=", "&&", "|", "/", "//", "*", "(", ")", "{", "}",
+    " ", "\t", "\n", "\r\n", '"', '\\"', "\\n", "\\q",
+    "٣", "²", "½", "é", "ǅ", " ", "#", "&", ".",
+)
+
+
+def test_random_text_tokenizes_alike(old):
+    rng = random.Random(13)
+    for _ in range(4000):
+        text = "".join(rng.choice(_LEXEMES) for _ in range(rng.randrange(1, 12)))
+        _agree(old, "tokenize", text)

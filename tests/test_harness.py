@@ -170,6 +170,19 @@ def test_run_suite_does_not_depend_on_the_callers_recursion_limit():
     assert rep.total == 400
 
 
+def test_run_suite_takes_its_default_only_for_none(monkeypatch):
+    from rascal_light import harness
+
+    seen = []
+    monkeypatch.setitem(harness._SUITES, "typing", (lambda cases, *_: seen.append(cases), 77))
+    run_suite("typing")
+    run_suite("typing", cases=1)
+    for few in (0, -3):
+        with pytest.raises(ValueError, match="at least 1 case"):
+            run_suite("typing", cases=few)
+    assert seen == [77, 1]
+
+
 def test_generator_covers_every_expression_form():
     # If the generator stops producing a form, the metatheorem suites lose
     # their teeth; require every expression variant over a seed sweep.

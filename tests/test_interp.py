@@ -614,3 +614,25 @@ def test_deep_derivation_fits_the_main_thread_stack():
     finally:
         sys.setrecursionlimit(limit)
     assert isinstance(res, Success)
+
+
+def test_module_roots_are_not_walked_again(monkeypatch):
+    # A module's own roots were walked by the validator; only a snippet
+    # from outside the module is walked, and only it needs a copy.
+    from rascal_light import interp
+
+    walked = []
+    real = interp.snippet_assignables
+    monkeypatch.setattr(interp, "snippet_assignables", lambda *roots: walked.append(roots) or real(*roots))
+    ev = ev_for("int f(int n) = local int a in a = n end;")
+    body = ev.functions["f"].body
+    assert ev._for_roots(body) is ev
+    assert ev.evaluate(body, Store({"n": b(3)})) == (Success(b(3)), Store({"n": b(3)}))
+    assert walked == []
+    cases = parse_module("int g() = switch (1) { case x => 1 };").functions[0].body.cases
+    assert ev.run_cases(cases, b(1), Store())[0] == Success(b(1))
+    assert ev._for_roots(cases[0].body) is ev  # walked, but assigns no local
+    snippet = parse_expr("local int c in c = 2 end")
+    assert ev._for_roots(snippet, body) is not ev
+    assert walked == [(cases[0].body,), (cases[0].body,), (snippet,)]
+    assert ev.evaluate(snippet, Store()) == (Success(b(2)), Store())
