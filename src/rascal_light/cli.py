@@ -19,12 +19,16 @@ from .interp import Evaluator, IllFormedModule, InitError, TraceEntry, boundary_
 from .parser import ParseError, Parser, SourceFile, parse_expr, parse_module
 from .render import render
 from .syntax import ModuleDef, validate_expr
+from .types import IllFormedValue, type_of
 from .values import (
+    UNDEF,
     Result,
     Success,
     Throw,
     Timeout,
+    Value,
     budget,
+    children,
     result_kind,
     result_to_tree,
     value_to_tree,
@@ -61,6 +65,23 @@ def _render_result(res: Result) -> str:
 def _diag(source: SourceFile | None, span, message: str) -> None:
     where = source.format_span(span) if source is not None else f"offset {span.start}"
     print(f"{where}: {message}", file=sys.stderr)
+
+
+def _argument_fault(arg: Value, constructors) -> str | None:
+    """Why no program could build ``arg``, or None.  A constructor or
+    collection never holds ``<undefined>`` (E-Cons-Err and its kin), and
+    every constructor must match its declaration."""
+    stack = list(children(arg))
+    while stack:
+        v = stack.pop()
+        if v == UNDEF:
+            return "<undefined> inside a value"
+        stack.extend(children(v))
+    try:
+        type_of(arg, constructors)
+    except IllFormedValue as exc:
+        return str(exc)
+    return None
 
 
 def _print_trace(t: TraceEntry) -> None:
@@ -191,6 +212,12 @@ def _cmd_run(args) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_BAD_INPUT
+            for i, (arg, p) in enumerate(zip(call.args, fd.params), 1):
+                fault = _argument_fault(arg, ev.constructors)
+                if fault is not None:
+                    where = f"argument {i} ({p.name}) of {call.name!r}"
+                    print(f"bad --call: {where}: {fault}", file=sys.stderr)
+                    return EXIT_BAD_INPUT
 
         store = ev.init_globals(fuel)
         res = None

@@ -21,6 +21,8 @@ from .parser import parse_expr
 from .render import render_expr, render_module
 from .syntax import validate_module
 from .types import (
+    INT,
+    STR,
     BaseType,
     DataType,
     IllFormedValue,
@@ -49,9 +51,6 @@ from .values import (
     VMap,
     VSet,
 )
-
-INT = BaseType("int")
-STR = BaseType("str")
 
 
 class BudgetExceeded(Exception):
@@ -417,7 +416,7 @@ class _ModuleGen:
         if form == "while":
             return self.bounded_while(d1, scope)
         if form == "solve":
-            return self.bounded_solve(d1, scope)
+            return self.bounded_solve(scope)
         if form == "call":
             if not self.functions:
                 return self.leaf(scope)
@@ -559,7 +558,7 @@ class _ModuleGen:
             (sx.LocalDecl(INT, i),), (sx.Assign(i, sx.Lit(0)), loop)
         )
 
-    def bounded_solve(self, depth: int, scope: _Scope) -> sx.Expr:
+    def bounded_solve(self, scope: _Scope) -> sx.Expr:
         s = self.fresh("s")
         inner = scope.child()
         inner.readables[s] = INT
@@ -878,7 +877,7 @@ def _purity_artifact(module: sx.ModuleDef, cases, v: Value, store: Store) -> sx.
     return sx.ModuleDef(globals=globals_, functions=(check,), datatypes=module.datatypes)
 
 
-def gen_cases_triple(rng: random.Random, gen: _ModuleGen, module: sx.ModuleDef):
+def gen_cases_triple(rng: random.Random, gen: _ModuleGen):
     """A (cases, value, store) triple biased toward failing matches."""
     cons_by_type = gen.cons_by_type
     v = gen_any_value(rng, cons_by_type, 2)
@@ -920,7 +919,7 @@ def suite_purity(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> Suite
     attempts = 0
     while report.total < cases and attempts < cases * 20:
         attempts += 1
-        cs, v, store = gen_cases_triple(rng, gen, module)
+        cs, v, store = gen_cases_triple(rng, gen)
         res, out = ev.run_cases(cs, v, store, fuel=3000)
         if res != FAIL:
             continue

@@ -6,24 +6,14 @@ extension, UTF-8, LF or CRLF line endings, and ``//`` line comments.
 
 from __future__ import annotations
 
-import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from . import syntax as sx
 from .stackguard import stack_guarded
 from .syntax import Span
-from .types import (
-    BaseType,
-    DataType,
-    ListType,
-    MapType,
-    SetType,
-    Type,
-    VALUE,
-    VOID,
-)
+from .types import INT, STR, VALUE, VOID, DataType, ListType, MapType, SetType, Type
 from .values import ESCAPES, Basic, UNDEF, Value, VCons, VList, VMap, VSet
 
 
@@ -31,17 +21,13 @@ from .values import ESCAPES, Basic, UNDEF, Value, VCons, VList, VMap, VSet
 class SourceFile:
     path: str
     text: str
-    _line_starts: list[int] = field(default_factory=list, repr=False)
-
-    def __post_init__(self):
-        self._line_starts = [0]
-        for i, ch in enumerate(self.text):
-            if ch == "\n":
-                self._line_starts.append(i + 1)
 
     def line_col(self, offset: int) -> tuple[int, int]:
-        line = bisect.bisect_right(self._line_starts, offset) - 1
-        return line + 1, offset - self._line_starts[line] + 1
+        """The line and column of ``offset``, both from 1.  They are
+        counted when a diagnostic asks, so a parse that succeeds pays
+        nothing for them."""
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return self.text.count("\n", 0, offset) + 1, offset - line_start + 1
 
     def format_span(self, span: Span) -> str:
         l1, c1 = self.line_col(span.start)
@@ -80,7 +66,24 @@ BINARY_LEVELS = (
 )
 
 # Each binary operator's level, 1 for the loosest.
-_BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS, 1) for op in ops}
+BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS, 1) for op in ops}
+
+# Keyword forms: a keyword alone, and a keyword before an expression.
+KEYWORD_FORMS = {"break": sx.BreakExpr, "continue": sx.ContinueExpr, "fail": sx.FailExpr}
+PREFIX_FORMS = {"return": sx.ReturnExpr, "throw": sx.ThrowExpr}
+
+# Collection brackets, opener -> closer, and what each grammar builds
+# from the items between them.
+CLOSERS = {"[": "]", "{": "}"}
+EXPR_COLLECTIONS = {"[": sx.ListExpr, "{": sx.SetExpr}
+PATTERN_COLLECTIONS = {"[": sx.ListPat, "{": sx.SetPat}
+_VALUE_COLLECTIONS = {"[": VList, "{": VSet}
+
+# The tokens that are literals: an integer or a string.
+_LITERALS = ("int", "str")
+
+# The types named by one word.
+_WORD_TYPES = {"int": INT, "str": STR, "void": VOID, "value": VALUE}
 
 _PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||", ":=", "=>")
 _PUNCT1 = "+-*/%<>=!()[]{},;:|"
@@ -403,21 +406,12 @@ class Parser:
 
     def parse_type(self) -> Type:
         t = self.peek()
-        if t.kind == "kw" and t.value == "void":
+        if t.kind in ("ident", "kw") and t.value in _WORD_TYPES:
             self.advance()
-            return VOID
-        if t.kind == "kw" and t.value == "value":
-            self.advance()
-            return VALUE
+            return _WORD_TYPES[t.value]
         if t.kind != "ident":
             raise self.error(f"expected a type, found {t.describe()}")
         name = t.value
-        if name == "int":
-            self.advance()
-            return BaseType("int")
-        if name == "str":
-            self.advance()
-            return BaseType("str")
         if name in ("set", "list") and self.at("punct", "<", 1):
             self.advance()
             self.advance()
@@ -441,39 +435,16 @@ class Parser:
         t = self.peek()
         if t.kind == "kw":
             kw = t.value
-            if kw == "return":
+            if kw in KEYWORD_FORMS:
+                self.advance()
+                return KEYWORD_FORMS[kw](t.span)
+            if kw in PREFIX_FORMS:
                 self.advance()
                 v = self.parse_expr()
-                return sx.ReturnExpr(v, Span(t.start, v.span.end))
-            if kw == "throw":
-                self.advance()
-                v = self.parse_expr()
-                return sx.ThrowExpr(v, Span(t.start, v.span.end))
-            if kw == "break":
-                self.advance()
-                return sx.BreakExpr(t.span)
-            if kw == "continue":
-                self.advance()
-                return sx.ContinueExpr(t.span)
-            if kw == "fail":
-                self.advance()
-                return sx.FailExpr(t.span)
-            if kw == "if":
-                return self.parse_if()
-            if kw == "switch":
-                return self.parse_switch()
-            if kw in STRATEGIES:
-                return self.parse_visit()
-            if kw == "while":
-                return self.parse_while()
-            if kw == "for":
-                return self.parse_for()
-            if kw == "solve":
-                return self.parse_solve()
-            if kw == "local":
-                return self.parse_local()
-            if kw == "try":
-                return self.parse_try()
+                return PREFIX_FORMS[kw](v, Span(t.start, v.span.end))
+            form = _STATEMENT_FORMS.get(kw)
+            if form is not None:
+                return form(self)
         if t.kind == "ident" and self.at("punct", "=", 1):
             self.advance()
             self.advance()
@@ -487,7 +458,7 @@ class Parser:
         left = self.parse_unary()
         while True:
             t = self.peek()
-            op_level = _BINARY_LEVEL.get(t.value) if t.kind in ("punct", "kw") else None
+            op_level = BINARY_LEVEL.get(t.value) if t.kind in ("punct", "kw") else None
             if op_level is None or op_level < level:
                 return left
             self.advance()
@@ -519,10 +490,7 @@ class Parser:
 
     def parse_primary(self) -> sx.Expr:
         t = self.peek()
-        if t.kind == "int":
-            self.advance()
-            return sx.Lit(t.value, t.span)
-        if t.kind == "str":
+        if t.kind in _LITERALS:
             self.advance()
             return sx.Lit(t.value, t.span)
         if t.kind == "ident":
@@ -534,16 +502,12 @@ class Parser:
                 node = sx.Cons if t.value in self.constructors else sx.Call
                 return node(t.value, tuple(args), Span(t.start, end.end))
             return sx.Var(t.value, t.span)
-        if t.kind == "punct" and t.value == "[":
+        if t.kind == "punct" and t.value in CLOSERS:
             self.advance()
-            items = self.sep_list(self.parse_expr, ",", "]")
-            end = self.expect("punct", "]")
-            return sx.ListExpr(tuple(items), Span(t.start, end.end))
-        if t.kind == "punct" and t.value == "{":
-            self.advance()
-            items = self.sep_list(self.parse_expr, ",", "}")
-            end = self.expect("punct", "}")
-            return sx.SetExpr(tuple(items), Span(t.start, end.end))
+            closer = CLOSERS[t.value]
+            items = self.sep_list(self.parse_expr, ",", closer)
+            end = self.expect("punct", closer)
+            return EXPR_COLLECTIONS[t.value](tuple(items), Span(t.start, end.end))
         if t.kind == "punct" and t.value == "(":
             self.advance()
             if self.at("punct", ")"):
@@ -594,25 +558,20 @@ class Parser:
         self.expect("punct", "}")
         return tuple(cases)
 
-    def parse_switch(self) -> sx.Expr:
-        start = self.expect("kw", "switch")
+    def parse_switch_or_visit(self) -> sx.Expr:
+        """``switch (e) cases``, or ``strategy visit (e) cases``."""
+        start = self.advance()
+        strategy = STRATEGIES.get(start.value)
+        if strategy is not None:
+            self.expect("kw", "visit")
         self.expect("punct", "(")
         subject = self.parse_expr()
         self.expect("punct", ")")
         cases = self.parse_cases()
-        end_off = self.toks[self.pos - 1].end
-        return sx.Switch(subject, cases, Span(start.start, end_off))
-
-    def parse_visit(self) -> sx.Expr:
-        st_tok = self.advance()
-        strategy = STRATEGIES[st_tok.value]
-        self.expect("kw", "visit")
-        self.expect("punct", "(")
-        subject = self.parse_expr()
-        self.expect("punct", ")")
-        cases = self.parse_cases()
-        end_off = self.toks[self.pos - 1].end
-        return sx.Visit(strategy, subject, cases, Span(st_tok.start, end_off))
+        span = Span(start.start, self.toks[self.pos - 1].end)
+        if strategy is None:
+            return sx.Switch(subject, cases, span)
+        return sx.Visit(strategy, subject, cases, span)
 
     def parse_while(self) -> sx.Expr:
         start = self.expect("kw", "while")
@@ -688,10 +647,7 @@ class Parser:
 
     def parse_pattern(self) -> sx.Pattern:
         t = self.peek()
-        if t.kind == "int":
-            self.advance()
-            return sx.LitPat(t.value, t.span)
-        if t.kind == "str":
+        if t.kind in _LITERALS:
             self.advance()
             return sx.LitPat(t.value, t.span)
         if t.kind == "punct" and t.value == "-" and self.at("int", k=1):
@@ -706,16 +662,12 @@ class Parser:
             self.advance()
             inner = self.parse_pattern()
             return sx.DeepPat(inner, Span(t.start, inner.span.end))
-        if t.kind == "punct" and t.value == "[":
+        if t.kind == "punct" and t.value in CLOSERS:
             self.advance()
-            elems = tuple(self.sep_list(self.parse_star_pattern, ",", "]"))
-            end = self.expect("punct", "]")
-            return sx.ListPat(elems, Span(t.start, end.end))
-        if t.kind == "punct" and t.value == "{":
-            self.advance()
-            elems = tuple(self.sep_list(self.parse_star_pattern, ",", "}"))
-            end = self.expect("punct", "}")
-            return sx.SetPat(elems, Span(t.start, end.end))
+            closer = CLOSERS[t.value]
+            elems = self.sep_list(self.parse_star_pattern, ",", closer)
+            end = self.expect("punct", closer)
+            return PATTERN_COLLECTIONS[t.value](tuple(elems), Span(t.start, end.end))
         typed = self.try_parse_typed_pattern()
         if typed is not None:
             return typed
@@ -753,10 +705,7 @@ class Parser:
 
     def parse_value(self) -> Value:
         t = self.peek()
-        if t.kind == "int":
-            self.advance()
-            return Basic(t.value)
-        if t.kind == "str":
+        if t.kind in _LITERALS:
             self.advance()
             return Basic(t.value)
         if t.kind == "punct" and t.value == "-" and self.at("int", k=1):
@@ -776,22 +725,26 @@ class Parser:
             args = self.sep_list(self.parse_value, ",", ")")
             self.expect("punct", ")")
             return VCons(t.value, tuple(args))
-        if t.kind == "punct" and t.value == "[":
+        if t.kind == "punct" and t.value in CLOSERS:
             self.advance()
-            items = self.sep_list(self.parse_value, ",", "]")
-            self.expect("punct", "]")
-            return VList(tuple(items))
-        if t.kind == "punct" and t.value == "{":
-            self.advance()
-            items = self.sep_list(self.parse_value, ",", "}")
-            self.expect("punct", "}")
-            return VSet(tuple(items))
+            closer = CLOSERS[t.value]
+            items = self.sep_list(self.parse_value, ",", closer)
+            self.expect("punct", closer)
+            return _VALUE_COLLECTIONS[t.value](tuple(items))
         if t.kind == "punct" and t.value == "(":
             self.advance()
             pairs = self.sep_list(lambda: self.parse_pair(self.parse_value), ",", ")")
             self.expect("punct", ")")
             return VMap(tuple(pairs))
         raise self.error(f"expected a value literal, found {t.describe()}")
+
+
+# The statement-shaped forms, by the keyword they start with.
+_STATEMENT_FORMS = {
+    "if": Parser.parse_if, "while": Parser.parse_while, "for": Parser.parse_for,
+    "solve": Parser.parse_solve, "local": Parser.parse_local, "try": Parser.parse_try,
+    **dict.fromkeys(("switch", *STRATEGIES), Parser.parse_switch_or_visit),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ and case lists.
 from __future__ import annotations
 
 from . import syntax as sx
-from .parser import BINARY_LEVELS
+from .parser import BINARY_LEVEL, BINARY_LEVELS, CLOSERS, KEYWORD_FORMS, PREFIX_FORMS
+from .parser import EXPR_COLLECTIONS, PATTERN_COLLECTIONS
 from .types import Type, render_type
 from .values import Value, basic_text, render_value
 
@@ -19,15 +20,23 @@ _IND = "  "
 # postfix and atoms; statement-shaped forms always parenthesize when they
 # appear as operands.
 _STMT = 0
-_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS, 1) for op in ops}
-_OR = _LEVEL["||"]
+_OR = BINARY_LEVEL["||"]
 _UNARY = len(BINARY_LEVELS) + 1
 _POSTFIX, _ATOM = _UNARY + 1, _UNARY + 2
+
+# The parser's tables read backwards: each node class to its text.
+_KEYWORDS = {node: kw for kw, node in KEYWORD_FORMS.items()}
+_PREFIXES = {node: kw + " " for kw, node in PREFIX_FORMS.items()}
+_BRACKETS = {
+    node: (opener, CLOSERS[opener])
+    for table in (EXPR_COLLECTIONS, PATTERN_COLLECTIONS)
+    for opener, node in table.items()
+}
 
 
 def _prec(e: sx.Expr) -> int:
     if isinstance(e, sx.Binary):
-        return _LEVEL[e.op]
+        return BINARY_LEVEL[e.op]
     if isinstance(e, sx.Unary):
         return _UNARY
     if isinstance(e, (sx.Lookup, sx.Update)):
@@ -50,10 +59,9 @@ def render_pattern(p: sx.Pattern) -> str:
         return f"{render_type(p.type)} {p.name} : {render_pattern(p.pattern)}"
     if isinstance(p, sx.Star):
         return "*" + p.name
-    if isinstance(p, sx.ListPat):
-        return "[" + ", ".join(render_pattern(a) for a in p.elements) + "]"
-    if isinstance(p, sx.SetPat):
-        return "{" + ", ".join(render_pattern(a) for a in p.elements) + "}"
+    if type(p) in _BRACKETS:
+        opener, closer = _BRACKETS[type(p)]
+        return opener + ", ".join(render_pattern(a) for a in p.elements) + closer
     if isinstance(p, sx.NegPat):
         return "!" + render_pattern(p.pattern)
     if isinstance(p, sx.DeepPat):
@@ -90,17 +98,16 @@ def _render_expr(e: sx.Expr, indent: int) -> str:
     if isinstance(e, sx.Unary):
         return e.op + render_expr(e.operand, _UNARY, indent)
     if isinstance(e, sx.Binary):
-        lvl = _LEVEL[e.op]
+        lvl = BINARY_LEVEL[e.op]
         left = render_expr(e.left, lvl, indent)
         right = render_expr(e.right, lvl + 1, indent)
         return f"{left} {e.op} {right}"
     if isinstance(e, (sx.Cons, sx.Call)):
         args = ", ".join(render_expr(a, _STMT, indent) for a in e.args)
         return f"{e.name}({args})"
-    if isinstance(e, sx.ListExpr):
-        return "[" + ", ".join(render_expr(a, _STMT, indent) for a in e.items) + "]"
-    if isinstance(e, sx.SetExpr):
-        return "{" + ", ".join(render_expr(a, _STMT, indent) for a in e.items) + "}"
+    if type(e) in _BRACKETS:
+        opener, closer = _BRACKETS[type(e)]
+        return opener + ", ".join(render_expr(a, _STMT, indent) for a in e.items) + closer
     if isinstance(e, sx.MapExpr):
         inner = ", ".join(
             f"{render_expr(k, _STMT, indent)} : {render_expr(v, _STMT, indent)}"
@@ -123,10 +130,8 @@ def _render_expr(e: sx.Expr, indent: int) -> str:
             + render_expr(e.value, _OR, indent)
             + "]"
         )
-    if isinstance(e, sx.ReturnExpr):
-        return "return " + render_expr(e.value, _STMT, indent)
-    if isinstance(e, sx.ThrowExpr):
-        return "throw " + render_expr(e.value, _STMT, indent)
+    if type(e) in _PREFIXES:
+        return _PREFIXES[type(e)] + render_expr(e.value, _STMT, indent)
     if isinstance(e, sx.Assign):
         return f"{e.name} = " + render_expr(e.value, _STMT, indent)
     if isinstance(e, sx.If):
@@ -138,27 +143,12 @@ def _render_expr(e: sx.Expr, indent: int) -> str:
             + " else "
             + render_expr(e.els, _STMT, indent)
         )
-    if isinstance(e, sx.Switch):
-        return (
-            "switch ("
-            + render_expr(e.subject, _STMT, indent)
-            + ") "
-            + _render_cases(e.cases, indent)
-        )
-    if isinstance(e, sx.Visit):
-        return (
-            e.strategy.value
-            + " visit ("
-            + render_expr(e.subject, _STMT, indent)
-            + ") "
-            + _render_cases(e.cases, indent)
-        )
-    if isinstance(e, sx.BreakExpr):
-        return "break"
-    if isinstance(e, sx.ContinueExpr):
-        return "continue"
-    if isinstance(e, sx.FailExpr):
-        return "fail"
+    if isinstance(e, (sx.Switch, sx.Visit)):
+        head = "switch" if isinstance(e, sx.Switch) else e.strategy.value + " visit"
+        subject = render_expr(e.subject, _STMT, indent)
+        return f"{head} ({subject}) " + _render_cases(e.cases, indent)
+    if type(e) in _KEYWORDS:
+        return _KEYWORDS[type(e)]
     if isinstance(e, sx.Block):
         head = "local"
         if e.locals:

@@ -533,7 +533,6 @@ class ModuleInfo:
     """Static facts about a validated module used by the evaluator."""
 
     module: ModuleDef
-    datatypes: dict[str, DataDef]
     constructors: dict[str, tuple[str, tuple[Type, ...]]]
     functions: dict[str, FunDef]
     errors: list[WellFormednessError]
@@ -562,7 +561,8 @@ class _Validator:
     def __init__(self, m: ModuleDef):
         self.module = m
         self.errors: list[WellFormednessError] = []
-        self.datatypes: dict[str, DataDef] = {}
+        # Every datatype a type may name, built-in or declared.
+        self.datatype_names = {d.name for d in all_datatypes(m)}
         self.constructors: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.functions: dict[str, FunDef] = {}
         self.assign_types: dict[int, Type] = {}
@@ -590,14 +590,12 @@ class _Validator:
 
         for dd in BUILTIN_DATATYPES:
             toplevel[dd.name] = "built-in datatype"
-            self.datatypes[dd.name] = dd
             for cd in dd.constructors:
                 toplevel[cd.name] = "built-in constructor"
                 self.constructors[cd.name] = (dd.name, tuple(f.type for f in cd.fields))
 
         for dd in m.datatypes:
-            if declare(dd.name, "datatype", dd.span):
-                self.datatypes[dd.name] = dd
+            declare(dd.name, "datatype", dd.span)
             for cd in dd.constructors:
                 if declare(cd.name, "constructor", cd.span):
                     self.constructors[cd.name] = (
@@ -662,7 +660,6 @@ class _Validator:
 
         return ModuleInfo(
             module=m,
-            datatypes=self.datatypes,
             constructors=self.constructors,
             functions=self.functions,
             errors=self.errors,
@@ -671,9 +668,7 @@ class _Validator:
 
     def check_type(self, t: Type, span: Span) -> None:
         for name in _type_refs(t):
-            if name not in self.datatypes and name not in {
-                d.name for d in self.module.datatypes
-            }:
+            if name not in self.datatype_names:
                 self.error(
                     "undefined-datatype", name, span, f"undefined datatype {name!r}"
                 )
@@ -895,7 +890,6 @@ def validate_expr(e: Expr, info: ModuleInfo) -> list[WellFormednessError]:
     declarations and globals (but no function's parameters or locals).
     """
     v = _Validator(info.module)
-    v.datatypes.update(info.datatypes)
     v.constructors.update(info.constructors)
     v.functions.update(info.functions)
     v.walk(e, {g.name: ("global", g.type) for g in info.module.globals})

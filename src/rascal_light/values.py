@@ -143,9 +143,6 @@ class VMap(Value):
     def __post_init__(self) -> None:
         self.pairs = canonical_pairs(self.pairs)
 
-    def keys(self) -> tuple[Value, ...]:
-        return tuple(k for k, _ in self.pairs)
-
     def lookup(self, key: Value) -> Value | None:
         pairs = self.pairs
         i = bisect_left(pairs, value_key(key), key=lambda kv: value_key(kv[0]))
@@ -481,17 +478,21 @@ TIMEOUT = Timeout()
 EXRES = frozenset({Return, Throw, Break, Continue, Fail, Error})
 
 
+# Each result class -> the name traces and result trees give it.
+_RESULT_KINDS = {
+    Success: "success",
+    Return: "return",
+    Throw: "throw",
+    Break: "break",
+    Continue: "continue",
+    Fail: "fail",
+    Error: "error",
+    Timeout: "timeout",
+}
+
+
 def result_kind(r: Result) -> str:
-    return {
-        Success: "success",
-        Return: "return",
-        Throw: "throw",
-        Break: "break",
-        Continue: "continue",
-        Fail: "fail",
-        Error: "error",
-        Timeout: "timeout",
-    }[type(r)]
+    return _RESULT_KINDS[type(r)]
 
 
 class TimeoutSignal(Exception):

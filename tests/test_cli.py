@@ -400,6 +400,13 @@ def _nested(opener: str, inner: str, closer: str, depth: int = DEEP) -> str:
     return opener * depth + inner + closer * depth
 
 
+def _program_text(name: str) -> str:
+    with open(program_path(name), encoding="utf-8") as fh:
+        return fh.read()
+
+
+PROD, SIMPLIFIER = _program_text("prod.rsl"), _program_text("simplifier.rsl")
+
 # (module text or bytes, run arguments, expected exit code)
 ADVERSARIAL = {
     "parens": (f"int f() = {_nested('(', '1', ')')};", ["--call", "f()"], 0),
@@ -419,6 +426,12 @@ ADVERSARIAL = {
     "huge-int-call": (NAT + "int g(int n) = n;", ["--call", "g(" + "7" * 6000 + ")"], 5),
     "malformed-utf8": (b"int f() = 1;\xff\n", ["--call", "f()"], 5),
     "empty-call": (NAT, ["--call", ""], 5),
+    "call-undeclared-constructor": (PROD, ["--call", "prod(foo(1))"], 5),
+    "call-wrong-field-type": (SIMPLIFIER, ["--call", 'simplify(intlit("a"))'], 5),
+    "call-wrong-arity": (SIMPLIFIER, ["--call", "simplify(intlit(1, 2))"], 5),
+    "call-undefined-inside": (SIMPLIFIER, ["--call", "simplify(plus(intlit(0), <undefined>))"], 5),
+    "call-undefined-in-list": (PROD, ["--call", "prod([1, <undefined>])"], 5),
+    "call-undefined-whole": (SIMPLIFIER, ["--call", "simplify(<undefined>)"], 0),
     "empty-eval": (None, ["--eval", ""], 5),
     "fuel-not-a-number": (None, ["--eval", "1", "--fuel", "abc"], 5),
     "unknown-format": (None, ["--eval", "1", "--format", "xml"], 5),
@@ -451,6 +464,12 @@ def test_malformed_utf8_is_unreadable_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, *_module_argv(tmp_path, text, args))
     assert code == 5
     assert err.startswith(f"cannot read {tmp_path / 'adversarial.rsl'}: 'utf-8' codec can't decode")
+
+
+def test_ill_formed_call_value_names_the_argument(capsys):
+    code, out, err = run_cli(capsys, "run", program_path("simplifier.rsl"), "--call", 'simplify(intlit("a"))')
+    assert (code, out) == (5, "")
+    assert err == "bad --call: argument 1 (e) of 'simplify': field of 'intlit' has type str, expected int\n"
 
 
 def test_usage_errors_exit_5_with_argparse_usage(capsys):

@@ -9,7 +9,9 @@ example and benchmark programs, generated modules, every sub-expression
 of the programs, generated values, and malformed input cut from the
 programs.  Trees must be equal with their spans, printed text
 byte-identical, and a rejected input must give equal ``ParseError``s
-(message, span and expected tokens) on both sides.  The one difference
+(message, span and expected tokens) on both sides, and both
+``SourceFile``s must give the same line and column for every offset of
+the programs and of a few line-ending corners.  The one difference
 allowed is the token a message names at the end of input: ``None`` on
 the earlier side, ``end of input`` now.
 """
@@ -1447,3 +1449,12 @@ def test_random_text_tokenizes_alike(old):
     for _ in range(4000):
         text = "".join(rng.choice(_LEXEMES) for _ in range(rng.randrange(1, 12)))
         _agree(old, "tokenize", text)
+
+
+def test_line_col_agrees_at_every_offset(old):
+    texts = [*_program_texts(), "", "a\r\nbc\r\n\r\nd\r\n", "x\n\ny", "no newline"]
+    for text in texts:
+        now = parser.SourceFile("f.rsl", text)
+        was = old.parser.SourceFile("f.rsl", text)
+        for offset in range(len(text) + 1):
+            assert now.line_col(offset) == was.line_col(offset), (text[:40], offset)

@@ -36,13 +36,7 @@ from rascal_light.harness import (
 from rascal_light.parser import parse_expr, parse_module
 from rascal_light.patterns import match
 from rascal_light.render import render
-from rascal_light.syntax import (
-    ModuleDef,
-    constructor_table,
-    is_finite_subset,
-    validate_module,
-    walk_exprs,
-)
+from rascal_light.syntax import constructor_table, is_finite_subset, validate_module, walk_exprs
 from rascal_light.values import UNDEF, Basic, Store, Success, Throw, VCons, VList, VMap, VSet
 
 CONS = constructor_table(parse_module("data P = pair(int a, int b);"))
@@ -114,10 +108,9 @@ def test_gen_cases_triple_runs():
     rng = random.Random(5)
     gen = _ModuleGen(rng, GenBudget(seed=5), finite=False)
     gen.build_datatypes()
-    module = ModuleDef(datatypes=tuple(gen.datatypes))
     fails = 0
     for _ in range(100):
-        cases, v, store = gen_cases_triple(rng, gen, module)
+        cases, v, store = gen_cases_triple(rng, gen)
         assert isinstance(cases, tuple) and cases
         fails += 1
     assert fails == 100
