@@ -175,13 +175,12 @@ def literal_value(e: sx.Expr) -> Value:
 
 
 class _Scope:
-    def __init__(self, readables=None, assignables=None, protected=frozenset()):
+    def __init__(self, readables=None, assignables=None):
         self.readables: dict[str, Type | None] = dict(readables or {})
         self.assignables: dict[str, Type] = dict(assignables or {})
-        self.protected: frozenset[str] = protected
 
     def child(self) -> "_Scope":
-        return _Scope(self.readables, self.assignables, self.protected)
+        return _Scope(self.readables, self.assignables)
 
 
 _FORMS = [
@@ -356,7 +355,7 @@ class _ModuleGen:
             m = self.map_expr(d1, scope)
             return sx.Update(m, self.expr(d1, scope), self.expr(d1, scope))
         if form == "assign":
-            targets = sorted(set(scope.assignables) - set(scope.protected))
+            targets = sorted(scope.assignables)
             if not targets:
                 return self.leaf(scope)
             name = rng.choice(targets)
@@ -476,10 +475,7 @@ class _ModuleGen:
     def cases(self, depth: int, scope: _Scope, contract: bool = False) -> tuple[sx.Case, ...]:
         out = []
         for _ in range(self.rng.randint(1, 2)):
-            inner = scope.child()
-            pat, bound = self.pattern(2, inner)
-            for b in bound:
-                inner.readables.setdefault(b, None)
+            inner, pat, bound = self.bound_pattern(scope)
             if contract and bound and self.rng.random() < 0.5:
                 body: sx.Expr = sx.Var(self.rng.choice(sorted(bound)))
             elif self.rng.random() < 0.3:
@@ -488,6 +484,15 @@ class _ModuleGen:
                 body = self.expr(depth, inner)
             out.append(sx.Case(pat, body))
         return tuple(out)
+
+    def bound_pattern(self, scope: _Scope) -> tuple[_Scope, sx.Pattern, set[str]]:
+        """A case pattern, with a child of ``scope`` that can read the
+        names it binds, and those names."""
+        inner = scope.child()
+        pat, bound = self.pattern(2, inner)
+        for b in bound:
+            inner.readables.setdefault(b, None)
+        return inner, pat, bound
 
     def pattern(self, depth: int, scope: _Scope) -> tuple[sx.Pattern, set[str]]:
         """A random pattern plus the variable names it can bind.
@@ -548,9 +553,8 @@ class _ModuleGen:
         i = self.fresh("i")
         k = self.rng.randint(1, 3)
         inner = scope.child()
+        # The counter is readable only: the body must not reset it.
         inner.readables[i] = INT
-        inner.assignables[i] = INT
-        inner.protected = inner.protected | {i}
         step = sx.Assign(i, sx.Binary(sx.Var(i), "+", sx.Lit(1)))
         body = sx.Block((), (step, self.expr(depth, inner)))
         loop = sx.While(sx.Binary(sx.Var(i), "<", sx.Lit(k)), body)
@@ -596,10 +600,8 @@ def gen_store(rng: random.Random, module: sx.ModuleDef, params=()) -> Store:
 
 def _cons_by_type(module: sx.ModuleDef) -> dict[str, list[tuple[str, tuple[Type, ...]]]]:
     out: dict[str, list[tuple[str, tuple[Type, ...]]]] = {}
-    for dd in sx.all_datatypes(module):
-        out[dd.name] = [
-            (cd.name, tuple(f.type for f in cd.fields)) for cd in dd.constructors
-        ]
+    for name, (datatype, fields) in sx.constructor_table(module).items():
+        out.setdefault(datatype, []).append((name, fields))
     return out
 
 
@@ -888,10 +890,7 @@ def gen_cases_triple(rng: random.Random, gen: _ModuleGen):
     all_fail = rng.random() < 0.6
     cases = []
     for _ in range(rng.randint(1, 3)):
-        inner = scope.child()
-        pat, bound = gen.pattern(2, inner)
-        for b in bound:
-            inner.readables.setdefault(b, None)
+        inner, pat, _ = gen.bound_pattern(scope)
         if all_fail:
             if rng.random() < 0.5:
                 body: sx.Expr = sx.FailExpr()
@@ -908,8 +907,16 @@ def gen_cases_triple(rng: random.Random, gen: _ModuleGen):
     return tuple(cases), v, store
 
 
+def _purity(ev: Evaluator, cases, v: Value, store: Store) -> tuple[Result, str | None]:
+    """Backtracking purity of one triple: the result of ``cases`` on ``v``
+    from ``store``, and a failure message if they fail with a changed store."""
+    res, out = ev.run_cases(cases, v, store, fuel=3000)
+    return res, "store changed across failing cases" if res == FAIL and out != store else None
+
+
 def suite_purity(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
-    """Backtracking purity: failing case evaluation restores the store."""
+    """Backtracking purity (``_purity``, as ``check_purity`` re-checks an
+    artifact) over the failing triples of ``gen_cases_triple``."""
     report = SuiteReport("purity")
     rng = random.Random(seed)
     gen = _ModuleGen(rng, GenBudget(seed=seed), finite=False)
@@ -920,16 +927,14 @@ def suite_purity(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> Suite
     while report.total < cases and attempts < cases * 20:
         attempts += 1
         cs, v, store = gen_cases_triple(rng, gen)
-        res, out = ev.run_cases(cs, v, store, fuel=3000)
+        res, problem = _purity(ev, cs, v, store)
         if res != FAIL:
             continue
         report.total += 1
-        if out == store:
+        if problem is None:
             report.passed += 1
         else:
-            report.failures.append(
-                f"seed={seed} case={attempts}: store changed across failing cases"
-            )
+            report.failures.append(f"seed={seed} case={attempts}: {problem}")
             if artifacts_dir is not None:
                 _write_artifact(
                     report, artifacts_dir, str(attempts), _purity_artifact(module, cs, v, store)
@@ -991,6 +996,14 @@ def _progress(ev: Evaluator, e: sx.Expr, store: Store) -> str | None:
         if not (isinstance(res, Result) and isinstance(out, Store)):
             return f"non-result {res!r}"
     return None
+
+
+def check_purity(case: Case) -> str | None:
+    """Backtracking purity of a purity artifact's case: the cases of the
+    switch in ``check()``, on its subject (read by `literal_value`), from
+    ``case.store``."""
+    switch = case.body
+    return _purity(Evaluator(case.module), switch.cases, literal_value(switch.subject), case.store)[1]
 
 
 def check_progress(case: Case) -> str | None:
@@ -1063,13 +1076,16 @@ def _case_artifact(case: Case) -> sx.ModuleDef:
 
 
 def artifact_case(module: sx.ModuleDef) -> Case:
-    """The case a typing, progress or termination artifact replays: the
-    function its ``check()`` calls, from the module's globals plus that
-    call's arguments bound to the function's parameters, each read with
-    `literal_value`.  Raises ``ValueError`` if one is not a value literal."""
+    """The case an artifact replays, from the module's globals, each read
+    with `literal_value`: for a purity artifact, whose ``check()`` is a
+    switch, ``check`` itself; otherwise the function ``check()`` calls,
+    with that call's arguments, read the same way, bound to its
+    parameters.  Raises ``ValueError`` if one is not a value literal."""
     functions = {f.name: f for f in module.functions}
     call = functions["check"].body
     store = {g.name: literal_value(g.init) for g in module.globals}
+    if isinstance(call, sx.Switch):
+        return Case(module, "check", Store(store))
     for p, arg in zip(functions[call.name].params, call.args):
         try:
             store[p.name] = literal_value(arg)

@@ -458,9 +458,7 @@ def pattern_vars(p: Pattern) -> list[str]:
     out: list[str] = []
 
     def go(q: Pattern) -> None:
-        if isinstance(q, VarPat):
-            out.append(q.name)
-        elif isinstance(q, Star):
+        if isinstance(q, (VarPat, Star)):
             out.append(q.name)
         elif isinstance(q, ConsPat):
             for a in q.args:
@@ -570,6 +568,44 @@ class _Validator:
     def error(self, kind: str, name: str, span: Span, message: str) -> None:
         self.errors.append(WellFormednessError(kind, name, span, message))
 
+    def check_distinct(
+        self, seen: set[str], d: FieldDef | Param | LocalDecl, what: str, owner: str, owner_name: str | None = None
+    ) -> None:
+        """``d`` must not repeat a name in ``seen``, the names declared
+        before it in the list of ``owner``; adds its name."""
+        if d.name in seen:
+            where = owner if owner_name is None else f"{owner} {owner_name!r}"
+            self.error("duplicate-name", d.name, d.span, f"duplicate {what} {d.name!r} in {where}")
+        seen.add(d.name)
+
+    def check_application(
+        self, node: Cons | Call | ConsPat, params: tuple | None, kind: str, noun: str, where: str = ""
+    ) -> None:
+        """``node`` applies the declared ``kind`` of its name, whose
+        parameters are ``params`` (None: no such declaration), to as many
+        arguments; ``noun`` names it in an arity error."""
+        if params is None:
+            self.error(f"undefined-{kind}", node.name, node.span, f"undefined {kind} {node.name!r}{where}")
+        elif len(params) != len(node.args):
+            self.error(
+                "arity-mismatch",
+                node.name,
+                node.span,
+                f"{noun} {node.name!r} expects {len(params)} arguments, given {len(node.args)}",
+            )
+
+    def resolve(self, scope: Scope, name: str, span: Span, use: str) -> tuple[str, Type | None] | None:
+        """The binding of ``name`` in ``scope``, or None after an error
+        naming the ``use`` (``"assignment"`` or the noun of a read)."""
+        entry = scope.get(name)
+        if entry is None:
+            if use == "assignment":
+                message = f"assignment to undeclared variable {name!r}"
+            else:
+                message = f"{use} {name!r} does not resolve to any declaration"
+            self.error("undefined-variable", name, span, message)
+        return entry
+
     # -- declarations -------------------------------------------------
 
     def run(self) -> ModuleInfo:
@@ -604,14 +640,7 @@ class _Validator:
                     )
                 seen_fields: set[str] = set()
                 for fd in cd.fields:
-                    if fd.name in seen_fields:
-                        self.error(
-                            "duplicate-name",
-                            fd.name,
-                            fd.span,
-                            f"duplicate field {fd.name!r} in constructor {cd.name!r}",
-                        )
-                    seen_fields.add(fd.name)
+                    self.check_distinct(seen_fields, fd, "field", "constructor", cd.name)
 
         for g in m.globals:
             declare(g.name, "global variable", g.span)
@@ -640,13 +669,7 @@ class _Validator:
             seen: set[str] = set()
             for p in f.params:
                 self.check_type(p.type, p.span)
-                if p.name in seen:
-                    self.error(
-                        "duplicate-name",
-                        p.name,
-                        p.span,
-                        f"duplicate parameter {p.name!r} in function {f.name!r}",
-                    )
+                self.check_distinct(seen, p, "parameter", "function", f.name)
                 if p.name in scope:
                     self.error(
                         "shadowing",
@@ -654,7 +677,6 @@ class _Validator:
                         p.span,
                         f"parameter {p.name!r} shadows an enclosing declaration",
                     )
-                seen.add(p.name)
                 scope[p.name] = ("param", p.type)
             self.walk(f.body, scope)
 
@@ -689,27 +711,16 @@ class _Validator:
         if isinstance(e, Lit) or isinstance(e, (BreakExpr, ContinueExpr, FailExpr)):
             return
         if isinstance(e, Var):
-            if e.name not in scope:
-                self.error(
-                    "undefined-variable",
-                    e.name,
-                    e.span,
-                    f"variable {e.name!r} does not resolve to any declaration",
-                )
+            self.resolve(scope, e.name, e.span, "variable")
             return
         if isinstance(e, Assign):
             self.walk(e.value, scope)
-            entry = scope.get(e.name)
-            if entry is None:
-                self.error(
-                    "undefined-variable",
-                    e.name,
-                    e.span,
-                    f"assignment to undeclared variable {e.name!r}",
-                )
-            elif entry[0] == "local":
+            entry = self.resolve(scope, e.name, e.span, "assignment")
+            if entry is None or entry[0] == "global":
+                return
+            if entry[0] == "local":
                 self.assign_types[id(e)] = entry[1]
-            elif entry[0] != "global":
+            else:
                 self.error(
                     "not-assignable",
                     e.name,
@@ -719,41 +730,13 @@ class _Validator:
             return
         if isinstance(e, Cons):
             sig = self.constructors.get(e.name)
-            if sig is None:
-                self.error(
-                    "undefined-constructor",
-                    e.name,
-                    e.span,
-                    f"undefined constructor {e.name!r}",
-                )
-            elif len(sig[1]) != len(e.args):
-                self.error(
-                    "arity-mismatch",
-                    e.name,
-                    e.span,
-                    f"constructor {e.name!r} expects {len(sig[1])} arguments, "
-                    f"given {len(e.args)}",
-                )
+            self.check_application(e, None if sig is None else sig[1], "constructor", "constructor")
             for a in e.args:
                 self.walk(a, scope)
             return
         if isinstance(e, Call):
             f = self.functions.get(e.name)
-            if f is None:
-                self.error(
-                    "undefined-function",
-                    e.name,
-                    e.span,
-                    f"undefined function {e.name!r}",
-                )
-            elif len(f.params) != len(e.args):
-                self.error(
-                    "arity-mismatch",
-                    e.name,
-                    e.span,
-                    f"function {e.name!r} expects {len(f.params)} arguments, "
-                    f"given {len(e.args)}",
-                )
+            self.check_application(e, None if f is None else f.params, "function", "function")
             for a in e.args:
                 self.walk(a, scope)
             return
@@ -762,14 +745,7 @@ class _Validator:
             seen: set[str] = set()
             for d in e.locals:
                 self.check_type(d.type, d.span)
-                if d.name in seen:
-                    self.error(
-                        "duplicate-name",
-                        d.name,
-                        d.span,
-                        f"duplicate local {d.name!r} in block",
-                    )
-                seen.add(d.name)
+                self.check_distinct(seen, d, "local", "block")
                 self.introduce(inner, d.name, "local", d.type, d.span)
             for sub in e.body:
                 self.walk(sub, inner)
@@ -793,13 +769,7 @@ class _Validator:
             return
         if isinstance(e, Solve):
             for x in e.targets:
-                if x not in scope:
-                    self.error(
-                        "undefined-variable",
-                        x,
-                        e.span,
-                        f"solve target {x!r} does not resolve to any declaration",
-                    )
+                self.resolve(scope, x, e.span, "solve target")
             self.walk(e.body, scope)
             return
         if isinstance(e, TryCatch):
@@ -823,29 +793,14 @@ class _Validator:
         """
         if isinstance(p, LitPat):
             return
-        if isinstance(p, VarPat):
-            scope.setdefault(p.name, ("pattern variable", None))
-            return
-        if isinstance(p, Star):
+        if isinstance(p, (VarPat, Star)):
             scope.setdefault(p.name, ("pattern variable", None))
             return
         if isinstance(p, ConsPat):
             sig = self.constructors.get(p.name)
-            if sig is None:
-                self.error(
-                    "undefined-constructor",
-                    p.name,
-                    p.span,
-                    f"undefined constructor {p.name!r} in pattern",
-                )
-            elif len(sig[1]) != len(p.args):
-                self.error(
-                    "arity-mismatch",
-                    p.name,
-                    p.span,
-                    f"deconstructor {p.name!r} expects {len(sig[1])} arguments, "
-                    f"given {len(p.args)}",
-                )
+            self.check_application(
+                p, None if sig is None else sig[1], "constructor", "deconstructor", " in pattern"
+            )
             for a in p.args:
                 self.check_pattern(a, scope)
             return
@@ -896,22 +851,17 @@ def validate_expr(e: Expr, info: ModuleInfo) -> list[WellFormednessError]:
     return v.errors
 
 
+@stack_guarded
 def snippet_assignables(*roots: Expr) -> dict[int, Type]:
-    """Declared types of the block locals assigned in ``roots``, in one walk.
+    """Declared types of the block locals assigned in ``roots``.
 
     The counterpart of ``ModuleInfo.assign_types`` for expressions from
-    outside a module: keyed by the ``id`` of each ``Assign`` node, each
-    type is that of the innermost enclosing declaration of the name.
-    Assignments to any other name are left out.
+    outside a module, found by the validator's walk of each root from an
+    empty scope, so a name refers to the binding validation would give it.
+    Keyed by the ``id`` of each ``Assign`` node; assignments to any other
+    name are left out, and the walk's errors are dropped.
     """
-    out: dict[int, Type] = {}
-    stack: list[tuple[Expr, dict[str, Type]]] = [(r, {}) for r in roots]
-    while stack:
-        cur, scope = stack.pop()
-        if isinstance(cur, Block) and cur.locals:
-            scope = {**scope, **{d.name: d.type for d in cur.locals}}
-        elif isinstance(cur, Assign) and cur.name in scope:
-            out[id(cur)] = scope[cur.name]
-        for sub in expr_children(cur):
-            stack.append((sub, scope))
-    return out
+    v = _Validator(ModuleDef())
+    for r in roots:
+        v.walk(r, {})
+    return v.assign_types

@@ -163,6 +163,29 @@ def test_tree_format(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "snippet, tree",
+    [
+        ('"a"', {"kind": "str", "value": "a"}),
+        (
+            '(2 : "b", 1 : "a")',
+            {
+                "kind": "map",
+                "entries": [
+                    {"key": {"kind": "int", "value": "1"}, "value": {"kind": "str", "value": "a"}},
+                    {"key": {"kind": "int", "value": "2"}, "value": {"kind": "str", "value": "b"}},
+                ],
+            },
+        ),
+        ("switch (0) { }", {"kind": "undefined"}),
+    ],
+    ids=["str", "map", "undefined"],
+)
+def test_tree_format_of_other_kinds(capsys, snippet, tree):
+    code, out, _ = run_cli(capsys, "run", "--eval", snippet, "--format", "tree")
+    assert (code, json.loads(out)) == (0, {"version": 1, "result": "success", "value": tree})
+
+
 def test_tree_format_with_globals(tmp_path, capsys):
     mod = tmp_path / "g.rsl"
     mod.write_text("global int g = 2;\nint f() = g * 3;\n")
@@ -221,6 +244,8 @@ def test_fuel_env_var(capsys, monkeypatch):
     monkeypatch.setenv("RASCAL_LIGHT_FUEL", "1000")
     code, out, _ = run_cli(capsys, "run", "--eval", "1 + 2 + 3 + 4")
     assert code == 0 and out.strip() == "10"
+    monkeypatch.setenv("RASCAL_LIGHT_FUEL", "abc")
+    assert run_cli(capsys, "run", "--eval", "1") == (5, "", "invalid RASCAL_LIGHT_FUEL value\n")
 
 
 def test_init_timeout_exit_code(tmp_path, capsys):
@@ -426,6 +451,7 @@ ADVERSARIAL = {
     "huge-int-call": (NAT + "int g(int n) = n;", ["--call", "g(" + "7" * 6000 + ")"], 5),
     "malformed-utf8": (b"int f() = 1;\xff\n", ["--call", "f()"], 5),
     "empty-call": (NAT, ["--call", ""], 5),
+    "call-trailing-input": (PROD, ["--call", "prod(1) x"], 5),
     "call-undeclared-constructor": (PROD, ["--call", "prod(foo(1))"], 5),
     "call-wrong-field-type": (SIMPLIFIER, ["--call", 'simplify(intlit("a"))'], 5),
     "call-wrong-arity": (SIMPLIFIER, ["--call", "simplify(intlit(1, 2))"], 5),
@@ -436,6 +462,7 @@ ADVERSARIAL = {
     "fuel-not-a-number": (None, ["--eval", "1", "--fuel", "abc"], 5),
     "unknown-format": (None, ["--eval", "1", "--format", "xml"], 5),
     "unknown-command": (None, ["bogus"], 5),
+    "cases-not-a-number": (None, ["harness", "--suite", "typing", "--cases", "abc"], 5),
 }
 
 
@@ -464,6 +491,11 @@ def test_malformed_utf8_is_unreadable_input(tmp_path, capsys):
     code, _, err = run_cli(capsys, *_module_argv(tmp_path, text, args))
     assert code == 5
     assert err.startswith(f"cannot read {tmp_path / 'adversarial.rsl'}: 'utf-8' codec can't decode")
+
+
+def test_trailing_input_after_a_call_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "run", program_path("prod.rsl"), "--call", "prod(1) x")
+    assert (code, out, err) == (5, "", "offset 8: bad --call: trailing input after call\n")
 
 
 def test_ill_formed_call_value_names_the_argument(capsys):

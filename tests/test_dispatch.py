@@ -26,6 +26,7 @@ import inspect
 import json
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -35,7 +36,7 @@ from rascal_light import interp, traversal
 from rascal_light import syntax as sx
 from rascal_light.harness import GenBudget, gen_program, gen_store
 from rascal_light.interp import Evaluator, apply_binary, apply_unary
-from rascal_light.parser import load_module, parse_module, parse_value
+from rascal_light.parser import load_module, parse_expr, parse_module, parse_value
 from rascal_light.values import (
     Basic,
     ERROR,
@@ -44,6 +45,7 @@ from rascal_light.values import (
     Success,
     TIMEOUT,
     TRUE,
+    Throw,
     UNDEF,
     VCons,
     VList,
@@ -231,6 +233,82 @@ def test_every_fired_rule_name_is_a_literal(monkeypatch):
             test()
     assert len(fired) > 90
     assert fired - literal_strings(interp, traversal) == set()
+
+
+# The rules that neither the generated programs nor the call corpus fire:
+# (the rules a row must fire, the row, its result).  A row is a snippet
+# evaluated from the empty store in RULE_MODULE, or a call of a function of
+# RULE_MODULE (name, store).
+RULE_MODULE = "data T = t(int x); global int g = 0; int f() = 1;"
+RULE_ROWS = (
+    (("E-Set-Err",), "{switch (0) { }}", ERROR),
+    (("E-Solve-Err",), "solve (q) 1", ERROR),
+    (("E-Solve-Exc",), "solve (q) throw 1", Throw(Basic(1))),
+    (("E-Switch-Exc2",), "switch (1) { case 1 => throw 2 }", Throw(Basic(2))),
+    (("E-Update-Exc3",), "(1: 2)[1 = (throw 3)]", Throw(Basic(3))),
+    (("E-While-Err",), "while (1) 0", ERROR),
+    (("E-While-Exc1",), "while (throw 1) 0", Throw(Basic(1))),
+    (("EE-More-Break",), "for (x <- [1, 2]) break", Success(UNDEF)),
+    (("E-Visit-Exc2", "ETV-Exc1"), "top-down visit (1) { case 1 => throw 4 }", Throw(Basic(4))),
+    (("ETV-Break-Sucs",), "top-down-break visit (1) { case 1 => 2 }", Success(Basic(2))),
+    (("ETV-Exc2", "ETVS-Exc1"), "top-down visit ([1]) { case 1 => throw 4 }", Throw(Basic(4))),
+    (("ETVS-Exc2",), "top-down visit ([0, 1]) { case 1 => throw 4 }", Throw(Basic(4))),
+    (("ETV-Ord-Sucs2", "ETVS-More"), "top-down visit ([1]) { case 1 => 2 }", Success(VList((Basic(2),)))),
+    (("ETVS-Break",), "top-down-break visit ([1]) { case 1 => 2 }", Success(VList((Basic(2),)))),
+    (("EBU-Break-Sucs", "EBUS-Break"), "bottom-up-break visit ([1]) { case 1 => 2 }", Success(VList((Basic(2),)))),
+    (("EBU-Exc", "EBUS-Exc1"), "bottom-up visit ([1]) { case 1 => throw 5 }", Throw(Basic(5))),
+    (("EBUS-Exc2",), "bottom-up visit ([0, 1]) { case 1 => throw 5 }", Throw(Basic(5))),
+    (("EBU-No-Break-Err",), 'bottom-up visit (t(1)) { case 1 => "s" }', ERROR),
+    (("EBU-No-Break-Exc",), "bottom-up visit ([1]) { case 1 => 2 case [2] => throw 3 }", Throw(Basic(3))),
+    (("EV-IM-Exc",), "innermost visit (1) { case 1 => throw 6 }", Throw(Basic(6))),
+    (("EV-OM-Exc",), "outermost visit (1) { case 1 => throw 6 }", Throw(Basic(6))),
+    (("EV-OM-Neq", "EV-OM-Eq"), "outermost visit (1) { case 1 => 2 }", Success(Basic(2))),
+    # Stuck: what validation rules out, reached without it.
+    (("stuck",), sx.Cons("nope", ()), ERROR),
+    (("stuck",), "x = 1", ERROR),
+    (("stuck",), ("nope", Store({"g": Basic(0)})), ERROR),
+    (("stuck",), ("f", Store()), ERROR),
+)
+
+
+def _run_row(ev: Evaluator, row):
+    if isinstance(row, tuple):
+        name, store = row
+        return ev.call_function(name, (), store)[0]
+    return ev.evaluate(parse_expr(row, ev.module) if isinstance(row, str) else row, Store())[0]
+
+
+@pytest.mark.parametrize("rules, row, result", RULE_ROWS, ids=[str(r[1]) for r in RULE_ROWS])
+def test_rule_rows_fire_their_rules(monkeypatch, rules, row, result):
+    fired = _fired_rules(monkeypatch)
+    assert _run_row(Evaluator(parse_module(RULE_MODULE)), row) == result
+    assert set(rules) <= fired
+
+
+def test_run_cases_times_out_without_fuel():
+    cases = parse_expr("switch (0) { case 1 => 1 }").cases
+    assert Evaluator(sx.ModuleDef()).run_cases(cases, Basic(1), Store({"a": Basic(2)}), fuel=0) == (
+        TIMEOUT,
+        Store({"a": Basic(2)}),
+    )
+
+
+def test_every_rule_name_fires(monkeypatch):
+    # Each rule-name literal of the evaluator fires somewhere below, so a
+    # rule the generated programs stop reaching shows here, not in a run.
+    rule_names = {
+        s for s in literal_strings(interp, traversal) if re.fullmatch(r"[A-Z]{1,4}-[A-Za-z0-9-]+", s) or s == "stuck"
+    }
+    fired = _fired_rules(monkeypatch)
+    for seed in SEEDS:
+        program_digest(seed)
+    for call in CALLS:
+        call_digest(*call)
+    ev = Evaluator(parse_module(RULE_MODULE))
+    for _, row, _ in RULE_ROWS:
+        _run_row(ev, row)
+    assert len(rule_names) == 128
+    assert fired == rule_names
 
 
 # ---------------------------------------------------------------------------

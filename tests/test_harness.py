@@ -1,5 +1,8 @@
+import hashlib
+import json
 import os
 import random
+import sys
 
 import pytest
 
@@ -16,6 +19,7 @@ from rascal_light.harness import (
     _shrink,
     artifact_case,
     check_progress,
+    check_purity,
     check_termination,
     check_typing,
     env_set,
@@ -37,9 +41,10 @@ from rascal_light.parser import parse_expr, parse_module
 from rascal_light.patterns import match
 from rascal_light.render import render
 from rascal_light.syntax import constructor_table, is_finite_subset, validate_module, walk_exprs
-from rascal_light.values import UNDEF, Basic, Store, Success, Throw, VCons, VList, VMap, VSet
+from rascal_light.values import FAIL, UNDEF, Basic, Fail, Store, Success, Throw, TimeoutSignal, VCons, VList, VMap, VSet
 
 CONS = constructor_table(parse_module("data P = pair(int a, int b);"))
+GENERATOR_DIGESTS = os.path.join(os.path.dirname(__file__), "generator_digests.json")
 
 
 def b(x):
@@ -53,6 +58,44 @@ def test_gen_program_contracts():
         f = gen_program(GenBudget(seed=seed), "finite")
         assert validate_module(f) == []
         assert all(is_finite_subset(fn.body) for fn in f.functions)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def generator_digests() -> dict:
+    """sha256 digests of what the generators draw: the rendered module of
+    each seed in 0-199 for both subsets, and all rendered draws of
+    ``gen_cases_triple`` and then ``gen_match_pair`` from one seeded
+    generator (they share its name counter)."""
+    programs = {
+        subset: [_sha(render(gen_program(GenBudget(max_depth=4, seed=s), subset))) for s in range(200)]
+        for subset in ("all", "finite")
+    }
+    rng = random.Random(7)
+    gen = _ModuleGen(rng, GenBudget(seed=7), finite=False)
+    gen.build_datatypes()
+    triples, pairs = [], []
+    for _ in range(500):
+        cases, v, store = gen_cases_triple(rng, gen)
+        triples.append(render(sx.Switch(value_to_expr(v), cases)) + f" {sorted(store.items())!r}")
+    for _ in range(500):
+        pat, v, store = gen_match_pair(rng, gen)
+        pairs.append(f"{render(pat)} {render(v)} {sorted(store.items())!r}")
+    return {
+        "programs": programs,
+        "cases_triples": _sha("\n".join(triples)),
+        "match_pairs": _sha("\n".join(pairs)),
+    }
+
+
+def test_generator_streams_match_the_recorded_digests():
+    # Refactoring the generator must not change what it draws: the suites'
+    # seeds, the dispatch digests and the bench workloads depend on it.
+    with open(GENERATOR_DIGESTS, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert generator_digests() == recorded
 
 
 def test_oracle_star_counts():
@@ -355,6 +398,45 @@ def test_artifacts_replay_the_case_that_failed(
         assert main(["run", path, "--call", "check()"]) in (0, 2, 3, 4)
 
 
+def _eval_cases_keeping_bindings(self, cases, v, store, n, span):
+    """``Evaluator.eval_cases`` with one bug: after a failing case, the next
+    starts from the store extended by the failed case's first candidate
+    binding, rather than from the initial store."""
+    for cs in cases:
+        if n == 0:
+            raise TimeoutSignal(store)
+        n -= 1
+        envs = list(match(cs.pattern, v, store, self.constructors))
+        r, s2 = self.eval_case(envs, cs.body, store, n, cs.span)
+        if type(r) is not Fail:
+            return self.fire("ECS-More-Ord", cs.span, r, store, s2)
+        self.fire("ECS-More-Fail", cs.span, FAIL, store, store)
+        if envs:
+            store = store.extended(envs[0])
+    if n == 0:
+        raise TimeoutSignal(store)
+    return self.fire("ECS-Emp", span, FAIL, store, store)
+
+
+def test_purity_artifacts_replay_the_failure(tmp_path, monkeypatch):
+    # The call boundary keeps only globals, so `check()` through the CLI
+    # cannot show a store that leaks across cases; `check_purity` reruns
+    # the artifact's cases from its store.
+    with monkeypatch.context() as mp:
+        mp.setattr(Evaluator, "eval_cases", _eval_cases_keeping_bindings)
+        rep = run_suite("purity", cases=50, seed=0, artifacts_dir=str(tmp_path))
+        assert rep.failures and len(rep.artifacts) >= 6
+        texts = [open(path, encoding="utf-8").read() for path in rep.artifacts]
+        replays = [artifact_case(parse_module(text)) for text in texts]
+        for text, case in zip(texts, replays):
+            assert text.startswith("// purity seed=0 case=")
+            assert case.function == "check" and validate_module(case.module) == []
+            assert check_purity(case) == "store changed across failing cases"
+    for case in replays:
+        assert check_purity(case) is None
+        assert dict(case.store.items()) == dict(Evaluator(case.module).init_globals().items())
+
+
 def test_artifact_case_rejects_an_argument_that_is_not_a_value():
     m = parse_module("int f(int x) = x; int check() = f((1: 2)[3]);")
     with pytest.raises(ValueError, match="argument x of f"):
@@ -411,3 +493,11 @@ def test_a_shrunk_case_keeps_the_store_its_artifact_replays(monkeypatch):
     assert check_typing(case) is not None
     art = parse_module(render(_case_artifact(_shrink(case, check_typing))))
     assert check_typing(Case(art, "check", Evaluator(art).init_globals())) is not None
+
+
+if __name__ == "__main__":
+    # Records generator_digests.json afresh: PYTHONPATH=src python tests/test_harness.py
+    sys.setrecursionlimit(12_000)
+    with open(GENERATOR_DIGESTS, "w", encoding="utf-8") as fh:
+        json.dump(generator_digests(), fh, indent=1)
+        fh.write("\n")

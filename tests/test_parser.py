@@ -46,7 +46,8 @@ from rascal_light.syntax import (
     validate_module,
     walk_exprs,
 )
-from rascal_light.values import Basic, UNDEF, VSet
+from rascal_light.patterns import match
+from rascal_light.values import Basic, Store, UNDEF, VList, VSet
 
 from conftest import PROGRAMS
 
@@ -118,6 +119,7 @@ def test_parse_error_cases():
         (parse_value, "[1, ", "expected a value literal, found end of input"),
         (parse_expr, "1 + ;", "expected an expression, found ';'"),
         (parse_value, "[1, ;]", "expected a value literal, found ';'"),
+        (parse_module, "int f() { 1 2 }", "expected ';' or '}' in function body"),
     ],
 )
 def test_parse_errors_name_the_token_found(parse, text, message):
@@ -159,6 +161,24 @@ def test_function_brace_sugar_desugars_to_block():
     assert [d.name for d in body.locals] == ["x"]
     assert isinstance(body.body[0], sx.Assign)
     assert validate_module(m) == []
+    # A `;` after the closing brace is allowed.
+    assert parse_module("int f() { int x = 1; x + 1 };") == m
+
+
+@pytest.mark.parametrize(
+    "text, pattern, value, envs",
+    [
+        ("-3", sx.LitPat(-3), Basic(-3), [{}]),
+        ("-3", sx.LitPat(-3), Basic(3), []),
+        ("[-2, *r]", sx.ListPat((sx.LitPat(-2), sx.Star("r"))), VList((Basic(-2), Basic(5))), [{"r": VList((Basic(5),))}]),
+    ],
+)
+def test_negative_literal_patterns(text, pattern, value, envs):
+    e = parse_expr(f"switch (0) {{ case {text} => 1 }}")
+    assert e.cases[0].pattern == pattern
+    assert render(pattern) == text
+    assert parse_expr(render(e)) == e
+    assert [dict(env) for env in match(pattern, value, Store(), {})] == envs
 
 
 def test_nested_generics_parse():
