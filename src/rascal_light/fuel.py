@@ -59,8 +59,10 @@ def min_sufficient_fuel(ev: Evaluator, e: Expr, store: Store) -> int:
 _workers_lock = threading.Lock()
 _workers = 0
 _saved_limit = 0
-# The stack size of the worker the current thread is, if it is one.
+# Whether the current thread is a worker.
 _this_worker = threading.local()
+# The stack of each worker thread.
+_STACK_BYTES = 512 * 1024 * 1024
 
 
 def _enter(recursion_limit: int) -> None:
@@ -81,21 +83,15 @@ def _leave() -> None:
         sys.setrecursionlimit(_saved_limit)
 
 
-def call_with_stack(
-    fn: Callable,
-    *args,
-    stack_bytes: int = 512 * 1024 * 1024,
-    recursion_limit: int = 1_000_000,
-    **kwargs,
-):
+def call_with_stack(fn: Callable, *args, recursion_limit: int = 1_000_000, **kwargs):
     """Run ``fn`` on a worker thread with a large stack and recursion limit.
 
     Deeply recursive evaluations (high fuel budgets, unbounded runs) need
     more stack than the main thread carries; RecursionError still surfaces
     as HostStackGuard.  Safe to call from several threads at once: while
     any worker runs, the limit is the one the first of them set.  Called on
-    a worker whose stack and limit are at least as large, ``fn`` runs on
-    that worker, without a thread of its own.
+    a worker whose limit is at least as large, ``fn`` runs on that worker,
+    without a thread of its own.
     """
     out: dict = {}
 
@@ -106,24 +102,21 @@ def call_with_stack(
             out["error"] = exc
 
     def worker():
-        _this_worker.stack_bytes = stack_bytes
+        _this_worker.active = True
         try:
             run()
         finally:
             with _workers_lock:
                 _leave()
 
-    if (
-        getattr(_this_worker, "stack_bytes", 0) >= stack_bytes
-        and sys.getrecursionlimit() >= recursion_limit
-    ):
+    if getattr(_this_worker, "active", False) and sys.getrecursionlimit() >= recursion_limit:
         run()
     else:
         t = threading.Thread(target=worker, name="rascal-light-eval")
         with _workers_lock:
             _enter(recursion_limit)
             try:
-                old_size = threading.stack_size(stack_bytes)
+                old_size = threading.stack_size(_STACK_BYTES)
                 try:
                     t.start()
                 finally:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from . import syntax as sx
 from .interp import Evaluator
 from .fuel import call_with_stack, eval_expr_fuel, min_sufficient_fuel
-from .parser import parse_expr
+from .parser import EXPR_COLLECTIONS, KEYWORD_FORMS, PREFIX_FORMS, parse_expr
 from .render import render_expr, render_module
 from .syntax import validate_module
 from .types import (
@@ -29,6 +29,7 @@ from .types import (
     ListType,
     MapType,
     SetType,
+    TYPE_WORDS,
     Type,
     VALUE,
     _type_of_walk,
@@ -45,6 +46,7 @@ from .values import (
     Throw,
     Timeout,
     UNDEF,
+    VALUE_COLLECTIONS,
     Value,
     VCons,
     VList,
@@ -84,12 +86,10 @@ def gen_value(rng: random.Random, t: Type, cons_by_type, depth: int) -> Value:
         return VCons(
             name, tuple(gen_value(rng, ft, cons_by_type, depth - 1) for ft in fields)
         )
-    if isinstance(t, ListType):
+    if isinstance(t, (ListType, SetType)):
         k = rng.randint(0, 2 if depth <= 0 else 3)
-        return VList(tuple(gen_value(rng, t.elem, cons_by_type, depth - 1) for _ in range(k)))
-    if isinstance(t, SetType):
-        k = rng.randint(0, 2 if depth <= 0 else 3)
-        return VSet(tuple(gen_value(rng, t.elem, cons_by_type, depth - 1) for _ in range(k)))
+        build = VList if t.__class__ is ListType else VSet
+        return build(tuple(gen_value(rng, t.elem, cons_by_type, depth - 1) for _ in range(k)))
     if isinstance(t, MapType):
         k = rng.randint(0, 2)
         return VMap(
@@ -116,18 +116,19 @@ def gen_any_value(rng: random.Random, cons_by_type, depth: int) -> Value:
 def gen_type(rng: random.Random, cons_by_type, depth: int = 1) -> Type:
     kinds = ["int", "str", "adt", "list", "set", "map"] if depth > 0 else ["int", "str", "adt"]
     kind = rng.choice(kinds)
-    if kind == "int":
-        return INT
-    if kind == "str":
-        return STR
     if kind == "adt":
         names = sorted(cons_by_type)
         return DataType(rng.choice(names)) if names else INT
-    if kind == "list":
-        return ListType(gen_type(rng, cons_by_type, depth - 1))
-    if kind == "set":
-        return SetType(gen_type(rng, cons_by_type, depth - 1))
-    return MapType(gen_type(rng, cons_by_type, 0), gen_type(rng, cons_by_type, 0))
+    if kind == "map":
+        return MapType(gen_type(rng, cons_by_type, 0), gen_type(rng, cons_by_type, 0))
+    word = TYPE_WORDS[kind]
+    return word if isinstance(word, Type) else word(gen_type(rng, cons_by_type, depth - 1))
+
+
+# Each collection value class and the expression class that builds it,
+# paired by the bracket that opens both.
+_EXPR_OF = {cls: EXPR_COLLECTIONS[opener] for opener, cls in VALUE_COLLECTIONS.items()}
+_VALUE_OF = {expr: cls for cls, expr in _EXPR_OF.items()}
 
 
 def value_to_expr(v: Value) -> sx.Expr:
@@ -138,10 +139,8 @@ def value_to_expr(v: Value) -> sx.Expr:
         return sx.Lit(v.val)
     if isinstance(v, VCons):
         return sx.Cons(v.name, tuple(value_to_expr(a) for a in v.args))
-    if isinstance(v, VList):
-        return sx.ListExpr(tuple(value_to_expr(a) for a in v.items))
-    if isinstance(v, VSet):
-        return sx.SetExpr(tuple(value_to_expr(a) for a in v.items))
+    if isinstance(v, (VList, VSet)):
+        return _EXPR_OF[v.__class__](tuple(value_to_expr(a) for a in v.items))
     if isinstance(v, VMap):
         return sx.MapExpr(tuple((value_to_expr(k), value_to_expr(x)) for k, x in v.pairs))
     # An empty switch fails all cases, which yields the undefined value.
@@ -159,10 +158,8 @@ def literal_value(e: sx.Expr) -> Value:
             return Basic(-e.operand.value)
     if isinstance(e, sx.Cons):
         return VCons(e.name, tuple(literal_value(a) for a in e.args))
-    if isinstance(e, sx.ListExpr):
-        return VList(tuple(literal_value(a) for a in e.items))
-    if isinstance(e, sx.SetExpr):
-        return VSet(tuple(literal_value(a) for a in e.items))
+    if isinstance(e, (sx.ListExpr, sx.SetExpr)):
+        return _VALUE_OF[e.__class__](tuple(literal_value(a) for a in e.items))
     if isinstance(e, sx.MapExpr):
         return VMap(tuple((literal_value(k), literal_value(x)) for k, x in e.pairs))
     if isinstance(e, sx.Switch) and e.subject == sx.Lit(0) and not e.cases:
@@ -192,6 +189,12 @@ _FORMS = [
     ("return", 3), ("break", 2), ("continue", 2), ("fail", 5),
 ]
 _FINITE_EXCLUDED = {"while", "solve", "call"}
+# The operators each binary form draws from.
+_BINARY_FORMS = {
+    "binarith": ["+", "-", "*", "/", "%"],
+    "bincmp": ["==", "!=", "<", "<=", ">", ">=", "in"],
+}
+_COLLECTION_FORMS = {"list": sx.ListExpr, "set": sx.SetExpr}
 
 
 class _ModuleGen:
@@ -319,16 +322,8 @@ class _ModuleGen:
             if scope.readables:
                 return sx.Var(rng.choice(sorted(scope.readables)))
             return self.leaf(scope)
-        if form == "binarith":
-            return sx.Binary(
-                self.expr(d1, scope), rng.choice(["+", "-", "*", "/", "%"]), self.expr(d1, scope)
-            )
-        if form == "bincmp":
-            return sx.Binary(
-                self.expr(d1, scope),
-                rng.choice(["==", "!=", "<", "<=", ">", ">=", "in"]),
-                self.expr(d1, scope),
-            )
+        if form in _BINARY_FORMS:
+            return sx.Binary(self.expr(d1, scope), rng.choice(_BINARY_FORMS[form]), self.expr(d1, scope))
         if form == "binlogic":
             return sx.Binary(self.bool_expr(d1, scope), rng.choice(["&&", "||"]), self.bool_expr(d1, scope))
         if form == "unary":
@@ -340,10 +335,9 @@ class _ModuleGen:
                 for ft in fields
             )
             return sx.Cons(name, args)
-        if form == "list":
-            return sx.ListExpr(tuple(self.expr(d1, scope) for _ in range(rng.randint(0, 3))))
-        if form == "set":
-            return sx.SetExpr(tuple(self.expr(d1, scope) for _ in range(rng.randint(0, 3))))
+        if form in _COLLECTION_FORMS:
+            items = tuple(self.expr(d1, scope) for _ in range(rng.randint(0, 3)))
+            return _COLLECTION_FORMS[form](items)
         if form == "map":
             return sx.MapExpr(
                 tuple((self.expr(d1, scope), self.expr(d1, scope)) for _ in range(rng.randint(0, 2)))
@@ -368,11 +362,7 @@ class _ModuleGen:
             subject = self.expr(d1, scope)
             return sx.Switch(subject, self.cases(d1, scope))
         if form == "visit":
-            strategies = (
-                [sx.Strategy.BOTTOM_UP, sx.Strategy.BOTTOM_UP_BREAK]
-                if self.finite
-                else list(sx.Strategy)
-            )
+            strategies = sx.FINITE_STRATEGIES if self.finite else list(sx.Strategy)
             subject = self.expr(d1, scope)
             return sx.Visit(rng.choice(strategies), subject, self.cases(d1, scope, contract=True))
         if form == "block":
@@ -427,8 +417,6 @@ class _ModuleGen:
                 for p in fd.params
             )
             return sx.Call(fd.name, args)
-        if form == "throw":
-            return sx.ThrowExpr(self.expr(d1, scope))
         if form == "trycatch":
             var = self.fresh("exn")
             inner = scope.child()
@@ -436,14 +424,10 @@ class _ModuleGen:
             return sx.TryCatch(self.expr(d1, scope), var, self.expr(d1, inner))
         if form == "tryfinally":
             return sx.TryFinally(self.expr(d1, scope), self.expr(d1, scope))
-        if form == "return":
-            return sx.ReturnExpr(self.expr(d1, scope))
-        if form == "break":
-            return sx.BreakExpr()
-        if form == "continue":
-            return sx.ContinueExpr()
-        if form == "fail":
-            return sx.FailExpr()
+        if form in PREFIX_FORMS:
+            return PREFIX_FORMS[form](self.expr(d1, scope))
+        if form in KEYWORD_FORMS:
+            return KEYWORD_FORMS[form]()
         return self.leaf(scope)
 
     def leaf(self, scope: _Scope) -> sx.Expr:

@@ -13,8 +13,8 @@ from typing import Iterable
 from . import syntax as sx
 from .stackguard import stack_guarded
 from .syntax import Span
-from .types import INT, STR, VALUE, VOID, DataType, ListType, MapType, SetType, Type
-from .values import ESCAPES, Basic, UNDEF, Value, VCons, VList, VMap, VSet
+from .types import TYPE_WORDS, DataType, MapType, Type
+from .values import CLOSERS, ESCAPES, VALUE_COLLECTIONS, Basic, UNDEF, Value, VCons, VMap
 
 
 @dataclass
@@ -72,18 +72,14 @@ BINARY_LEVEL = {op: level for level, ops in enumerate(BINARY_LEVELS, 1) for op i
 KEYWORD_FORMS = {"break": sx.BreakExpr, "continue": sx.ContinueExpr, "fail": sx.FailExpr}
 PREFIX_FORMS = {"return": sx.ReturnExpr, "throw": sx.ThrowExpr}
 
-# Collection brackets, opener -> closer, and what each grammar builds
-# from the items between them.
-CLOSERS = {"[": "]", "{": "}"}
+# What the expression and pattern grammars build from the items between
+# collection brackets (``values.CLOSERS``), as ``values.VALUE_COLLECTIONS``
+# does for values.
 EXPR_COLLECTIONS = {"[": sx.ListExpr, "{": sx.SetExpr}
 PATTERN_COLLECTIONS = {"[": sx.ListPat, "{": sx.SetPat}
-_VALUE_COLLECTIONS = {"[": VList, "{": VSet}
 
 # The tokens that are literals: an integer or a string.
 _LITERALS = ("int", "str")
-
-# The types named by one word.
-_WORD_TYPES = {"int": INT, "str": STR, "void": VOID, "value": VALUE}
 
 _PUNCT2 = ("==", "!=", "<=", ">=", "&&", "||", ":=", "=>")
 _PUNCT1 = "+-*/%<>=!()[]{},;:|"
@@ -376,9 +372,12 @@ class Parser:
         locals_: list[sx.LocalDecl] = []
         body: list[sx.Expr] = []
         while not self.at("punct", "}"):
-            decl = self.try_parse_decl_with_init()
-            if decl is not None:
-                t, name, init, span = decl
+            first = self.peek()
+            typed = self.try_parse_typed_name("=")
+            if typed is not None:
+                t, name = typed
+                init = self.parse_expr()
+                span = Span(first.start, self.toks[self.pos - 1].end)
                 locals_.append(sx.LocalDecl(t, name, span))
                 body.append(sx.Assign(name, init, span))
             else:
@@ -390,34 +389,38 @@ class Parser:
         end = self.expect("punct", "}")
         return sx.Block(tuple(locals_), tuple(body), Span(start.start, end.end))
 
-    def try_parse_decl_with_init(self):
+    def try_parse_typed_name(self, punct: str) -> tuple[Type, str] | None:
+        """A typed name ``type ident`` and the ``punct`` after it, as
+        ``(type, ident)``; or None, with nothing read, when they are not
+        next.  A typed declaration (``=``) and a typed pattern (``:``)
+        start so."""
         saved = self.pos
         try:
             t = self.parse_type()
             name = self.expect("ident")
-            self.expect("punct", "=")
+            self.expect("punct", punct)
         except ParseError:
             self.pos = saved
             return None
-        init = self.parse_expr()
-        return t, name.value, init, Span(self.toks[saved].start, self.toks[self.pos - 1].end)
+        return t, name.value
 
     # -- types -------------------------------------------------------------
 
     def parse_type(self) -> Type:
         t = self.peek()
-        if t.kind in ("ident", "kw") and t.value in _WORD_TYPES:
+        word = TYPE_WORDS.get(t.value) if t.kind in ("ident", "kw") else None
+        if isinstance(word, Type):
             self.advance()
-            return _WORD_TYPES[t.value]
+            return word
         if t.kind != "ident":
             raise self.error(f"expected a type, found {t.describe()}")
         name = t.value
-        if name in ("set", "list") and self.at("punct", "<", 1):
+        if word is not None and self.at("punct", "<", 1):
             self.advance()
             self.advance()
             elem = self.parse_type()
             self.expect("punct", ">")
-            return SetType(elem) if name == "set" else ListType(elem)
+            return word(elem)
         if name == "map" and self.at("punct", "<", 1):
             self.advance()
             self.advance()
@@ -668,9 +671,10 @@ class Parser:
             elems = self.sep_list(self.parse_star_pattern, ",", closer)
             end = self.expect("punct", closer)
             return PATTERN_COLLECTIONS[t.value](tuple(elems), Span(t.start, end.end))
-        typed = self.try_parse_typed_pattern()
+        typed = self.try_parse_typed_name(":")
         if typed is not None:
-            return typed
+            inner = self.parse_pattern()
+            return sx.TypedPat(*typed, inner, Span(t.start, inner.span.end))
         if t.kind == "ident":
             self.advance()
             if self.at("punct", "("):
@@ -680,19 +684,6 @@ class Parser:
                 return sx.ConsPat(t.value, tuple(args), Span(t.start, end.end))
             return sx.VarPat(t.value, t.span)
         raise self.error(f"expected a pattern, found {t.describe()}")
-
-    def try_parse_typed_pattern(self) -> sx.Pattern | None:
-        saved = self.pos
-        start = self.peek()
-        try:
-            t = self.parse_type()
-            name = self.expect("ident")
-            self.expect("punct", ":")
-        except ParseError:
-            self.pos = saved
-            return None
-        inner = self.parse_pattern()
-        return sx.TypedPat(t, name.value, inner, Span(start.start, inner.span.end))
 
     def parse_star_pattern(self) -> sx.Pattern:
         if self.at("punct", "*"):
@@ -730,7 +721,7 @@ class Parser:
             closer = CLOSERS[t.value]
             items = self.sep_list(self.parse_value, ",", closer)
             self.expect("punct", closer)
-            return _VALUE_COLLECTIONS[t.value](tuple(items))
+            return VALUE_COLLECTIONS[t.value](tuple(items))
         if t.kind == "punct" and t.value == "(":
             self.advance()
             pairs = self.sep_list(lambda: self.parse_pair(self.parse_value), ",", ")")

@@ -105,12 +105,10 @@ def match(
     elif isinstance(p, sx.TypedPat):
         if subtype(type_of(v, constructors), p.type):
             yield from _product(({p.name: v},), match(p.pattern, v, store, constructors))
-    elif isinstance(p, sx.ListPat):
-        if isinstance(v, VList):
-            yield from match_all(p.elements, v.items, store, True, constructors)
-    elif isinstance(p, sx.SetPat):
-        if isinstance(v, VSet):
-            yield from match_all(p.elements, v.items, store, False, constructors)
+    elif isinstance(p, (sx.ListPat, sx.SetPat)):
+        ordered = p.__class__ is sx.ListPat
+        if isinstance(v, VList if ordered else VSet):
+            yield from match_all(p.elements, v.items, store, ordered, constructors)
     elif isinstance(p, sx.NegPat):
         if next(match(p.pattern, v, store, constructors), None) is None:
             yield {}

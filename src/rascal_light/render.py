@@ -9,10 +9,10 @@ and case lists.
 from __future__ import annotations
 
 from . import syntax as sx
-from .parser import BINARY_LEVEL, BINARY_LEVELS, CLOSERS, KEYWORD_FORMS, PREFIX_FORMS
+from .parser import BINARY_LEVEL, BINARY_LEVELS, KEYWORD_FORMS, PREFIX_FORMS
 from .parser import EXPR_COLLECTIONS, PATTERN_COLLECTIONS
 from .types import Type, render_type
-from .values import Value, basic_text, render_value
+from .values import CLOSERS, Value, basic_text, render_value
 
 _IND = "  "
 

@@ -233,6 +233,11 @@ class Strategy(enum.Enum):
     INNERMOST = "innermost"
 
 
+# The strategies of the terminating subset (``is_finite_subset``), in the
+# order the generator draws from.
+FINITE_STRATEGIES = (Strategy.BOTTOM_UP, Strategy.BOTTOM_UP_BREAK)
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class Visit(Expr):
     strategy: Strategy
@@ -411,7 +416,7 @@ def expr_children(e: Expr) -> tuple[Expr, ...]:
         return (e.left, e.right)
     if isinstance(e, (Cons, Call)):
         return e.args
-    if isinstance(e, ListExpr) or isinstance(e, SetExpr):
+    if isinstance(e, (ListExpr, SetExpr)):
         return e.items
     if isinstance(e, MapExpr):
         return tuple(x for kv in e.pairs for x in kv)
@@ -419,15 +424,11 @@ def expr_children(e: Expr) -> tuple[Expr, ...]:
         return (e.map, e.key)
     if isinstance(e, Update):
         return (e.map, e.key, e.value)
-    if isinstance(e, (ReturnExpr, ThrowExpr)):
-        return (e.value,)
-    if isinstance(e, Assign):
+    if isinstance(e, (ReturnExpr, ThrowExpr, Assign)):
         return (e.value,)
     if isinstance(e, If):
         return (e.cond, e.then, e.els)
-    if isinstance(e, Switch):
-        return (e.subject,) + tuple(c.body for c in e.cases)
-    if isinstance(e, Visit):
+    if isinstance(e, (Switch, Visit)):
         return (e.subject,) + tuple(c.body for c in e.cases)
     if isinstance(e, Block):
         return e.body
@@ -486,10 +487,7 @@ def is_finite_subset(e: Expr) -> bool:
     for sub in walk_exprs(e):
         if isinstance(sub, (While, Solve, Call)):
             return False
-        if isinstance(sub, Visit) and sub.strategy not in (
-            Strategy.BOTTOM_UP,
-            Strategy.BOTTOM_UP_BREAK,
-        ):
+        if isinstance(sub, Visit) and sub.strategy not in FINITE_STRATEGIES:
             return False
     return True
 

@@ -73,6 +73,19 @@ STR = BaseType("str")
 VOID = VoidType()
 VALUE = ValueType()
 
+# The types named by a word: a type, or the collection class whose
+# ``<t>`` follows the word.  (``map<k, v>``, the one two-argument form, is
+# spelled where it is read and printed.)  The parser reads this table and
+# ``render_type`` prints from its inverse.
+TYPE_WORDS = {"int": INT, "str": STR, "void": VOID, "value": VALUE, "list": ListType, "set": SetType}
+_WORD_OF = {named: word for word, named in TYPE_WORDS.items()}
+
+# The collections of one element type, and each value class's type.  The
+# tuples are constants, so the hot ``isinstance`` tests build none.
+_ELEM_TYPES = (ListType, SetType)
+_ELEM_VALUES = (VList, VSet)
+_ELEM_TYPE_OF = {VList: ListType, VSet: SetType}
+
 
 class IllFormedValue(Exception):
     """A constructor value violates its declaration.
@@ -135,10 +148,8 @@ def _type_node(v: Value, constructors, type_child) -> Type:
                     f"expected {ft}"
                 )
         return DataType(at)
-    if isinstance(v, VList):
-        return ListType(lub_seq(type_child(x, constructors) for x in v.items))
-    if isinstance(v, VSet):
-        return SetType(lub_seq(type_child(x, constructors) for x in v.items))
+    if isinstance(v, _ELEM_VALUES):
+        return _ELEM_TYPE_OF[v.__class__](lub_seq(type_child(x, constructors) for x in v.items))
     if isinstance(v, VMap):
         return MapType(
             lub_seq(type_child(k, constructors) for k, _ in v.pairs),
@@ -179,9 +190,7 @@ def subtype(t1: Type, t2: Type) -> bool:
         return True
     if isinstance(t2, ValueType):
         return True
-    if isinstance(t1, ListType) and isinstance(t2, ListType):
-        return subtype(t1.elem, t2.elem)
-    if isinstance(t1, SetType) and isinstance(t2, SetType):
+    if isinstance(t1, _ELEM_TYPES) and t2.__class__ is t1.__class__:
         return subtype(t1.elem, t2.elem)
     if isinstance(t1, MapType) and isinstance(t2, MapType):
         return subtype(t1.key, t2.key) and subtype(t1.val, t2.val)
@@ -194,10 +203,8 @@ def lub(t1: Type, t2: Type) -> Type:
         return t1
     if isinstance(t1, VoidType):
         return t2
-    if isinstance(t1, ListType) and isinstance(t2, ListType):
-        return ListType(lub(t1.elem, t2.elem))
-    if isinstance(t1, SetType) and isinstance(t2, SetType):
-        return SetType(lub(t1.elem, t2.elem))
+    if isinstance(t1, _ELEM_TYPES) and t2.__class__ is t1.__class__:
+        return t1.__class__(lub(t1.elem, t2.elem))
     if isinstance(t1, MapType) and isinstance(t2, MapType):
         return MapType(lub(t1.key, t2.key), lub(t1.val, t2.val))
     return VALUE
@@ -214,16 +221,10 @@ def lub_seq(ts: Iterable[Type]) -> Type:
 
 def render_type(t: Type) -> str:
     """Source-syntax form of a type, e.g. ``map<int, str>``."""
-    if isinstance(t, BaseType):
-        return t.name
     if isinstance(t, DataType):
         return t.name
-    if isinstance(t, SetType):
-        return f"set<{render_type(t.elem)}>"
-    if isinstance(t, ListType):
-        return f"list<{render_type(t.elem)}>"
+    if isinstance(t, _ELEM_TYPES):
+        return f"{_WORD_OF[t.__class__]}<{render_type(t.elem)}>"
     if isinstance(t, MapType):
         return f"map<{render_type(t.key)}, {render_type(t.val)}>"
-    if isinstance(t, VoidType):
-        return "void"
-    return "value"
+    return _WORD_OF[t]

@@ -528,6 +528,14 @@ def budget(fuel: int | None) -> int:
 ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 _ESCAPE = str.maketrans(ESCAPES)
 
+# Collection brackets, opener -> closer, and the value class the items
+# between them build.  The parser reads these tables and ``render_value``
+# prints from their inverse.  That is keyed by class name, so a copy of
+# this module whose value classes are rebound prints with them too.
+CLOSERS = {"[": "]", "{": "}"}
+VALUE_COLLECTIONS = {"[": VList, "{": VSet}
+_BRACKETS = {cls.__name__: (o, CLOSERS[o]) for o, cls in VALUE_COLLECTIONS.items()}
+
 
 def _int_text(i: int) -> str:
     """The decimal digits of ``i``.  Past the host's limit on converting an
@@ -556,10 +564,9 @@ def render_value(v: Value) -> str:
         return basic_text(v.val)
     if isinstance(v, VCons):
         return v.name + "(" + ", ".join(render_value(a) for a in v.args) + ")"
-    if isinstance(v, VList):
-        return "[" + ", ".join(render_value(x) for x in v.items) + "]"
-    if isinstance(v, VSet):
-        return "{" + ", ".join(render_value(x) for x in v.items) + "}"
+    if isinstance(v, (VList, VSet)):
+        opener, closer = _BRACKETS[v.__class__.__name__]
+        return opener + ", ".join(render_value(x) for x in v.items) + closer
     if isinstance(v, VMap):
         inner = ", ".join(
             render_value(k) + " : " + render_value(x) for k, x in v.pairs
@@ -580,10 +587,9 @@ def value_to_tree(v: Value):
             "name": v.name,
             "args": [value_to_tree(a) for a in v.args],
         }
-    if isinstance(v, VList):
-        return {"kind": "list", "items": [value_to_tree(x) for x in v.items]}
-    if isinstance(v, VSet):
-        return {"kind": "set", "items": [value_to_tree(x) for x in v.items]}
+    if isinstance(v, (VList, VSet)):
+        kind = "list" if v.__class__ is VList else "set"
+        return {"kind": kind, "items": [value_to_tree(x) for x in v.items]}
     if isinstance(v, VMap):
         return {
             "kind": "map",

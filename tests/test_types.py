@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from rascal_light import types as ty
 from rascal_light.harness import GenBudget, _ModuleGen, gen_any_value, gen_type, gen_value
 from rascal_light.interp import Evaluator, apply_binary
-from rascal_light.parser import parse_expr, parse_module
+from rascal_light.parser import Parser, SourceFile, parse_expr, parse_module
 from rascal_light.syntax import ModuleDef, constructor_table
 from rascal_light.types import (
     BaseType,
@@ -129,6 +130,45 @@ def test_render_type():
     assert render_type(SetType(ListType(VOID))) == "set<list<void>>"
     assert render_type(VALUE) == "value"
     assert render_type(BOOL) == "Bool"
+
+
+# Every word of the type-word table: the one-word types, and the
+# collection types nested two deep around them.  ``gen_type`` never draws
+# ``void`` or ``value``.
+WORD_TYPES = [t for t in ty.TYPE_WORDS.values() if isinstance(t, ty.Type)]
+ELEM_KINDS = [k for k in ty.TYPE_WORDS.values() if not isinstance(k, ty.Type)]
+_ONE_DEEP = [k(t) for k in ELEM_KINDS for t in WORD_TYPES]
+WORD_CORPUS = WORD_TYPES + _ONE_DEEP + [k(t) for k in ELEM_KINDS for t in _ONE_DEEP]
+
+
+def _parse_type(text):
+    p = Parser(SourceFile("<type>", text))
+    t = p.parse_type()
+    assert p.at("eof"), text
+    return t
+
+
+def test_type_words_round_trip():
+    assert {render_type(t) for t in WORD_TYPES} == {"int", "str", "void", "value"}
+    assert {k.__name__ for k in ELEM_KINDS} == {"ListType", "SetType"}
+    assert len(WORD_CORPUS) == 28
+    for t in WORD_CORPUS:
+        assert _parse_type(render_type(t)) == t
+
+
+# sha256 of subtype, lub and render_type over every ordered pair of
+# WORD_CORPUS plus two datatypes, recorded before lists and sets shared
+# one arm in each.
+TYPE_TABLE_DIGEST = "952c1033ff358e179fe5a6accc68b9ab5e9580a99d4dc3c5ecd4be3abb86baac"
+
+
+def test_subtype_lub_and_render_match_the_recorded_digest():
+    corpus = WORD_CORPUS + [BOOL, DataType("D1")]
+    h = hashlib.sha256()
+    for a, b in itertools.product(corpus, repeat=2):
+        j = lub(a, b)
+        h.update(f"{render_type(a)}|{render_type(b)}|{subtype(a, b)}|{j!r}|{render_type(j)}\n".encode())
+    assert h.hexdigest() == TYPE_TABLE_DIGEST
 
 
 # ---------------------------------------------------------------------------

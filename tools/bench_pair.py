@@ -3,12 +3,15 @@
     python3 tools/bench_pair.py --number N
 
 Runs ``python3 bench/run.py --workload W --seed SEED --seconds S --trace 0``,
-S being ``run_seconds`` of ``BENCHMARK.json``, in an export of ``HEAD``
-(``git archive``) and in the working tree: 10 pairs for every workload of
-``BENCHMARK.json``, pair k on seed k (1 to 10).  Both sides of a pair use
-the same seed, and the side that runs first alternates from pair to pair;
-pairs cycle through the workloads, so slow spells of the machine spread
-over all of them.
+S being ``run_seconds`` of ``BENCHMARK.json``, in two exports made the same
+way: one of ``HEAD`` (``git archive``) and one of the working tree (the
+files ``git ls-files --cached --others --exclude-standard`` lists, so new
+files come along and ignored ones, such as ``bench/out/``, stay behind).
+So both sides run from a fresh directory of the same kind.  10 pairs for
+every workload of ``BENCHMARK.json``, pair k on seed k (1 to 10).  Both
+sides of a pair use the same seed, and the side that runs first
+alternates from pair to pair; pairs cycle through the workloads, so slow
+spells of the machine spread over all of them.
 
 Writes ``BENCH_<N>.json`` at the repo root: for each workload and each
 end-to-end metric of ``BENCHMARK.json``, the median and quartiles of each
@@ -43,13 +46,18 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
-def export(commit: str, dest: str) -> None:
-    """The tree of ``commit``, unpacked into ``dest``."""
-    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
-    subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
-    archive.stdout.close()
-    if archive.wait() != 0:
-        raise RuntimeError(f"git archive {commit} failed")
+def export(commit: str | None, dest: str) -> None:
+    """The tree of ``commit``, or for None the working tree's files that git
+    lists (tracked, and untracked but not ignored), unpacked into ``dest``."""
+    if commit is None:
+        listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+        # A tracked file deleted from the working tree is listed but gone.
+        names = [f for f in listed.split("\0") if f and os.path.lexists(os.path.join(ROOT, f))]
+        cmd, names_in = ["tar", "-c", "--null", "-T", "-"], "\0".join(names).encode()
+    else:
+        cmd, names_in = ["git", "archive", commit], None
+    packed = subprocess.run(cmd, cwd=ROOT, input=names_in, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=packed, check=True)
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -133,14 +141,17 @@ def main(argv=None) -> int:
     base_commit = git("rev-parse", "HEAD")
 
     runs: dict[str, list] = {w: [] for w in workloads}
-    with tempfile.TemporaryDirectory(prefix="bench-base-") as base_dir:
-        export(base_commit, base_dir)
+    with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
+        dirs = {"base": os.path.join(tmp, "base"), "change": os.path.join(tmp, "change")}
+        for side, commit in (("base", base_commit), ("change", None)):
+            os.mkdir(dirs[side])
+            export(commit, dirs[side])
         for k, seed in enumerate(SEEDS):
             for w in workloads:
                 order = ("base", "change") if k % 2 == 0 else ("change", "base")
                 got = {}
                 for side in order:
-                    got[side] = run_once(base_dir if side == "base" else ROOT, w, seed, seconds)
+                    got[side] = run_once(dirs[side], w, seed, seconds)
                 runs[w].append((got["base"], got["change"]))
                 print(f"pair {k + 1}/{len(SEEDS)} {w} seed {seed}: "
                       + ", ".join(
@@ -157,7 +168,8 @@ def main(argv=None) -> int:
                 "does the change fail a larger share of operations than the base",
         # The base is the export of this commit, made by git archive.
         "base": {"commit": base_commit},
-        # The working tree: its HEAD, plus any changes not yet committed.
+        # The export of the working tree: its HEAD, plus any changes not yet
+        # committed.
         "change": {"head": base_commit, "uncommitted_changes": bool(git("status", "--porcelain"))},
         "machine": {"python": platform.python_version(), "nproc": os.cpu_count(), "platform": platform.platform()},
         "pairs": len(SEEDS),
