@@ -119,8 +119,9 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="load a module and run a call or snippet")
     run.add_argument("file", nargs="?", help="module file (.rsl); optional with --eval")
-    run.add_argument("--call", metavar="F(ARGS)", help="function call with value-literal arguments")
-    run.add_argument("--eval", dest="eval_expr", metavar="EXPR", help="expression to evaluate in module scope")
+    what = run.add_mutually_exclusive_group()
+    what.add_argument("--call", metavar="F(ARGS)", help="function call with value-literal arguments")
+    what.add_argument("--eval", dest="eval_expr", metavar="EXPR", help="expression to evaluate in module scope")
     run.add_argument("--fuel", type=int, default=None, help=f"evaluation budget, a natural number (default: ${FUEL_ENV_VAR} or unbounded)")
     run.add_argument("--trace", action="store_true", help="print one line per rule firing to stderr")
     run.add_argument("--format", choices=("text", "tree"), default="text", help="output format")

@@ -61,16 +61,17 @@ _workers = 0
 _saved_limit = 0
 # Whether the current thread is a worker.
 _this_worker = threading.local()
-# The stack of each worker thread.
+# The stack and the recursion limit of each worker thread.
 _STACK_BYTES = 512 * 1024 * 1024
+_RECURSION_LIMIT = 1_000_000
 
 
-def _enter(recursion_limit: int) -> None:
+def _enter() -> None:
     """Count a worker in (with the lock held)."""
     global _workers, _saved_limit
     if _workers == 0:
         saved = sys.getrecursionlimit()
-        sys.setrecursionlimit(recursion_limit)
+        sys.setrecursionlimit(_RECURSION_LIMIT)
         _saved_limit = saved
     _workers += 1
 
@@ -83,7 +84,7 @@ def _leave() -> None:
         sys.setrecursionlimit(_saved_limit)
 
 
-def call_with_stack(fn: Callable, *args, recursion_limit: int = 1_000_000, **kwargs):
+def call_with_stack(fn: Callable, *args, **kwargs):
     """Run ``fn`` on a worker thread with a large stack and recursion limit.
 
     Deeply recursive evaluations (high fuel budgets, unbounded runs) need
@@ -109,12 +110,12 @@ def call_with_stack(fn: Callable, *args, recursion_limit: int = 1_000_000, **kwa
             with _workers_lock:
                 _leave()
 
-    if getattr(_this_worker, "active", False) and sys.getrecursionlimit() >= recursion_limit:
+    if getattr(_this_worker, "active", False) and sys.getrecursionlimit() >= _RECURSION_LIMIT:
         run()
     else:
         t = threading.Thread(target=worker, name="rascal-light-eval")
         with _workers_lock:
-            _enter(recursion_limit)
+            _enter()
             try:
                 old_size = threading.stack_size(_STACK_BYTES)
                 try:

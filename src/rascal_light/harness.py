@@ -757,6 +757,12 @@ def pattern_for_value(rng: random.Random, v: Value, fresh, depth: int) -> sx.Pat
     return sx.VarPat(fresh("w"))
 
 
+def _scratch_store(rng: random.Random, cons_by_type) -> tuple[Store, _Scope]:
+    """Up to two scratch variables ``sv<i>`` and a scope that may read them."""
+    store = Store({f"sv{i}": gen_any_value(rng, cons_by_type, 1) for i in range(rng.randint(0, 2))})
+    return store, _Scope(readables=dict.fromkeys(store.domain()))
+
+
 def gen_match_pair(rng: random.Random, gen: "_ModuleGen"):
     """A (pattern, value, store) triple for oracle-equivalence checking;
     collections stay small enough (up to four elements) for exhaustive
@@ -766,13 +772,10 @@ def gen_match_pair(rng: random.Random, gen: "_ModuleGen"):
     if rng.random() < 0.25:
         elems = tuple(gen_any_value(rng, cons_by_type, 1) for _ in range(4))
         v = VList(elems) if rng.random() < 0.5 else VSet(elems)
-    store = Store(
-        {f"sv{i}": gen_any_value(rng, cons_by_type, 1) for i in range(rng.randint(0, 2))}
-    )
+    store, scope = _scratch_store(rng, cons_by_type)
     if rng.random() < 0.5:
         pat = pattern_for_value(rng, v, gen.fresh, 3)
     else:
-        scope = _Scope(readables={n: None for n, _ in store.items()})
         pat, _ = gen.pattern(3, scope)
     return pat, v, store
 
@@ -831,6 +834,15 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures and self.passed == self.total
 
+    def record(self, label: str, problem: str | None) -> bool:
+        """Count one case, failed as ``label: problem`` if ``problem`` is set; True if so."""
+        self.total += 1
+        if problem is None:
+            self.passed += 1
+            return False
+        self.failures.append(f"{label}: {problem}")
+        return True
+
     def format(self) -> str:
         lines = [f"suite {self.name}: {self.passed}/{self.total} passed"]
         for f in self.failures[:10]:
@@ -867,10 +879,7 @@ def gen_cases_triple(rng: random.Random, gen: _ModuleGen):
     """A (cases, value, store) triple biased toward failing matches."""
     cons_by_type = gen.cons_by_type
     v = gen_any_value(rng, cons_by_type, 2)
-    store = Store(
-        {f"sv{i}": gen_any_value(rng, cons_by_type, 1) for i in range(rng.randint(0, 2))}
-    )
-    scope = _Scope(readables={n: None for n, _ in store.items()})
+    store, scope = _scratch_store(rng, cons_by_type)
     all_fail = rng.random() < 0.6
     cases = []
     for _ in range(rng.randint(1, 3)):
@@ -898,7 +907,7 @@ def _purity(ev: Evaluator, cases, v: Value, store: Store) -> tuple[Result, str |
     return res, "store changed across failing cases" if res == FAIL and out != store else None
 
 
-def suite_purity(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
+def suite_purity(cases: int, seed: int, artifacts_dir=None) -> SuiteReport:
     """Backtracking purity (``_purity``, as ``check_purity`` re-checks an
     artifact) over the failing triples of ``gen_cases_triple``."""
     report = SuiteReport("purity")
@@ -914,15 +923,10 @@ def suite_purity(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> Suite
         res, problem = _purity(ev, cs, v, store)
         if res != FAIL:
             continue
-        report.total += 1
-        if problem is None:
-            report.passed += 1
-        else:
-            report.failures.append(f"seed={seed} case={attempts}: {problem}")
-            if artifacts_dir is not None:
-                _write_artifact(
-                    report, artifacts_dir, str(attempts), _purity_artifact(module, cs, v, store)
-                )
+        if report.record(f"seed={seed} case={attempts}", problem) and artifacts_dir is not None:
+            _write_artifact(
+                report, artifacts_dir, str(attempts), _purity_artifact(module, cs, v, store)
+            )
     if report.total < cases:
         report.failures.append(
             f"generator produced only {report.total} failing triples"
@@ -1086,18 +1090,12 @@ def _run_cases(
     rng = random.Random(seed)
     for i in range(cases):
         case = _draw_case(rng, subsets[i % len(subsets)])
-        report.total += 1
-        problem = check(case)
-        if problem is None:
-            report.passed += 1
-            continue
-        report.failures.append(f"case {i}: {problem}")
-        if artifacts_dir is not None:
+        if report.record(f"case {i}", check(case)) and artifacts_dir is not None:
             _write_artifact(report, artifacts_dir, str(i), _case_artifact(_shrink(case, check)))
     return report
 
 
-def suite_typing(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
+def suite_typing(cases: int, seed: int, artifacts_dir=None) -> SuiteReport:
     """Strong typing over generated programs (``check_typing``)."""
     return _run_cases(SuiteReport("typing"), check_typing, ("all",), cases, seed, artifacts_dir)
 
@@ -1127,26 +1125,21 @@ _ADVERSARIAL_SNIPPETS = tuple(map(parse_expr, (
 )))
 
 
-def suite_progress(cases: int = 10000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
+def suite_progress(cases: int, seed: int, artifacts_dir=None) -> SuiteReport:
     """Partial progress on adversarial snippets, which need not validate,
     and then on generated programs (``check_progress``); every third
     program keeps to the finite subset."""
     report = SuiteReport("progress")
     ev = Evaluator(sx.ModuleDef())
     for i, snippet in enumerate(_ADVERSARIAL_SNIPPETS):
-        report.total += 1
-        problem = _progress(ev, snippet, Store({"q": Basic(1)}))
-        if problem is None:
-            report.passed += 1
-        else:
-            report.failures.append(f"adversarial {i}: {problem}")
+        report.record(f"adversarial {i}", _progress(ev, snippet, Store({"q": Basic(1)})))
     generated = max(cases - len(_ADVERSARIAL_SNIPPETS), 0)
     return _run_cases(
         report, check_progress, ("finite", "all", "all"), generated, seed, artifacts_dir
     )
 
 
-def suite_termination(cases: int = 1000, seed: int = 0, artifacts_dir=None) -> SuiteReport:
+def suite_termination(cases: int, seed: int, artifacts_dir=None) -> SuiteReport:
     """Termination of the finite subset over generated programs
     (``check_termination``)."""
     return _run_cases(

@@ -104,24 +104,35 @@ class Token:
         return "end of input" if self.kind == "eof" else repr(self.value)
 
 
-# The ASCII tokens: whitespace and comments, integers, words (hyphenated
-# strategy names first, so they are taken whole) and punctuation, two
-# characters before one.
+# A string literal up to its closing quote or its first fault: characters
+# other than a quote, a backslash or a line end, and escapes.
+_STRING_PREFIX = r'"[^"\\\n]*(?:\\[' + re.escape("".join(_UNESCAPES)) + r'][^"\\\n]*)*'
+_match_string_prefix = re.compile(_STRING_PREFIX).match
+_UNESCAPE = re.compile(r"\\(.)")
+
+# The ASCII-delimited tokens: whitespace and comments, integers, words
+# (hyphenated strategy names first, so they are taken whole), punctuation,
+# two characters before one, and string literals.
 _TOKEN = re.compile(
     r"(?P<skip>(?:[ \t\r\n]|//[^\n]*)+)"
     r"|(?P<int>[0-9]+)"
     r"|(?P<word>" + "|".join(map(re.escape, _HYPHENATED)) + r"|[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<punct>" + "|".join(map(re.escape, _PUNCT2)) + "|[" + re.escape(_PUNCT1) + "])"
+    r'|(?P<str>' + _STRING_PREFIX + r'")'
 )
+
+
+def _unescape(body: str) -> str:
+    return _UNESCAPE.sub(lambda m: _UNESCAPES[m[1]], body) if "\\" in body else body
 
 
 def tokenize(text: str) -> list[Token]:
     """The tokens of ``text``, ending with one ``eof`` token.
 
-    ``_TOKEN`` reads the ASCII tokens.  A token that starts or ends next to
-    a non-ASCII character, a string literal and an error position go to
-    ``_lex_char_loop``, which decides them one character at a time (a
-    Unicode digit or letter continues a number or a word there).
+    ``_TOKEN`` reads every token that ASCII characters delimit: a string
+    literal or punctuation wherever it stands, an integer or a word unless
+    a non-ASCII character follows it (a Unicode digit or letter continues
+    it).  Such an integer or word, and error positions, go to ``_lex_char_loop``.
     """
     toks: list[Token] = []
     i, n = 0, len(text)
@@ -134,14 +145,16 @@ def tokenize(text: str) -> list[Token]:
             if kind == "skip":
                 i = j
                 continue
-            if j == n or text[j] < "\x80":
+            if j == n or text[j] < "\x80" or kind == "punct" or kind == "str":
                 word = m.group()
-                if kind == "int":
-                    toks.append(_int_token(text, i, j))
+                if kind == "punct":
+                    toks.append(Token("punct", word, i, j))
                 elif kind == "word":
                     toks.append(Token("kw" if word in KEYWORDS else "ident", word, i, j))
+                elif kind == "int":
+                    toks.append(_int_token(text, i, j))
                 else:
-                    toks.append(Token("punct", word, i, j))
+                    toks.append(Token("str", _unescape(word[1:-1]), i, j))
                 i = j
                 continue
         i = _lex_char_loop(text, i, toks)
@@ -157,8 +170,8 @@ def _int_token(text: str, start: int, end: int) -> Token:
 
 
 def _lex_char_loop(text: str, i: int, toks: list[Token]) -> int:
-    """Read the token at ``i`` into ``toks`` character by character and
-    return where it ends; raise ``ParseError`` where no token starts."""
+    """Read the integer or word at ``i`` into ``toks`` character by character
+    and return where it ends; raise ``ParseError`` at an error position."""
     n = len(text)
     ch = text[i]
     start = i
@@ -168,27 +181,10 @@ def _lex_char_loop(text: str, i: int, toks: list[Token]) -> int:
         toks.append(_int_token(text, start, i))
         return i
     if ch == '"':
-        i += 1
-        out = []
-        while True:
-            if i >= n:
-                raise ParseError("unterminated string literal", Span(start, i))
-            c = text[i]
-            if c == '"':
-                i += 1
-                break
-            if c == "\\":
-                if i + 1 >= n or text[i + 1] not in _UNESCAPES:
-                    raise ParseError("bad escape in string literal", Span(i, i + 2))
-                out.append(_UNESCAPES[text[i + 1]])
-                i += 2
-                continue
-            if c == "\n":
-                raise ParseError("unterminated string literal", Span(start, i))
-            out.append(c)
-            i += 1
-        toks.append(Token("str", "".join(out), start, i))
-        return i
+        k = _match_string_prefix(text, i).end()
+        if k < n and text[k] == "\\":
+            raise ParseError("bad escape in string literal", Span(k, k + 2))
+        raise ParseError("unterminated string literal", Span(start, k))
     if ch.isalpha() or ch == "_":
         while i < n and (text[i].isalnum() or text[i] == "_"):
             i += 1
@@ -203,13 +199,6 @@ def _lex_char_loop(text: str, i: int, toks: list[Token]) -> int:
                     break
         toks.append(Token("kw" if word in KEYWORDS else "ident", word, start, i))
         return i
-    two = text[i : i + 2]
-    if two in _PUNCT2:
-        toks.append(Token("punct", two, i, i + 2))
-        return i + 2
-    if ch in _PUNCT1:
-        toks.append(Token("punct", ch, i, i + 1))
-        return i + 1
     raise ParseError(f"unexpected character {ch!r}", Span(i, i + 1))
 
 

@@ -77,7 +77,9 @@ class VCons(Value):
         return f"VCons({self.name!r}, {self.args!r})"
 
 
-class VList(Value):
+class _Items(Value):
+    """A list or set value: the tuple of its items."""
+
     __slots__ = ("items", "_typed")
 
     def __init__(self, items: tuple[Value, ...]):
@@ -93,13 +95,17 @@ class VList(Value):
         return hash((self.items,))
 
     def __repr__(self) -> str:
-        return f"VList({self.items!r})"
+        return f"{self.__class__.__qualname__}({self.items!r})"
 
 
-class VSet(Value):
+class VList(_Items):
+    __slots__ = ()
+
+
+class VSet(_Items):
     """A set value; items are kept sorted and duplicate-free."""
 
-    __slots__ = ("items", "_typed")
+    __slots__ = ()
 
     def __init__(self, items: tuple[Value, ...]):
         self.items = items
@@ -113,17 +119,6 @@ class VSet(Value):
         items = self.items
         i = bisect_left(items, value_key(v), key=value_key)
         return i < len(items) and items[i] == v
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.items == other.items
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.items,))
-
-    def __repr__(self) -> str:
-        return f"VSet({self.items!r})"
 
 
 class VMap(Value):

@@ -1,4 +1,3 @@
-import functools
 import json
 import subprocess
 import sys
@@ -6,7 +5,7 @@ import time
 
 import pytest
 
-from rascal_light import cli, fuel
+from rascal_light import fuel
 from rascal_light.cli import main
 
 from conftest import program_path
@@ -459,6 +458,7 @@ ADVERSARIAL = {
     "call-undefined-in-list": (PROD, ["--call", "prod([1, <undefined>])"], 5),
     "call-undefined-whole": (SIMPLIFIER, ["--call", "simplify(<undefined>)"], 0),
     "empty-eval": (None, ["--eval", ""], 5),
+    "call-with-eval": (PROD, ["--call", "prod([1, 2])", "--eval", "3"], 5),
     "fuel-not-a-number": (None, ["--eval", "1", "--fuel", "abc"], 5),
     "unknown-format": (None, ["--eval", "1", "--format", "xml"], 5),
     "unknown-command": (None, ["bogus"], 5),
@@ -519,7 +519,7 @@ def test_usage_errors_exit_5_with_argparse_usage(capsys):
 def test_nesting_beyond_the_guard_exits_70(tmp_path, capsys, monkeypatch):
     # A small worker recursion limit stands in for input nested deeper than
     # the real guard allows; parsing alone exhausts it.
-    monkeypatch.setattr(cli, "call_with_stack", functools.partial(fuel.call_with_stack, recursion_limit=400))
+    monkeypatch.setattr(fuel, "_RECURSION_LIMIT", 400)
     text = f"int f() = {_nested('(', '1', ')', 200)};"
     code, out, err = _run_at_default_limit(capsys, _module_argv(tmp_path, text, ["--call", "f()"]))
     assert (code, out) == (70, "")

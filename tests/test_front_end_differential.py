@@ -1413,6 +1413,25 @@ LEXICAL = [
     "12٣",
     "abc²",
     "top-downé",
+    # Strings and punctuation, which the regex takes whatever follows them,
+    # next to non-ASCII characters, and string faults and escapes.
+    '"a"é',
+    '"é"٣',
+    'é"a"',
+    '("x")',
+    '1"2"',
+    '""""',
+    "=>é",
+    "&&٣",
+    "-é",
+    "(٣)",
+    '"\\é"',
+    '"é\\',
+    '"a\\"',
+    '"\\""',
+    '"\\\\"x',
+    '"a"b"',
+    '"a\r\nb"',
 ]
 
 
