@@ -9,11 +9,22 @@ into a timeout result.  All user-visible failures are in-band results.
 The expression judgment is a table of rule groups keyed by expression
 class (``_RULES``): one method per expression form, named ``_e_<Form>``,
 holding that form's rules in the order the semantics tries them.
+
+There are two tables.  ``_RULES`` holds the rule groups as written; each
+rule returns through ``self.fire``, which hands the firing to the trace
+sink.  ``_TWINS`` holds their untraced twins, derived once at import from
+the same source lines (``_untraced_twins``): in a twin, every
+``self.fire(rule, span, res, pre, post)`` is just ``(res, post)``, and
+every ``_RULES`` is ``_TWINS``.  Evaluators without a trace run the twins,
+so an untraced run pays nothing for tracing.
 """
 
 from __future__ import annotations
 
+import __future__
+import linecache
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -249,6 +260,14 @@ class Evaluator:
     would need 8 frames per level rather than 5, and the deepest
     derivation that fits under a given recursion limit would shrink by
     more than a third.
+
+    An evaluator runs one of two tables of the same rules.  With a trace
+    sink it is an ``Evaluator`` and runs ``_RULES``, whose every firing
+    goes through ``fire`` to the sink.  Without one it is an instance of
+    the subclass ``_UntracedEvaluator``, which holds the untraced twins of
+    every method that fires or dispatches and runs ``_TWINS``.  Setting
+    ``trace`` picks the class, so a sink can be attached to, or taken off,
+    an evaluator already built.
     """
 
     def __init__(self, module: ModuleDef, trace: Callable[[TraceEntry], None] | None = None):
@@ -270,11 +289,20 @@ class Evaluator:
 
     # -- plumbing ------------------------------------------------------
 
+    @property
+    def trace(self) -> Callable[[TraceEntry], None] | None:
+        """The trace sink, or None."""
+        return self._trace
+
+    @trace.setter
+    def trace(self, sink: Callable[[TraceEntry], None] | None) -> None:
+        self._trace = sink
+        self.__class__ = Evaluator if sink is not None else _UntracedEvaluator
+
     def fire(self, rule: str, span: Span, res, pre: Store, post: Store):
-        """Record a rule firing (when tracing) and return its conclusion."""
-        if self.trace is not None:
-            kind = result_kind(res) if isinstance(res, Result) else "success"
-            self.trace(TraceEntry(rule, span, kind, pre.changed(post)))
+        """Record a rule firing and return its conclusion."""
+        kind = result_kind(res) if isinstance(res, Result) else "success"
+        self._trace(TraceEntry(rule, span, kind, pre.changed(post)))
         return res, post
 
     def _for_roots(self, *roots: sx.Expr) -> Evaluator:
@@ -794,8 +822,9 @@ class Evaluator:
         for v, p in zip(args, fd.params):
             if not subtype(type_of(v, self.constructors), p.type):
                 return self.fire("E-Call-Arg-Err", span, ERROR, store, store)
+        global_names = self.global_names
         callee: dict[str, Value] = {}
-        for y in self.global_names:
+        for y in global_names:
             gv = store.get(y)
             if gv is None:
                 return self.fire("stuck", span, ERROR, store, store)
@@ -803,14 +832,16 @@ class Evaluator:
         for p, v in zip(fd.params, args):
             callee[p.name] = v
         body = fd.body
-        res, s_out = _RULES[type(body)](self, body, Store(callee), n)
+        res, s_out = _RULES[type(body)](self, body, Store.adopt(callee), n)
 
         # One copy of the caller's store for all changed globals, none
-        # when the callee changed no global.
-        back = store.extended({
-            y: gv for y in self.global_names
-            if (gv := s_out.get(y)) is not None and gv is not store.get(y)
-        })
+        # when the callee changed no global or the module declares none.
+        back = store
+        if global_names:
+            back = store.extended({
+                y: gv for y in global_names
+                if (gv := s_out.get(y)) is not None and gv is not store.get(y)
+            })
 
         if type(res) is Success or type(res) is Return:
             v2 = res.value
@@ -828,6 +859,115 @@ _RULES = {
     for name, fn in vars(Evaluator).items()
     if name.startswith("_e_")
 }
+
+
+# ---------------------------------------------------------------------------
+# The untraced table
+
+# Strings and comments, which the scan steps over whole.
+_SKIP = "|".join((
+    r'"""[\s\S]*?"""', r"'''[\s\S]*?'''",
+    r'"(?:\\.|[^"\\\n])*"', r"'(?:\\.|[^'\\\n])*'",
+    r"#[^\n]*",
+))
+# The two names the scan rewrites.  A leading ``\b`` would make every
+# search several times slower, so ``_untrace`` tests the character before.
+_NAMES = re.compile(rf"{_SKIP}|(?P<fire>self\.fire\()|(?P<rules>_RULES\b)")
+# Inside a call to ``fire``: its brackets and commas.
+_ARGS = re.compile(rf"{_SKIP}|(?P<open>[(\[{{])|(?P<close>[)\]}}])|(?P<comma>,)")
+_NOT_NEWLINE = re.compile(r"[^\n]")
+
+
+def _blank(text: str) -> str:
+    """``text`` with every character but a newline made a space."""
+    return _NOT_NEWLINE.sub(" ", text)
+
+
+def _untrace(text: str) -> str:
+    """The source ``text`` with each ``self.fire(rule, span, res, pre, post)``
+    made ``(res, post)`` and each ``_RULES`` made ``_TWINS``.  What is
+    dropped becomes spaces, so every kept token stays on its line and
+    column."""
+    out, i, pos = [], 0, 0
+    while m := _NAMES.search(text, pos):
+        start, pos = m.span()
+        before = text[start - 1:start]
+        if m.lastgroup is None or before.isalnum() or before in ("_", "."):
+            continue
+        if m.lastgroup == "rules":
+            out += [text[i:start], "_TWINS"]
+            i = pos
+        else:
+            depth, commas = 0, []
+            for a in _ARGS.finditer(text, pos):
+                if a.lastgroup == "open":
+                    depth += 1
+                elif a.lastgroup == "close":
+                    if depth == 0:
+                        break
+                    depth -= 1
+                elif a.lastgroup == "comma" and depth == 0:
+                    commas.append(a.start())
+            if len(commas) != 4:
+                raise SyntaxError(f"fire takes five arguments: {text[start:a.end()]!r}")
+            _, c2, c3, c4 = commas
+            out += [
+                text[i:start], "(", _blank(text[start + 1:c2 + 1]),
+                text[c2 + 1:c3], ",", _blank(text[c3 + 1:c4 + 1]), text[c4 + 1:a.end()],
+            ]
+            i = pos = a.end()
+    out.append(text[i:])
+    return "".join(out)
+
+
+def _untraced_twins(cls: type, names) -> dict[str, Callable]:
+    """The untraced twins of the methods ``names`` of ``cls``, by name.
+
+    One text scan of the source lines that hold the methods (``_untrace``)
+    and one ``compile``, under the module's file name and at the methods'
+    own line numbers, so a traceback through a twin reads as one through
+    its original.  Without the source (an install of bytecode alone) there
+    are no twins, and the untraced evaluator runs the originals.
+    """
+    codes = [vars(cls)[name].__code__ for name in names]
+    path = codes[0].co_filename
+    lines = linecache.getlines(path, globals())
+    if not lines:
+        return {}
+    first = min(c.co_firstlineno for c in codes)
+    end = max(c.co_firstlineno for c in codes)
+    indent = len(lines[first - 1]) - len(lines[first - 1].lstrip())
+    # The last method ends before the first line indented no deeper than
+    # its ``def`` that is not blank.
+    while end < len(lines) and (
+        not lines[end].strip() or len(lines[end]) - len(lines[end].lstrip()) > indent
+    ):
+        end += 1
+    source = "\n" * (first - 2) + f"class {cls.__name__}:\n" + _untrace("".join(lines[first - 1:end]))
+    code = compile(source, path, "exec", __future__.annotations.compiler_flag, dont_inherit=True)
+    scope: dict = {}
+    exec(code, globals(), scope)
+    twins = vars(scope[cls.__name__])
+    return {name: twins[name] for name in names}
+
+
+class _UntracedEvaluator(Evaluator):
+    """An evaluator without a trace sink.  Its methods that fire or
+    dispatch are the untraced twins of ``Evaluator``'s, and its ``fire``,
+    which the traversal rules still call, only returns the conclusion."""
+
+    def fire(self, rule: str, span: Span, res, pre: Store, post: Store):
+        return res, post
+
+
+_TWINNED = tuple(name for name in vars(Evaluator) if name.startswith("_e_")) + (
+    "eval_expr", "eval_expr_star", "eval_cases", "eval_case", "eval_each", "eval_gen", "_apply_function",
+)
+for _name, _twin in _untraced_twins(Evaluator, _TWINNED).items():
+    setattr(_UntracedEvaluator, _name, _twin)
+
+# Expression class -> its untraced rule group.
+_TWINS = {cls: getattr(_UntracedEvaluator, fn.__name__) for cls, fn in _RULES.items()}
 
 
 # ---------------------------------------------------------------------------

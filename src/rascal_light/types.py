@@ -184,7 +184,9 @@ def subtype(t1: Type, t2: Type) -> bool:
     Reflexivity, void as bottom, value as top, and covariance for the
     collection types; nothing else.
     """
-    if t1 == t2:
+    # Types are immutable and the parser returns the shared constants, so
+    # identity settles most checks without calling ``__eq__``.
+    if t1 is t2 or t1 == t2:
         return True
     if isinstance(t1, VoidType):
         return True

@@ -333,6 +333,14 @@ class Store:
     def __contains__(self, name: str) -> bool:
         return name in self._m
 
+    @staticmethod
+    def adopt(bindings: dict[str, Value]) -> Store:
+        """A store over ``bindings`` itself, not a copy of it: the caller
+        hands the dict over and must not change it afterwards."""
+        s = object.__new__(Store)
+        s._m = bindings
+        return s
+
     # The updates build the new store directly, without ``__init__``.
 
     def updated(self, name: str, value: Value) -> Store:

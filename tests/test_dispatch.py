@@ -199,15 +199,21 @@ def literal_strings(*modules) -> set[str]:
 
 
 def _fired_rules(monkeypatch) -> set[str]:
-    """The set to which, from now on, each fired rule's name is added."""
+    """The set to which, from now on, each fired rule's name is added: every
+    evaluator built meanwhile gets a trace sink that adds it, after the
+    sink the evaluator was given, if any."""
     fired = set()
-    fire = Evaluator.fire
+    init = Evaluator.__init__
 
-    def recording(self, rule, span, res, pre, post):
-        fired.add(rule)
-        return fire(self, rule, span, res, pre, post)
+    def recording_init(ev, module, trace=None):
+        def record(entry):
+            fired.add(entry.rule)
+            if trace is not None:
+                trace(entry)
 
-    monkeypatch.setattr(Evaluator, "fire", recording)
+        init(ev, module, record)
+
+    monkeypatch.setattr(Evaluator, "__init__", recording_init)
     return fired
 
 

@@ -306,9 +306,15 @@ def test_suite_artifacts_written_on_failure(tmp_path, monkeypatch):
         assert validate_module(parse_module(open(p).read())) == []
 
 
-# Three injected evaluator bugs, one per suite.  Each wraps a rule of the
-# table, so ``monkeypatch.setitem(interp._RULES, ...)`` installs it for
-# every evaluator until the test ends.
+# Three injected evaluator bugs, one per suite.  Each wraps a rule group,
+# so ``_install`` puts it in both rule tables, the traced ``_RULES`` and its
+# untraced twin ``_TWINS``, for every evaluator until the test ends.
+
+
+def _install(mp, form, mutation) -> None:
+    """Replace ``form``'s rule group by its ``mutation`` in both tables."""
+    for table in (interp._RULES, interp._TWINS):
+        mp.setitem(table, form, mutation(table[form]))
 
 
 def _cons_dropping_last_arg(rule):
@@ -365,9 +371,8 @@ def test_artifacts_replay_the_case_that_failed(
     # snippets), so each artifact can be held to the case it names.
     rng = random.Random(0)
     drawn = [_draw_case(rng, subsets[i % len(subsets)]) for i in range(cases)]
-    bug = mutation(interp._RULES[form])
     with monkeypatch.context() as mp:
-        mp.setitem(interp._RULES, form, bug)
+        _install(mp, form, mutation)
         rep = run_suite(suite, cases=cases, seed=0, artifacts_dir=art)
     assert rep.failures and len(rep.artifacts) >= 6
     for path in rep.artifacts:
@@ -393,7 +398,7 @@ def test_artifacts_replay_the_case_that_failed(
         for replay in replays:
             assert check(replay) is None, (i, replay.function)
             with monkeypatch.context() as mp:
-                mp.setitem(interp._RULES, form, bug)
+                _install(mp, form, mutation)
                 assert check(replay) is not None, (path, replay.function)
         assert main(["run", path, "--call", "check()"]) in (0, 2, 3, 4)
 
@@ -423,7 +428,8 @@ def test_purity_artifacts_replay_the_failure(tmp_path, monkeypatch):
     # cannot show a store that leaks across cases; `check_purity` reruns
     # the artifact's cases from its store.
     with monkeypatch.context() as mp:
-        mp.setattr(Evaluator, "eval_cases", _eval_cases_keeping_bindings)
+        for cls in (Evaluator, interp._UntracedEvaluator):
+            mp.setattr(cls, "eval_cases", _eval_cases_keeping_bindings)
         rep = run_suite("purity", cases=50, seed=0, artifacts_dir=str(tmp_path))
         assert rep.failures and len(rep.artifacts) >= 6
         texts = [open(path, encoding="utf-8").read() for path in rep.artifacts]
@@ -461,7 +467,7 @@ def test_artifact_case_reads_the_store_without_the_evaluator(monkeypatch):
         }
     )
     art = parse_module(render(_case_artifact(Case(m, "f", store))))
-    monkeypatch.setitem(interp._RULES, sx.Cons, _cons_dropping_last_arg(interp._RULES[sx.Cons]))
+    _install(monkeypatch, sx.Cons, _cons_dropping_last_arg)
     case = artifact_case(art)
     assert case.function == "f"
     assert dict(case.store.items()) == dict(store.items())
@@ -488,7 +494,7 @@ def test_a_shrunk_case_keeps_the_store_its_artifact_replays(monkeypatch):
         "data D = c(int a, int b); global int g = 3;"
         "value f() = switch (4) { case g => 0 case x => c(x, x) };"
     )
-    monkeypatch.setitem(interp._RULES, sx.Cons, _cons_dropping_last_arg(interp._RULES[sx.Cons]))
+    _install(monkeypatch, sx.Cons, _cons_dropping_last_arg)
     case = Case(m, "f", Evaluator(m).init_globals())
     assert check_typing(case) is not None
     art = parse_module(render(_case_artifact(_shrink(case, check_typing))))

@@ -604,16 +604,19 @@ def test_deep_derivation_fits_the_main_thread_stack():
     # argument sequence, Call, the call boundary), because every premise
     # calls the rule table directly.  A dispatcher method between premise
     # and rule group would take eight, and nat(2000) would overflow here.
+    # Both rule tables, traced and untraced, hold to this.
     ev = ev_for(GROWTH_KERNELS)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(12_000)
     try:
-        res, _ = ev.call_function("nat", (Basic(2000),), Store())
+        for trace in (None, lambda entry: None):
+            ev.trace = trace
+            res, _ = ev.call_function("nat", (Basic(2000),), Store())
+            assert isinstance(res, Success)
     except HostStackGuard:
-        pytest.fail("nat(2000) overflowed the stack", pytrace=False)
+        pytest.fail(f"nat(2000) overflowed the stack (trace {trace})", pytrace=False)
     finally:
         sys.setrecursionlimit(limit)
-    assert isinstance(res, Success)
 
 
 def test_module_roots_are_not_walked_again(monkeypatch):
