@@ -10,6 +10,7 @@ semantics) exits 70.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -109,6 +110,9 @@ def _case_count(text: str) -> int:
     return n
 
 
+# Built at the first main() call, not at import, and kept: parsing leaves
+# nothing behind in the parser, so every later call reuses it.
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="rascal-light",

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from rascal_light import fuel
+from rascal_light import cli, fuel
 from rascal_light.cli import main
 
 from conftest import program_path
@@ -514,6 +515,117 @@ def test_usage_errors_exit_5_with_argparse_usage(capsys):
     assert err.startswith("usage: rascal-light ") and "invalid choice: 'bogus'" in err
     code, out, err = run_cli(capsys, "--help")
     assert (code, err) == (0, "") and out.startswith("usage: rascal-light ")
+
+
+# -- one argument parser for every call ------------------------------------
+
+
+def test_a_traced_run_leaves_no_trace_on_the_next(capsys):
+    argv = ("run", program_path("prod.rsl"), "--call", "prod([1, 2, 3])")
+    code, out, err = run_cli(capsys, *argv, "--trace")
+    assert (code, out) == (0, "6\n") and "E-Call" in err
+    assert run_cli(capsys, *argv) == (0, "6\n", "")
+
+
+def test_a_usage_error_leaves_the_parser_as_it_was(capsys):
+    code, out, err = run_cli(capsys, "run", "--eval", "1", "--fuel", "abc")
+    assert (code, out) == (5, "") and "invalid int value: 'abc'" in err
+    assert run_cli(capsys, "run", "--eval", "1") == (0, "1\n", "")
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: rascal-light ")
+
+
+class _PerCallerStream:
+    """Text written for each calling thread, kept apart: a worker writes
+    for the thread whose job it runs (``_on_behalf``)."""
+
+    def __init__(self):
+        self.texts = {}
+        self.lock = threading.Lock()
+
+    def write(self, text):
+        key = getattr(_on_behalf, "caller", threading.get_ident())
+        with self.lock:
+            self.texts[key] = self.texts.get(key, "") + text
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+_on_behalf = threading.local()
+
+
+def _tagged_call_with_stack(go):
+    caller = threading.get_ident()
+
+    def job():
+        _on_behalf.caller = caller
+        try:
+            return go()
+        finally:
+            del _on_behalf.caller
+
+    return fuel.call_with_stack(job)
+
+
+CONCURRENT_ARGV = (
+    ("run", program_path("prod.rsl"), "--call", "prod([1, 2, 3])", "--trace"),
+    ("run", program_path("knapsack.rsl"), "--call", "slowknapsack({item(1, 60), item(2, 100)}, 3)"),
+    ("run", program_path("infincrement.rsl"), "--call", "infincrement(succ(zero()))", "--fuel", "300"),
+    ("run", "--eval", "1", "--fuel", "abc"),
+    ("--help",),
+)
+
+
+def _written(calls):
+    """``calls()``'s result and, for each calling thread that wrote, its
+    stdout and stderr (sorted)."""
+    out, err = _PerCallerStream(), _PerCallerStream()
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        result = calls()
+    finally:
+        sys.stdout, sys.stderr = saved
+    callers = set(out.texts) | set(err.texts)
+    return result, sorted((out.texts.get(t, ""), err.texts.get(t, "")) for t in callers)
+
+
+def test_concurrent_calls_print_what_sequential_ones_do(monkeypatch):
+    # The calls share the parser and the parked worker; each call's
+    # output is told apart by the thread that made it.
+    monkeypatch.setattr(cli, "call_with_stack", _tagged_call_with_stack)
+    codes, outputs = [], []
+    for argv in CONCURRENT_ARGV:
+        code, written = _written(lambda: main(list(argv)))
+        codes.append(code)
+        outputs += written
+    assert codes == [0, 0, 4, 5, 0] and len(outputs) == len(CONCURRENT_ARGV)
+
+    def concurrent():
+        got = [None] * len(CONCURRENT_ARGV)
+        barrier = threading.Barrier(len(CONCURRENT_ARGV))
+
+        def call(i):
+            barrier.wait(timeout=60)
+            got[i] = main(list(CONCURRENT_ARGV[i]))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(CONCURRENT_ARGV))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            assert _written(concurrent) == (codes, sorted(outputs))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_nesting_beyond_the_guard_exits_70(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,14 @@
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
+import warnings
 
 import pytest
 
+from rascal_light import fuel
 from rascal_light.fuel import (
     HostStackGuard,
     call_with_stack,
@@ -205,6 +212,10 @@ def test_nested_call_with_stack_runs_on_its_worker():
     assert call_with_stack(nested) == 0
 
 
+def _live_workers():
+    return [t for t in threading.enumerate() if t.name == "rascal-light-eval"]
+
+
 def test_overlapping_callers_share_the_raised_limit():
     # Four callers whose workers overlap: each worker exits while the next
     # one is still running, and that next one then recurses 5000 deep.  A
@@ -252,3 +263,95 @@ def test_overlapping_callers_share_the_raised_limit():
     assert not any(t.is_alive() for t in callers)
     assert errors == []
     assert after == (1000, size)
+    # The busy callers each started a worker; once all are done, one stays
+    # parked and the others have exited.
+    deadline = time.monotonic() + 10
+    while len(_live_workers()) > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert len(_live_workers()) <= 1
+    assert fuel._workers == 0 and threading.stack_size() == size
+
+
+def test_consecutive_calls_share_one_parked_daemon_worker():
+    first = call_with_stack(threading.current_thread)
+    second = call_with_stack(threading.current_thread)
+    assert first is second and first is not threading.current_thread()
+    assert first.daemon and first.is_alive()
+
+
+def test_an_interrupted_caller_leaves_no_busy_worker_parked():
+    # The caller is interrupted while it waits; its job runs on, and the
+    # next call must not be handed that busy worker.
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    limit = sys.getrecursionlimit()
+    started, release = threading.Event(), threading.Event()
+    busy = []
+
+    def slow():
+        busy.append(threading.current_thread())
+        started.set()
+        assert release.wait(timeout=60)
+
+    old = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(Interrupted):
+            call_with_stack(slow)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    timer = threading.Timer(30, release.set)  # a wrong hand-off would hang
+    timer.start()
+    try:
+        assert started.is_set() and not release.is_set()
+        assert call_with_stack(threading.current_thread) is not busy[0]
+        assert not release.is_set()
+    finally:
+        release.set()
+        timer.cancel()
+    deadline = time.monotonic() + 10
+    while fuel._workers and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert fuel._workers == 0 and sys.getrecursionlimit() == limit
+
+
+def test_calls_after_a_fork_return_in_the_child():
+    call_with_stack(int)  # a worker is parked before the fork
+    with warnings.catch_warnings():
+        # Forking a process with threads warns from Python 3.12 on.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if call_with_stack(lambda: 6 * 7) == 42 and call_with_stack(int) == 0 else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's call_with_stack did not return")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_a_parked_worker_does_not_keep_the_process_alive():
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-c", "from rascal_light import call_with_stack; print(call_with_stack(lambda: 42))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "42\n"), proc.stderr
+    assert time.monotonic() - start < 10
