@@ -2,9 +2,9 @@
 evaluate a snippet, and print results.
 
 Exit codes: 0 success, 2 thrown exception, 3 error, 4 timeout, 5 unreadable
-input, parse or validation failure, or a malformed command line.  A
-host-stack guard trip (resource exhaustion, not part of the bounded
-semantics) exits 70.
+input, parse or validation failure, or a malformed command line.  Resource
+exhaustion, which is not part of the bounded semantics, exits 70: a
+host-stack guard trip, or the host running out of memory.
 """
 
 from __future__ import annotations
@@ -259,6 +259,9 @@ def _cmd_run(args) -> int:
         return _exit_code(exc.result)
     except HostStackGuard as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
 
 

@@ -11,12 +11,14 @@ class (``_RULES``): one method per expression form, named ``_e_<Form>``,
 holding that form's rules in the order the semantics tries them.
 
 There are two tables.  ``_RULES`` holds the rule groups as written; each
-rule returns through ``self.fire``, which hands the firing to the trace
-sink.  ``_TWINS`` holds their untraced twins, derived once at import from
-the same source lines (``_untraced_twins``): in a twin, every
-``self.fire(rule, span, res, pre, post)`` is just ``(res, post)``, and
-every ``_RULES`` is ``_TWINS``.  Evaluators without a trace run the twins,
-so an untraced run pays nothing for tracing.
+rule returns through ``self.fire(rule, span, pre, res, post)``, in the
+order of the judgment ``e; pre ==> res; post``, which hands the firing to
+the trace sink.  ``_TWINS`` holds their untraced twins, derived once at
+import from the same source lines by one substitution (``_untrace``): in a
+twin, the head ``self.fire(rule, span, pre, `` of every firing is just
+``(``, leaving ``(res, post)``, and every ``_RULES`` is ``_TWINS``.
+Evaluators without a trace run the twins, so an untraced run pays nothing
+for tracing.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class InitError(Exception):
         self.result = result
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceEntry:
     rule: str
     span: Span
@@ -299,7 +301,7 @@ class Evaluator:
         self._trace = sink
         self.__class__ = Evaluator if sink is not None else _UntracedEvaluator
 
-    def fire(self, rule: str, span: Span, res, pre: Store, post: Store):
+    def fire(self, rule: str, span: Span, pre: Store, res, post: Store):
         """Record a rule firing and return its conclusion."""
         kind = result_kind(res) if isinstance(res, Result) else "success"
         self._trace(TraceEntry(rule, span, kind, pre.changed(post)))
@@ -391,15 +393,15 @@ class Evaluator:
         if res is None:
             res = Success(Basic(e.value))
             e._result = res
-        return self.fire("E-Val", e.span, res, store, store)
+        return self.fire("E-Val", e.span, store, res, store)
 
     def _e_Var(self, e: sx.Var, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         v = store.get(e.name)
         if v is None:
-            return self.fire("E-Var-Err", e.span, ERROR, store, store)
-        return self.fire("E-Var-Sucs", e.span, Success(v), store, store)
+            return self.fire("E-Var-Err", e.span, store, ERROR, store)
+        return self.fire("E-Var-Sucs", e.span, store, Success(v), store)
 
     def _e_Unary(self, e: sx.Unary, store: Store, n: int):
         if n == 0:
@@ -407,8 +409,8 @@ class Evaluator:
         x = e.operand
         r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
-            return self.fire("E-Un-Exc", e.span, r, store, s1)
-        return self.fire("E-Un-Sucs", e.span, apply_unary(e.op, r.value), store, s1)
+            return self.fire("E-Un-Exc", e.span, store, r, s1)
+        return self.fire("E-Un-Sucs", e.span, store, apply_unary(e.op, r.value), s1)
 
     def _e_Binary(self, e: sx.Binary, store: Store, n: int):
         if n == 0:
@@ -417,53 +419,53 @@ class Evaluator:
         x = e.left
         r1, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r1) in EXRES:
-            return self.fire("E-Bin-Exc1", e.span, r1, store, s2)
+            return self.fire("E-Bin-Exc1", e.span, store, r1, s2)
         x = e.right
         r2, s1 = _RULES[type(x)](self, x, s2, n1)
         if type(r2) in EXRES:
-            return self.fire("E-Bin-Exc2", e.span, r2, store, s1)
+            return self.fire("E-Bin-Exc2", e.span, store, r2, s1)
         op = e.op
         res = _BINARY.get(op, _no_operator)(r1.value, r2.value)
         if op == "+" and type(res) is Success and isinstance(res.value, (VList, VSet, VMap)):
             typed_join(res.value, r1.value, r2.value, self.constructors)
-        return self.fire("E-Bin-Sucs", e.span, res, store, s1)
+        return self.fire("E-Bin-Sucs", e.span, store, res, s1)
 
     def _e_Cons(self, e: sx.Cons, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         rs, s1 = self.eval_expr_star(e.args, store, n - 1, e.span)
         if type(rs) in EXRES:
-            return self.fire("E-Cons-Exc", e.span, rs, store, s1)
+            return self.fire("E-Cons-Exc", e.span, store, rs, s1)
         sig = self.constructors.get(e.name)
         if sig is None or len(sig[1]) != len(rs):
-            return self.fire("stuck", e.span, ERROR, store, s1)
+            return self.fire("stuck", e.span, store, ERROR, s1)
         ok = all(
             v != UNDEF and subtype(type_of(v, self.constructors), ft)
             for v, ft in zip(rs, sig[1])
         )
         if not ok:
-            return self.fire("E-Cons-Err", e.span, ERROR, store, s1)
-        return self.fire("E-Cons-Sucs", e.span, Success(VCons(e.name, rs)), store, s1)
+            return self.fire("E-Cons-Err", e.span, store, ERROR, s1)
+        return self.fire("E-Cons-Sucs", e.span, store, Success(VCons(e.name, rs)), s1)
 
     def _e_ListExpr(self, e: sx.ListExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         rs, s1 = self.eval_expr_star(e.items, store, n - 1, e.span)
         if type(rs) in EXRES:
-            return self.fire("E-List-Exc", e.span, rs, store, s1)
+            return self.fire("E-List-Exc", e.span, store, rs, s1)
         if any(v == UNDEF for v in rs):
-            return self.fire("E-List-Err", e.span, ERROR, store, s1)
-        return self.fire("E-List-Sucs", e.span, Success(VList(rs)), store, s1)
+            return self.fire("E-List-Err", e.span, store, ERROR, s1)
+        return self.fire("E-List-Sucs", e.span, store, Success(VList(rs)), s1)
 
     def _e_SetExpr(self, e: sx.SetExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
         rs, s1 = self.eval_expr_star(e.items, store, n - 1, e.span)
         if type(rs) in EXRES:
-            return self.fire("E-Set-Exc", e.span, rs, store, s1)
+            return self.fire("E-Set-Exc", e.span, store, rs, s1)
         if any(v == UNDEF for v in rs):
-            return self.fire("E-Set-Err", e.span, ERROR, store, s1)
-        return self.fire("E-Set-Sucs", e.span, Success(VSet(rs)), store, s1)
+            return self.fire("E-Set-Err", e.span, store, ERROR, s1)
+        return self.fire("E-Set-Sucs", e.span, store, Success(VSet(rs)), s1)
 
     def _e_MapExpr(self, e: sx.MapExpr, store: Store, n: int):
         if n == 0:
@@ -471,11 +473,11 @@ class Evaluator:
         flat = tuple(x for kv in e.pairs for x in kv)
         rs, s1 = self.eval_expr_star(flat, store, n - 1, e.span)
         if type(rs) in EXRES:
-            return self.fire("E-Map-Exc", e.span, rs, store, s1)
+            return self.fire("E-Map-Exc", e.span, store, rs, s1)
         if any(v == UNDEF for v in rs):
-            return self.fire("E-Map-Err", e.span, ERROR, store, s1)
+            return self.fire("E-Map-Err", e.span, store, ERROR, s1)
         pairs = tuple((rs[i], rs[i + 1]) for i in range(0, len(rs), 2))
-        return self.fire("E-Map-Sucs", e.span, Success(VMap(pairs)), store, s1)
+        return self.fire("E-Map-Sucs", e.span, store, Success(VMap(pairs)), s1)
 
     def _e_Lookup(self, e: sx.Lookup, store: Store, n: int):
         if n == 0:
@@ -484,19 +486,19 @@ class Evaluator:
         x = e.map
         r1, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r1) in EXRES:
-            return self.fire("E-Lookup-Exc1", e.span, r1, store, s2)
+            return self.fire("E-Lookup-Exc1", e.span, store, r1, s2)
         m = r1.value
         if not isinstance(m, VMap):
-            return self.fire("E-Lookup-Err", e.span, ERROR, store, s2)
+            return self.fire("E-Lookup-Err", e.span, store, ERROR, s2)
         x = e.key
         r2, s1 = _RULES[type(x)](self, x, s2, n1)
         if type(r2) in EXRES:
-            return self.fire("E-Lookup-Exc2", e.span, r2, store, s1)
+            return self.fire("E-Lookup-Exc2", e.span, store, r2, s1)
         found = m.lookup(r2.value)
         if found is None:
             thrown = Throw(VCons("nokey", (r2.value,)))
-            return self.fire("E-Lookup-NoKey", e.span, thrown, store, s1)
-        return self.fire("E-Lookup-Sucs", e.span, Success(found), store, s1)
+            return self.fire("E-Lookup-NoKey", e.span, store, thrown, s1)
+        return self.fire("E-Lookup-Sucs", e.span, store, Success(found), s1)
 
     def _e_Update(self, e: sx.Update, store: Store, n: int):
         if n == 0:
@@ -505,23 +507,23 @@ class Evaluator:
         x = e.map
         r1, s3 = _RULES[type(x)](self, x, store, n1)
         if type(r1) in EXRES:
-            return self.fire("E-Update-Exc1", e.span, r1, store, s3)
+            return self.fire("E-Update-Exc1", e.span, store, r1, s3)
         m = r1.value
         if not isinstance(m, VMap):
-            return self.fire("E-Update-Err1", e.span, ERROR, store, s3)
+            return self.fire("E-Update-Err1", e.span, store, ERROR, s3)
         x = e.key
         r2, s2 = _RULES[type(x)](self, x, s3, n1)
         if type(r2) in EXRES:
-            return self.fire("E-Update-Exc2", e.span, r2, store, s2)
+            return self.fire("E-Update-Exc2", e.span, store, r2, s2)
         x = e.value
         r3, s1 = _RULES[type(x)](self, x, s2, n1)
         if type(r3) in EXRES:
-            return self.fire("E-Update-Exc3", e.span, r3, store, s1)
+            return self.fire("E-Update-Exc3", e.span, store, r3, s1)
         if r2.value == UNDEF or r3.value == UNDEF:
-            return self.fire("E-Update-Err2", e.span, ERROR, store, s1)
+            return self.fire("E-Update-Err2", e.span, store, ERROR, s1)
         out = map_update(m, r2.value, r3.value)
         typed_join(out, m, VMap(((r2.value, r3.value),)), self.constructors)
-        return self.fire("E-Update-Sucs", e.span, Success(out), store, s1)
+        return self.fire("E-Update-Sucs", e.span, store, Success(out), s1)
 
     def _e_Call(self, e: sx.Call, store: Store, n: int):
         if n == 0:
@@ -529,7 +531,7 @@ class Evaluator:
         n1 = n - 1
         rs, s2 = self.eval_expr_star(e.args, store, n1, e.span)
         if type(rs) in EXRES:
-            return self.fire("E-Call-Arg-Exc", e.span, rs, store, s2)
+            return self.fire("E-Call-Arg-Exc", e.span, store, rs, s2)
         return self._apply_function(e.name, rs, s2, n1, e.span)
 
     def _e_ReturnExpr(self, e: sx.ReturnExpr, store: Store, n: int):
@@ -538,8 +540,8 @@ class Evaluator:
         x = e.value
         r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
-            return self.fire("E-Ret-Exc", e.span, r, store, s1)
-        return self.fire("E-Ret-Sucs", e.span, Return(r.value), store, s1)
+            return self.fire("E-Ret-Exc", e.span, store, r, s1)
+        return self.fire("E-Ret-Sucs", e.span, store, Return(r.value), s1)
 
     def _e_Assign(self, e: sx.Assign, store: Store, n: int):
         if n == 0:
@@ -547,17 +549,15 @@ class Evaluator:
         x = e.value
         r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
-            return self.fire("E-Asgn-Exc", e.span, r, store, s1)
+            return self.fire("E-Asgn-Exc", e.span, store, r, s1)
         decl = self.local_types.get(id(e))
         if decl is None:
             decl = self.global_types.get(e.name)
         if decl is None:
-            return self.fire("stuck", e.span, ERROR, store, s1)
+            return self.fire("stuck", e.span, store, ERROR, s1)
         if not subtype(type_of(r.value, self.constructors), decl):
-            return self.fire("E-Asgn-Err", e.span, ERROR, store, s1)
-        return self.fire(
-            "E-Asgn-Sucs", e.span, Success(r.value), store, s1.updated(e.name, r.value)
-        )
+            return self.fire("E-Asgn-Err", e.span, store, ERROR, s1)
+        return self.fire("E-Asgn-Sucs", e.span, store, Success(r.value), s1.updated(e.name, r.value))
 
     def _e_If(self, e: sx.If, store: Store, n: int):
         if n == 0:
@@ -566,16 +566,16 @@ class Evaluator:
         x = e.cond
         rc, s2 = _RULES[type(x)](self, x, store, n1)
         if type(rc) in EXRES:
-            return self.fire("E-If-Exc", e.span, rc, store, s2)
+            return self.fire("E-If-Exc", e.span, store, rc, s2)
         if rc.value == TRUE:
             x = e.then
             r, s1 = _RULES[type(x)](self, x, s2, n1)
-            return self.fire("E-If-True", e.span, r, store, s1)
+            return self.fire("E-If-True", e.span, store, r, s1)
         if rc.value == FALSE:
             x = e.els
             r, s1 = _RULES[type(x)](self, x, s2, n1)
-            return self.fire("E-If-False", e.span, r, store, s1)
-        return self.fire("E-If-Err", e.span, ERROR, store, s2)
+            return self.fire("E-If-False", e.span, store, r, s1)
+        return self.fire("E-If-Err", e.span, store, ERROR, s2)
 
     def _e_Switch(self, e: sx.Switch, store: Store, n: int):
         if n == 0:
@@ -584,13 +584,13 @@ class Evaluator:
         x = e.subject
         r, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r) in EXRES:
-            return self.fire("E-Switch-Exc1", e.span, r, store, s2)
+            return self.fire("E-Switch-Exc1", e.span, store, r, s2)
         rc, s1 = self.eval_cases(e.cases, r.value, s2, n1, e.span)
         if type(rc) is Fail:
-            return self.fire("E-Switch-Fail", e.span, Success(UNDEF), store, s1)
+            return self.fire("E-Switch-Fail", e.span, store, Success(UNDEF), s1)
         if type(rc) in EXRES:
-            return self.fire("E-Switch-Exc2", e.span, rc, store, s1)
-        return self.fire("E-Switch-Sucs", e.span, rc, store, s1)
+            return self.fire("E-Switch-Exc2", e.span, store, rc, s1)
+        return self.fire("E-Switch-Sucs", e.span, store, rc, s1)
 
     def _e_Visit(self, e: sx.Visit, store: Store, n: int):
         if n == 0:
@@ -599,28 +599,28 @@ class Evaluator:
         x = e.subject
         r, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r) in EXRES:
-            return self.fire("E-Visit-Exc1", e.span, r, store, s2)
+            return self.fire("E-Visit-Exc1", e.span, store, r, s2)
         rv, s1 = traversal.eval_visit(self, e.strategy, e.cases, r.value, s2, n1, e.span)
         if type(rv) is Fail:
-            return self.fire("E-Visit-Fail", e.span, Success(r.value), store, s1)
+            return self.fire("E-Visit-Fail", e.span, store, Success(r.value), s1)
         if type(rv) in EXRES:
-            return self.fire("E-Visit-Exc2", e.span, rv, store, s1)
-        return self.fire("E-Visit-Sucs", e.span, rv, store, s1)
+            return self.fire("E-Visit-Exc2", e.span, store, rv, s1)
+        return self.fire("E-Visit-Sucs", e.span, store, rv, s1)
 
     def _e_BreakExpr(self, e: sx.BreakExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        return self.fire("E-Break", e.span, BREAK, store, store)
+        return self.fire("E-Break", e.span, store, BREAK, store)
 
     def _e_ContinueExpr(self, e: sx.ContinueExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        return self.fire("E-Continue", e.span, CONTINUE, store, store)
+        return self.fire("E-Continue", e.span, store, CONTINUE, store)
 
     def _e_FailExpr(self, e: sx.FailExpr, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        return self.fire("E-Fail", e.span, FAIL, store, store)
+        return self.fire("E-Fail", e.span, store, FAIL, store)
 
     def _e_Block(self, e: sx.Block, store: Store, n: int):
         if n == 0:
@@ -628,8 +628,8 @@ class Evaluator:
         rs, s1 = self.eval_expr_star(e.body, store, n - 1, e.span)
         s1 = s1.without([d.name for d in e.locals])
         if type(rs) in EXRES:
-            return self.fire("E-Block-Exc", e.span, rs, store, s1)
-        return self.fire("E-Block-Sucs", e.span, Success(last(rs)), store, s1)
+            return self.fire("E-Block-Exc", e.span, store, rs, s1)
+        return self.fire("E-Block-Sucs", e.span, store, Success(last(rs)), s1)
 
     def _e_For(self, e: sx.For, store: Store, n: int):
         if n == 0:
@@ -637,9 +637,9 @@ class Evaluator:
         n1 = n - 1
         renv, s2 = self.eval_gen(e.generator, store, n1)
         if type(renv) in EXRES:
-            return self.fire("E-For-Exc", e.span, renv, store, s2)
+            return self.fire("E-For-Exc", e.span, store, renv, s2)
         r, s1 = self.eval_each(e.body, renv, s2, n1, e.span)
-        return self.fire("E-For-Sucs", e.span, r, store, s1)
+        return self.fire("E-For-Sucs", e.span, store, r, s1)
 
     # While and solve are self-recursive rules; their rule groups iterate,
     # checking the fuel premise of each round.
@@ -653,18 +653,18 @@ class Evaluator:
             x = e.cond
             rc, s2 = _RULES[type(x)](self, x, cur, n)
             if type(rc) in EXRES:
-                return self.fire("E-While-Exc1", e.span, rc, cur, s2)
+                return self.fire("E-While-Exc1", e.span, cur, rc, s2)
             if rc.value == FALSE:
-                return self.fire("E-While-False", e.span, Success(UNDEF), cur, s2)
+                return self.fire("E-While-False", e.span, cur, Success(UNDEF), s2)
             if rc.value != TRUE:
-                return self.fire("E-While-Err", e.span, ERROR, cur, s2)
+                return self.fire("E-While-Err", e.span, cur, ERROR, s2)
             x = e.body
             rb, s3 = _RULES[type(x)](self, x, s2, n)
             if type(rb) is Break:
-                return self.fire("E-While-True-Break", e.span, Success(UNDEF), cur, s3)
+                return self.fire("E-While-True-Break", e.span, cur, Success(UNDEF), s3)
             if type(rb) in EXRES and type(rb) is not Continue:
-                return self.fire("E-While-Exc2", e.span, rb, cur, s3)
-            self.fire("E-While-True-Sucs", e.span, rb, cur, s3)
+                return self.fire("E-While-Exc2", e.span, cur, rb, s3)
+            self.fire("E-While-True-Sucs", e.span, cur, rb, s3)
             cur = s3
 
     def _e_Solve(self, e: sx.Solve, store: Store, n: int):
@@ -676,12 +676,12 @@ class Evaluator:
             x = e.body
             r, s2 = _RULES[type(x)](self, x, cur, n)
             if type(r) in EXRES:
-                return self.fire("E-Solve-Exc", e.span, r, cur, s2)
+                return self.fire("E-Solve-Exc", e.span, cur, r, s2)
             if any(x not in cur or x not in s2 for x in e.targets):
-                return self.fire("E-Solve-Err", e.span, ERROR, cur, s2)
+                return self.fire("E-Solve-Err", e.span, cur, ERROR, s2)
             if all(cur.get(x) == s2.get(x) for x in e.targets):
-                return self.fire("E-Solve-Eq", e.span, r, cur, s2)
-            self.fire("E-Solve-Neq", e.span, r, cur, s2)
+                return self.fire("E-Solve-Eq", e.span, cur, r, s2)
+            self.fire("E-Solve-Neq", e.span, cur, r, s2)
             cur = s2
 
     def _e_ThrowExpr(self, e: sx.ThrowExpr, store: Store, n: int):
@@ -690,8 +690,8 @@ class Evaluator:
         x = e.value
         r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
-            return self.fire("E-Thr-Exc", e.span, r, store, s1)
-        return self.fire("E-Thr-Sucs", e.span, Throw(r.value), store, s1)
+            return self.fire("E-Thr-Exc", e.span, store, r, s1)
+        return self.fire("E-Thr-Sucs", e.span, store, Throw(r.value), s1)
 
     def _e_TryFinally(self, e: sx.TryFinally, store: Store, n: int):
         if n == 0:
@@ -702,8 +702,8 @@ class Evaluator:
         x = e.fin
         r2, s1 = _RULES[type(x)](self, x, s2, n1)
         if type(r2) in EXRES:
-            return self.fire("E-Fin-Exc", e.span, r2, store, s1)
-        return self.fire("E-Fin-Sucs", e.span, r1, store, s1)
+            return self.fire("E-Fin-Exc", e.span, store, r2, s1)
+        return self.fire("E-Fin-Sucs", e.span, store, r1, s1)
 
     def _e_TryCatch(self, e: sx.TryCatch, store: Store, n: int):
         if n == 0:
@@ -712,10 +712,10 @@ class Evaluator:
         x = e.body
         r1, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r1) is not Throw:
-            return self.fire("E-Try-Ord", e.span, r1, store, s2)
+            return self.fire("E-Try-Ord", e.span, store, r1, s2)
         x = e.handler
         r2, s1 = _RULES[type(x)](self, x, s2.updated(e.var, r1.value), n1)
-        return self.fire("E-Try-Catch", e.span, r2, store, s1.without((e.var,)))
+        return self.fire("E-Try-Catch", e.span, store, r2, s1.without((e.var,)))
 
     # -- companion judgments ---------------------------------------------
 
@@ -730,7 +730,7 @@ class Evaluator:
             r, cur = _RULES[type(e)](self, e, cur, n)
             if type(r) in EXRES:
                 rule = "ES-Exc1" if i == 0 else "ES-Exc2"
-                return self.fire(rule, span, r, store, cur)
+                return self.fire(rule, span, store, r, cur)
             vals.append(r.value)
         if n == 0:
             raise TimeoutSignal(cur)
@@ -745,11 +745,11 @@ class Evaluator:
             envs = match(cs.pattern, v, store, self.constructors)
             r, s2 = self.eval_case(envs, cs.body, store, n, cs.span)
             if type(r) is not Fail:
-                return self.fire("ECS-More-Ord", cs.span, r, store, s2)
-            self.fire("ECS-More-Fail", cs.span, FAIL, store, store)
+                return self.fire("ECS-More-Ord", cs.span, store, r, s2)
+            self.fire("ECS-More-Fail", cs.span, store, FAIL, store)
         if n == 0:
             raise TimeoutSignal(store)
-        return self.fire("ECS-Emp", span, FAIL, store, store)
+        return self.fire("ECS-Emp", span, store, FAIL, store)
 
     def eval_case(self, envs, body: sx.Expr, store: Store, n: int, span: Span):
         """Try each candidate binding; non-fail wins and its bindings are stripped."""
@@ -760,11 +760,11 @@ class Evaluator:
             n -= 1
             r, s2 = rule(self, body, store.extended(env), n)
             if type(r) is not Fail:
-                return self.fire("EC-More-Ord", span, r, store, s2.without(env.keys()))
-            self.fire("EC-More-Fail", span, FAIL, store, store)
+                return self.fire("EC-More-Ord", span, store, r, s2.without(env.keys()))
+            self.fire("EC-More-Fail", span, store, FAIL, store)
         if n == 0:
             raise TimeoutSignal(store)
-        return self.fire("EC-Emp", span, FAIL, store, store)
+        return self.fire("EC-Emp", span, store, FAIL, store)
 
     def eval_each(self, body: sx.Expr, envs, store: Store, n: int, span: Span):
         """Iterate a body over bindings; break stops early with success."""
@@ -777,15 +777,15 @@ class Evaluator:
             r, s2 = rule(self, body, cur.extended(env), n)
             stripped = s2.without(env.keys())
             if type(r) is Success or type(r) is Continue:
-                self.fire("EE-More-Sucs", span, r, cur, stripped)
+                self.fire("EE-More-Sucs", span, cur, r, stripped)
                 cur = stripped
                 continue
             if type(r) is Break:
-                return self.fire("EE-More-Break", span, Success(UNDEF), cur, stripped)
-            return self.fire("EE-More-Exc", span, r, cur, stripped)
+                return self.fire("EE-More-Break", span, cur, Success(UNDEF), stripped)
+            return self.fire("EE-More-Exc", span, cur, r, stripped)
         if n == 0:
             raise TimeoutSignal(cur)
-        return self.fire("EE-Emp", span, Success(UNDEF), cur, cur)
+        return self.fire("EE-Emp", span, cur, Success(UNDEF), cur)
 
     def eval_gen(self, g: sx.Generator, store: Store, n: int):
         if n == 0:
@@ -794,22 +794,22 @@ class Evaluator:
         r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if isinstance(g, sx.Matching):
             if type(r) in EXRES:
-                return self.fire("G-Pat-Exc", g.span, r, store, s1)
+                return self.fire("G-Pat-Exc", g.span, store, r, s1)
             envs = match(g.pattern, r.value, s1, self.constructors)
-            return self.fire("G-Pat-Sucs", g.span, envs, store, s1)
+            return self.fire("G-Pat-Sucs", g.span, store, envs, s1)
         if type(r) in EXRES:
-            return self.fire("G-Enum-Exc", g.span, r, store, s1)
+            return self.fire("G-Enum-Exc", g.span, store, r, s1)
         v = r.value
         if isinstance(v, VList):
             envs = ({g.var: x} for x in v.items)
-            return self.fire("G-Enum-List", g.span, envs, store, s1)
+            return self.fire("G-Enum-List", g.span, store, envs, s1)
         if isinstance(v, VSet):
             envs = ({g.var: x} for x in v.items)
-            return self.fire("G-Enum-Set", g.span, envs, store, s1)
+            return self.fire("G-Enum-Set", g.span, store, envs, s1)
         if isinstance(v, VMap):
             envs = ({g.var: k} for k, _ in v.pairs)
-            return self.fire("G-Enum-Map", g.span, envs, store, s1)
-        return self.fire("G-Enum-Err", g.span, ERROR, store, s1)
+            return self.fire("G-Enum-Map", g.span, store, envs, s1)
+        return self.fire("G-Enum-Err", g.span, store, ERROR, s1)
 
     # -- function calls ---------------------------------------------------
 
@@ -818,16 +818,16 @@ class Evaluator:
         plus parameters, result typing, and global write-back."""
         fd = self.functions.get(name)
         if fd is None or len(fd.params) != len(args):
-            return self.fire("stuck", span, ERROR, store, store)
+            return self.fire("stuck", span, store, ERROR, store)
         for v, p in zip(args, fd.params):
             if not subtype(type_of(v, self.constructors), p.type):
-                return self.fire("E-Call-Arg-Err", span, ERROR, store, store)
+                return self.fire("E-Call-Arg-Err", span, store, ERROR, store)
         global_names = self.global_names
         callee: dict[str, Value] = {}
         for y in global_names:
             gv = store.get(y)
             if gv is None:
-                return self.fire("stuck", span, ERROR, store, store)
+                return self.fire("stuck", span, store, ERROR, store)
             callee[y] = gv
         for p, v in zip(fd.params, args):
             callee[p.name] = v
@@ -846,11 +846,11 @@ class Evaluator:
         if type(res) is Success or type(res) is Return:
             v2 = res.value
             if subtype(type_of(v2, self.constructors), fd.return_type):
-                return self.fire("E-Call-Sucs", span, Success(v2), store, back)
-            return self.fire("E-Call-Res-Err1", span, ERROR, store, back)
+                return self.fire("E-Call-Sucs", span, store, Success(v2), back)
+            return self.fire("E-Call-Res-Err1", span, store, ERROR, back)
         if type(res) is Throw:
-            return self.fire("E-Call-Res-Exc", span, res, store, back)
-        return self.fire("E-Call-Res-Err2", span, ERROR, store, back)
+            return self.fire("E-Call-Res-Exc", span, store, res, back)
+        return self.fire("E-Call-Res-Err2", span, store, ERROR, back)
 
 
 # Expression class -> its rule group.
@@ -864,66 +864,30 @@ _RULES = {
 # ---------------------------------------------------------------------------
 # The untraced table
 
-# Strings and comments, which the scan steps over whole.
-_SKIP = "|".join((
-    r'"""[\s\S]*?"""', r"'''[\s\S]*?'''",
-    r'"(?:\\.|[^"\\\n])*"', r"'(?:\\.|[^'\\\n])*'",
-    r"#[^\n]*",
-))
-# The two names the scan rewrites.  A leading ``\b`` would make every
-# search several times slower, so ``_untrace`` tests the character before.
-_NAMES = re.compile(rf"{_SKIP}|(?P<fire>self\.fire\()|(?P<rules>_RULES\b)")
-# Inside a call to ``fire``: its brackets and commas.
-_ARGS = re.compile(rf"{_SKIP}|(?P<open>[(\[{{])|(?P<close>[)\]}}])|(?P<comma>,)")
-_NOT_NEWLINE = re.compile(r"[^\n]")
-
-
-def _blank(text: str) -> str:
-    """``text`` with every character but a newline made a space."""
-    return _NOT_NEWLINE.sub(" ", text)
+# The head of a firing, ``self.fire(rule, span, pre, `` on ``self`` alone:
+# a string literal or a name, a span, then ``store`` or ``cur``.
+_SELF_FIRE = re.compile(r"(?<![\w.])self\.fire\(")
+_FIRE_HEAD = re.compile(_SELF_FIRE.pattern + r'(?:"[^"\n]*"|\w+), [\w.]+, (?:store|cur), ')
 
 
 def _untrace(text: str) -> str:
-    """The source ``text`` with each ``self.fire(rule, span, res, pre, post)``
-    made ``(res, post)`` and each ``_RULES`` made ``_TWINS``.  What is
-    dropped becomes spaces, so every kept token stays on its line and
-    column."""
-    out, i, pos = [], 0, 0
-    while m := _NAMES.search(text, pos):
-        start, pos = m.span()
-        before = text[start - 1:start]
-        if m.lastgroup is None or before.isalnum() or before in ("_", "."):
-            continue
-        if m.lastgroup == "rules":
-            out += [text[i:start], "_TWINS"]
-            i = pos
-        else:
-            depth, commas = 0, []
-            for a in _ARGS.finditer(text, pos):
-                if a.lastgroup == "open":
-                    depth += 1
-                elif a.lastgroup == "close":
-                    if depth == 0:
-                        break
-                    depth -= 1
-                elif a.lastgroup == "comma" and depth == 0:
-                    commas.append(a.start())
-            if len(commas) != 4:
-                raise SyntaxError(f"fire takes five arguments: {text[start:a.end()]!r}")
-            _, c2, c3, c4 = commas
-            out += [
-                text[i:start], "(", _blank(text[start + 1:c2 + 1]),
-                text[c2 + 1:c3], ",", _blank(text[c3 + 1:c4 + 1]), text[c4 + 1:a.end()],
-            ]
-            i = pos = a.end()
-    out.append(text[i:])
-    return "".join(out)
+    """The source ``text`` with each ``self.fire(rule, span, pre, res, post)``
+    made ``(res, post)`` and each ``_RULES`` made ``_TWINS``.  The head of a
+    firing becomes ``(`` padded with spaces, and the two table names are
+    equally long, so every kept token stays on its line and column.  A
+    ``self.fire(`` whose head is not a ``_FIRE_HEAD`` is refused."""
+    out = _FIRE_HEAD.sub(lambda m: "(".ljust(len(m[0])), text)
+    out = re.sub(r"\b_RULES\b", "_TWINS", out)
+    if left := _SELF_FIRE.search(out):
+        line = out[left.start():].partition("\n")[0]
+        raise SyntaxError(f"a firing must begin self.fire(rule, span, store, on one line: {line!r}")
+    return out
 
 
 def _untraced_twins(cls: type, names) -> dict[str, Callable]:
     """The untraced twins of the methods ``names`` of ``cls``, by name.
 
-    One text scan of the source lines that hold the methods (``_untrace``)
+    One substitution in the source lines that hold the methods (``_untrace``)
     and one ``compile``, under the module's file name and at the methods'
     own line numbers, so a traceback through a twin reads as one through
     its original.  Without the source (an install of bytecode alone) there
@@ -956,7 +920,7 @@ class _UntracedEvaluator(Evaluator):
     dispatch are the untraced twins of ``Evaluator``'s, and its ``fire``,
     which the traversal rules still call, only returns the conclusion."""
 
-    def fire(self, rule: str, span: Span, res, pre: Store, post: Store):
+    def fire(self, rule: str, span: Span, pre: Store, res, post: Store):
         return res, post
 
 

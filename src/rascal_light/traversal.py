@@ -109,7 +109,7 @@ def eval_visit(
     if one_pass is not None:
         visit_one, br, rule = one_pass
         res, out = visit_one(ev, cases, v, store, br, n - 1, span)
-        return ev.fire(rule, span, res, store, out)
+        return ev.fire(rule, span, store, res, out)
 
     visit_one, (eq, neq, exc) = _FIXPOINT[st]
     cur_v, cur_store = v, store
@@ -119,13 +119,13 @@ def eval_visit(
         n -= 1
         res, out = visit_one(ev, cases, cur_v, cur_store, BreakMode.NO_BREAK, n, span)
         if type(res) in _EXC:
-            return ev.fire(exc, span, res, cur_store, out)
+            return ev.fire(exc, span, cur_store, res, out)
         # A pass that matched nothing leaves the iterate unchanged, which
         # confirms the fixed point; rewrites done by earlier passes are kept.
         new_v = if_fail(res, cur_v)
         if new_v == cur_v:
-            return ev.fire(eq, span, Success(cur_v), cur_store, out)
-        ev.fire(neq, span, res, cur_store, out)
+            return ev.fire(eq, span, cur_store, Success(cur_v), out)
+        ev.fire(neq, span, cur_store, res, out)
         cur_v, cur_store = new_v, out
 
 
@@ -143,18 +143,18 @@ def td_visit(
     n1 = n - 1
     res, s2 = ev.eval_cases(cases, v, store, n1, span)
     if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
-        return ev.fire("ETV-Break-Sucs", span, res, store, s2)
+        return ev.fire("ETV-Break-Sucs", span, store, res, s2)
     if type(res) in _EXC:
-        return ev.fire("ETV-Exc1", span, res, store, s2)
+        return ev.fire("ETV-Exc1", span, store, res, s2)
     v2 = if_fail(res, v)
     kids = children(v2)
     star, s1 = visit_star(td_visit, ev, cases, kids, s2, br, n1, span)
     if star == FAIL:
-        return ev.fire("ETV-Ord-Sucs1", span, res, store, s1)
+        return ev.fire("ETV-Ord-Sucs1", span, store, res, s1)
     if type(star) in EXRES:
-        return ev.fire("ETV-Exc2", span, star, store, s1)
+        return ev.fire("ETV-Exc2", span, store, star, s1)
     rc = reconstruct(v2, star, ev.constructors)
-    return ev.fire("ETV-Ord-Sucs2", span, rc, store, s1)
+    return ev.fire("ETV-Ord-Sucs2", span, store, rc, s1)
 
 
 def bu_visit(
@@ -172,22 +172,22 @@ def bu_visit(
     kids = children(v)
     star, s2 = visit_star(bu_visit, ev, cases, kids, store, br, n1, span)
     if type(star) in _EXC:
-        return ev.fire("EBU-Exc", span, star, store, s2)
+        return ev.fire("EBU-Exc", span, store, star, s2)
     if star == FAIL:
         res, s1 = ev.eval_cases(cases, v, s2, n1, span)
-        return ev.fire("EBU-Fail-Sucs", span, res, store, s1)
+        return ev.fire("EBU-Fail-Sucs", span, store, res, s1)
     rc = reconstruct(v, star, ev.constructors)
     if br == BreakMode.BREAK_ON_FIRST:
         # A success below this node skips the cases at this node.
-        return ev.fire("EBU-Break-Sucs", span, rc, store, s2)
+        return ev.fire("EBU-Break-Sucs", span, store, rc, s2)
     if rc == ERROR:
-        return ev.fire("EBU-No-Break-Err", span, ERROR, store, s2)
+        return ev.fire("EBU-No-Break-Err", span, store, ERROR, s2)
     assert isinstance(rc, Success)
     res, s1 = ev.eval_cases(cases, rc.value, s2, n1, span)
     if type(res) in _EXC:
-        return ev.fire("EBU-No-Break-Exc", span, res, store, s1)
+        return ev.fire("EBU-No-Break-Exc", span, store, res, s1)
     out = Success(if_fail(res, rc.value))
-    return ev.fire("EBU-No-Break-Sucs", span, out, store, s1)
+    return ev.fire("EBU-No-Break-Sucs", span, store, out, s1)
 
 
 def visit_star(
@@ -212,17 +212,17 @@ def visit_star(
         n -= 1
         res, cur = visit_one(ev, cases, v, cur, br, n, span)
         if type(res) in _EXC:
-            return ev.fire(exc1 if i == 0 else exc2, span, res, store, cur)
+            return ev.fire(exc1 if i == 0 else exc2, span, store, res, cur)
         if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
             out = tuple(vals[:i]) + (res.value,) + tuple(vals[i + 1 :])
-            return ev.fire(brk, span, out, store, cur)
+            return ev.fire(brk, span, store, out, cur)
         results.append(res)
     if n == 0:
         raise TimeoutSignal(cur)
     if all(r == FAIL for r in results):
-        return ev.fire(more if vals else emp, span, FAIL, store, cur)
+        return ev.fire(more if vals else emp, span, store, FAIL, cur)
     out = tuple(if_fail(r, v) for r, v in zip(results, vals))
-    return ev.fire(more, span, out, store, cur)
+    return ev.fire(more, span, store, out, cur)
 
 
 # The exceptional results that abort a traversal: all but fail.

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from rascal_light import cli, fuel
+from rascal_light import cli, fuel, interp
 from rascal_light.cli import main
 
 from conftest import program_path
@@ -636,6 +636,28 @@ def test_nesting_beyond_the_guard_exits_70(tmp_path, capsys, monkeypatch):
     code, out, err = _run_at_default_limit(capsys, _module_argv(tmp_path, text, ["--call", "f()"]))
     assert (code, out) == (70, "")
     assert err == "resource limit: host stack exhausted\n"
+
+
+def _out_of_memory(v1, v2):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "text, args",
+    [
+        (None, ["--eval", "1 + 1"]),
+        (None, ["--eval", "1 + 1", "--trace"]),
+        ("global int g = 1 + 1;", ["--eval", "g"]),
+    ],
+)
+def test_running_out_of_memory_exits_70(tmp_path, capsys, monkeypatch, text, args):
+    # `+` raising MemoryError stands in for a value grown past the host's
+    # memory; the traced and untraced tables read the same operator table.
+    monkeypatch.setitem(interp._BINARY, "+", _out_of_memory)
+    code, out, err = run_cli(capsys, *_module_argv(tmp_path, text, args))
+    assert (code, out) == (70, "")
+    assert err.splitlines()[-1] == "resource limit: out of memory"
+    assert "Traceback" not in err and "initialization" not in err
 
 
 def _decimal_digits(n: int) -> str:

@@ -414,13 +414,13 @@ def _eval_cases_keeping_bindings(self, cases, v, store, n, span):
         envs = list(match(cs.pattern, v, store, self.constructors))
         r, s2 = self.eval_case(envs, cs.body, store, n, cs.span)
         if type(r) is not Fail:
-            return self.fire("ECS-More-Ord", cs.span, r, store, s2)
-        self.fire("ECS-More-Fail", cs.span, FAIL, store, store)
+            return self.fire("ECS-More-Ord", cs.span, store, r, s2)
+        self.fire("ECS-More-Fail", cs.span, store, FAIL, store)
         if envs:
             store = store.extended(envs[0])
     if n == 0:
         raise TimeoutSignal(store)
-    return self.fire("ECS-Emp", span, FAIL, store, store)
+    return self.fire("ECS-Emp", span, store, FAIL, store)
 
 
 def test_purity_artifacts_replay_the_failure(tmp_path, monkeypatch):

@@ -149,26 +149,49 @@ def test_setting_trace_switches_one_evaluator_both_ways():
     assert entries == expected
 
 
-SCANNED = '''    def f(self, e, store):
-        # self.fire("no", e.span, 1, store, store) and _RULES in a comment
-        x = _STAR_RULES, "self.fire(", _RULES[type(e)], myself.fire(1)
-        return self.fire(
-            "R", e.span, g((1, 2), [3, 4]), store,
-            store.updated("a", {1: 2}))
+SCANNED = '''    def f(self, e, store, cur, rule):
+        x = _RULES[type(e)](self, e, store, 1), _STAR_RULES, myself.fire(1)
+        if x:
+            return self.fire("R", e.span, store, g((1, 2), [3, 4]), store.updated("a", {1: 2}))
+        return self.fire(rule, span, cur, [x, (1,)],
+                         cur.without(("a", "b")))
+'''
+
+UNTRACED = '''    def f(self, e, store, cur, rule):
+        x = _TWINS[type(e)](self, e, store, 1), _STAR_RULES, myself.fire(1)
+        if x:
+            return (                             g((1, 2), [3, 4]), store.updated("a", {1: 2}))
+        return (                          [x, (1,)],
+                         cur.without(("a", "b")))
 '''
 
 
 def test_the_scan_rewrites_only_fire_calls_and_the_table_name():
     out = interp._untrace(SCANNED)
+    assert out == UNTRACED
     # Every kept token stays on its line and column.
-    assert [len(line) for line in out.split("\n")] == [len(line) for line in SCANNED.split("\n")]
-    assert out.split("\n")[4].index("g((1") == SCANNED.split("\n")[4].index("g((1")
-    assert " ".join(out.split()) == " ".join(
-        """def f(self, e, store):
-        # self.fire("no", e.span, 1, store, store) and _RULES in a comment
-        x = _STAR_RULES, "self.fire(", _TWINS[type(e)], myself.fire(1)
-        return ( g((1, 2), [3, 4]), store.updated("a", {1: 2}))""".split()
-    )
+    for before, after in zip(SCANNED.split("\n"), out.split("\n")):
+        assert len(after) == len(before)
+        for token in ("g((1", "[x, (1,)]", "cur.without", "[type(e)]", "_STAR_RULES", "myself"):
+            assert after.find(token) == before.find(token)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'return self.fire(\n    "R", e.span, store, r, s1)\n',
+        'return self.fire("R", e.span,\n                 store, r, s1)\n',
+        'return self.fire("R", spans[0], store, r, s1)\n',
+        'x = "self.fire("\n',
+        # The old order, the result before the store it starts from.
+        'return self.fire("E-Un-Exc", e.span, r, store, s1)\n',
+    ],
+)
+def test_a_split_firing_head_is_refused(text):
+    # A head off the convention would leave its rule and store in the
+    # twin; what is left of ``self.fire(`` names the firing.
+    with pytest.raises(SyntaxError, match=r"self\.fire\("):
+        interp._untrace(text)
 
 
 def test_without_source_there_are_no_twins():
