@@ -1,5 +1,5 @@
 """The expression evaluator and its companion judgments: sequences, cases,
-enumeration, generators, and the built-in operator tables.
+enumeration, generators and visits, and the built-in operator tables.
 
 Every function threads an explicit store and a fuel budget, a number that
 is ``sys.maxsize`` for no budget; it is decremented on each recursive premise
@@ -11,14 +11,14 @@ class (``_RULES``): one method per expression form, named ``_e_<Form>``,
 holding that form's rules in the order the semantics tries them.
 
 There are two tables.  ``_RULES`` holds the rule groups as written; each
-rule returns through ``self.fire(rule, span, pre, res, post)``, in the
-order of the judgment ``e; pre ==> res; post``, which hands the firing to
-the trace sink.  ``_TWINS`` holds their untraced twins, derived once at
-import from the same source lines by one substitution (``_untrace``): in a
-twin, the head ``self.fire(rule, span, pre, `` of every firing is just
-``(``, leaving ``(res, post)``, and every ``_RULES`` is ``_TWINS``.
-Evaluators without a trace run the twins, so an untraced run pays nothing
-for tracing.
+rule of every judgment, visits included, returns through
+``self.fire(rule, span, pre, res, post)``, in the order of the judgment
+``e; pre ==> res; post``, which hands the firing to the trace sink.
+``_TWINS`` holds their untraced twins, derived once at import from the
+same source lines by one substitution (``_untrace``): in a twin, the head
+``self.fire(rule, span, pre, `` of every firing is just ``(``, leaving
+``(res, post)``, and every ``_RULES`` is ``_TWINS``.  Evaluators without a
+trace run the twins, so an untraced run pays nothing for tracing.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import syntax as sx
-from . import traversal
 from .patterns import match
 from .stackguard import stack_guarded
 from .syntax import ModuleDef, Span, WellFormednessError, analyze_module, snippet_assignables
+from .traversal import _EXC, _FIXPOINT, _ONE_PASS, _STAR_RULES, BreakMode, if_fail, reconstruct
 from .types import subtype, type_of, typed_join
 from .values import (
     BREAK,
@@ -62,6 +62,7 @@ from .values import (
     VMap,
     VSet,
     budget,
+    children,
     last,
     map_update,
     result_kind,
@@ -267,9 +268,10 @@ class Evaluator:
     sink it is an ``Evaluator`` and runs ``_RULES``, whose every firing
     goes through ``fire`` to the sink.  Without one it is an instance of
     the subclass ``_UntracedEvaluator``, which holds the untraced twins of
-    every method that fires or dispatches and runs ``_TWINS``.  Setting
-    ``trace`` picks the class, so a sink can be attached to, or taken off,
-    an evaluator already built.
+    every method that fires or dispatches (``_TWINNED``: the rule groups,
+    the companion judgments, the visit judgment and the call boundary)
+    and runs ``_TWINS``.  Setting ``trace`` picks the class, so a sink can
+    be attached to, or taken off, an evaluator already built.
     """
 
     def __init__(self, module: ModuleDef, trace: Callable[[TraceEntry], None] | None = None):
@@ -314,7 +316,7 @@ class Evaluator:
         foreign = [r for r in roots if id(r) not in self.module_roots]
         if not foreign:
             return self
-        local = snippet_assignables(*foreign)
+        local = snippet_assignables(self.info, *foreign)
         if not local:
             return self
         ev = object.__new__(type(self))
@@ -362,9 +364,8 @@ class Evaluator:
     @stack_guarded
     def run_cases(self, cases, v: Value, store: Store, fuel: int | None = None):
         cases = tuple(cases)
-        ev = self._for_roots(*(c.body for c in cases))
         try:
-            return ev.eval_cases(cases, v, store, budget(fuel), sx.DUMMY_SPAN)
+            return self._for_roots(*(c.body for c in cases)).eval_cases(cases, v, store, budget(fuel), sx.DUMMY_SPAN)
         except TimeoutSignal as t:
             return TIMEOUT, t.store
 
@@ -600,7 +601,7 @@ class Evaluator:
         r, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r) in EXRES:
             return self.fire("E-Visit-Exc1", e.span, store, r, s2)
-        rv, s1 = traversal.eval_visit(self, e.strategy, e.cases, r.value, s2, n1, e.span)
+        rv, s1 = self.eval_visit(e.strategy, e.cases, r.value, s2, n1, e.span)
         if type(rv) is Fail:
             return self.fire("E-Visit-Fail", e.span, store, Success(r.value), s1)
         if type(rv) in EXRES:
@@ -811,6 +812,106 @@ class Evaluator:
             return self.fire("G-Enum-Map", g.span, store, envs, s1)
         return self.fire("G-Enum-Err", g.span, store, ERROR, s1)
 
+    # -- the visit judgment -----------------------------------------------
+    # A direction names its pass's method, looked up on the evaluator, so
+    # an untraced evaluator runs the twin.
+
+    def eval_visit(self, st: sx.Strategy, cases, v: Value, store: Store, n: int, span: Span):
+        """One traversal pass of ``st``, or passes repeated to a fixed point."""
+        if n == 0:
+            raise TimeoutSignal(store)
+        one_pass = _ONE_PASS.get(st)
+        if one_pass is not None:
+            direction, br, rule = one_pass
+            res, out = getattr(self, direction)(cases, v, store, br, n - 1, span)
+            return self.fire(rule, span, store, res, out)
+        direction, (eq, neq, exc) = _FIXPOINT[st]
+        visit_one = getattr(self, direction)
+        cur_v, cur = v, store
+        while True:
+            if n == 0:
+                raise TimeoutSignal(cur)
+            n -= 1
+            res, out = visit_one(cases, cur_v, cur, BreakMode.NO_BREAK, n, span)
+            if type(res) in _EXC:
+                return self.fire(exc, span, cur, res, out)
+            # A pass that matched nothing leaves the iterate unchanged, which
+            # confirms the fixed point; rewrites done by earlier passes are kept.
+            new_v = if_fail(res, cur_v)
+            if new_v == cur_v:
+                return self.fire(eq, span, cur, Success(cur_v), out)
+            self.fire(neq, span, cur, res, out)
+            cur_v, cur = new_v, out
+
+    def td_visit(self, cases, v: Value, store: Store, br: BreakMode, n: int, span: Span):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = n - 1
+        res, s2 = self.eval_cases(cases, v, store, n1, span)
+        if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
+            return self.fire("ETV-Break-Sucs", span, store, res, s2)
+        if type(res) in _EXC:
+            return self.fire("ETV-Exc1", span, store, res, s2)
+        v2 = if_fail(res, v)
+        star, s1 = self.visit_star("td_visit", cases, children(v2), s2, br, n1, span)
+        if star == FAIL:
+            return self.fire("ETV-Ord-Sucs1", span, store, res, s1)
+        if type(star) in EXRES:
+            return self.fire("ETV-Exc2", span, store, star, s1)
+        rc = reconstruct(v2, star, self.constructors)
+        return self.fire("ETV-Ord-Sucs2", span, store, rc, s1)
+
+    def bu_visit(self, cases, v: Value, store: Store, br: BreakMode, n: int, span: Span):
+        if n == 0:
+            raise TimeoutSignal(store)
+        n1 = n - 1
+        star, s2 = self.visit_star("bu_visit", cases, children(v), store, br, n1, span)
+        if type(star) in _EXC:
+            return self.fire("EBU-Exc", span, store, star, s2)
+        if star == FAIL:
+            res, s1 = self.eval_cases(cases, v, s2, n1, span)
+            return self.fire("EBU-Fail-Sucs", span, store, res, s1)
+        rc = reconstruct(v, star, self.constructors)
+        if br == BreakMode.BREAK_ON_FIRST:
+            # A success below this node skips the cases at this node.
+            return self.fire("EBU-Break-Sucs", span, store, rc, s2)
+        if rc == ERROR:
+            return self.fire("EBU-No-Break-Err", span, store, ERROR, s2)
+        assert isinstance(rc, Success)
+        res, s1 = self.eval_cases(cases, rc.value, s2, n1, span)
+        if type(res) in _EXC:
+            return self.fire("EBU-No-Break-Exc", span, store, res, s1)
+        out = Success(if_fail(res, rc.value))
+        return self.fire("EBU-No-Break-Sucs", span, store, out, s1)
+
+    def visit_star(self, direction: str, cases, vals, store: Store, br: BreakMode, n: int, span: Span):
+        """The sequence judgment of both directions: the pass of
+        ``direction`` over ``vals`` left to right, firing its ``ETVS-`` or
+        ``EBUS-`` rules."""
+        exc1, exc2, brk, emp, more = _STAR_RULES[direction]
+        visit_one = getattr(self, direction)
+        results: list = []
+        cur = store
+        for i, v in enumerate(vals):
+            if n == 0:
+                raise TimeoutSignal(cur)
+            n -= 1
+            res, cur = visit_one(cases, v, cur, br, n, span)
+            if type(res) in _EXC:
+                rule = exc1 if i == 0 else exc2
+                return self.fire(rule, span, store, res, cur)
+            if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
+                out = tuple(vals[:i]) + (res.value,) + tuple(vals[i + 1 :])
+                return self.fire(brk, span, store, out, cur)
+            results.append(res)
+        if n == 0:
+            raise TimeoutSignal(cur)
+        if all(r == FAIL for r in results):
+            rule = more if vals else emp
+            return self.fire(rule, span, store, FAIL, cur)
+        out = tuple(if_fail(r, v) for r, v in zip(results, vals))
+        return self.fire(more, span, store, out, cur)
+
     # -- function calls ---------------------------------------------------
 
     def _apply_function(self, name: str, args: tuple[Value, ...], store: Store, n: int, span: Span):
@@ -917,15 +1018,17 @@ def _untraced_twins(cls: type, names) -> dict[str, Callable]:
 
 class _UntracedEvaluator(Evaluator):
     """An evaluator without a trace sink.  Its methods that fire or
-    dispatch are the untraced twins of ``Evaluator``'s, and its ``fire``,
-    which the traversal rules still call, only returns the conclusion."""
+    dispatch are the untraced twins of ``Evaluator``'s.  Its ``fire``, which
+    only returns the conclusion, is reached only where there are no twins
+    (an install without source), through the traced methods."""
 
     def fire(self, rule: str, span: Span, pre: Store, res, post: Store):
         return res, post
 
 
 _TWINNED = tuple(name for name in vars(Evaluator) if name.startswith("_e_")) + (
-    "eval_expr", "eval_expr_star", "eval_cases", "eval_case", "eval_each", "eval_gen", "_apply_function",
+    "eval_expr", "eval_expr_star", "eval_cases", "eval_case", "eval_each", "eval_gen",
+    "eval_visit", "td_visit", "bu_visit", "visit_star", "_apply_function",
 )
 for _name, _twin in _untraced_twins(Evaluator, _TWINNED).items():
     setattr(_UntracedEvaluator, _name, _twin)

@@ -836,30 +836,29 @@ def validate_module(m: ModuleDef) -> list[WellFormednessError]:
     return analyze_module(m).errors
 
 
-def validate_expr(e: Expr, info: ModuleInfo) -> list[WellFormednessError]:
-    """Validate a standalone expression against an analysed module.
-
-    Used for snippet evaluation: the expression sees the module's
-    declarations and globals (but no function's parameters or locals).
-    """
+def _walk_snippets(info: ModuleInfo, roots) -> _Validator:
+    """The validator after walking ``roots`` as snippets of ``info``'s
+    module: they see its declarations and globals (but no function's
+    parameters or locals)."""
     v = _Validator(info.module)
     v.constructors.update(info.constructors)
     v.functions.update(info.functions)
-    v.walk(e, {g.name: ("global", g.type) for g in info.module.globals})
-    return v.errors
+    scope = {g.name: ("global", g.type) for g in info.module.globals}
+    for r in roots:
+        v.walk(r, scope)
+    return v
+
+
+def validate_expr(e: Expr, info: ModuleInfo) -> list[WellFormednessError]:
+    """Validate a standalone expression as a snippet of an analysed module."""
+    return _walk_snippets(info, (e,)).errors
 
 
 @stack_guarded
-def snippet_assignables(*roots: Expr) -> dict[int, Type]:
-    """Declared types of the block locals assigned in ``roots``.
-
-    The counterpart of ``ModuleInfo.assign_types`` for expressions from
-    outside a module, found by the validator's walk of each root from an
-    empty scope, so a name refers to the binding validation would give it.
-    Keyed by the ``id`` of each ``Assign`` node; assignments to any other
-    name are left out, and the walk's errors are dropped.
-    """
-    v = _Validator(ModuleDef())
-    for r in roots:
-        v.walk(r, {})
-    return v.assign_types
+def snippet_assignables(info: ModuleInfo, *roots: Expr) -> dict[int, Type]:
+    """Declared types of the block locals assigned in ``roots``, snippets of
+    ``info``'s module: the counterpart of ``ModuleInfo.assign_types`` for
+    expressions from outside it, by the ``id`` of each ``Assign`` node.  The
+    validator's walk finds them, so a name refers to the binding validation
+    would give it; the walk's errors are dropped."""
+    return _walk_snippets(info, roots).assign_types

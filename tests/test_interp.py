@@ -626,7 +626,7 @@ def test_module_roots_are_not_walked_again(monkeypatch):
 
     walked = []
     real = interp.snippet_assignables
-    monkeypatch.setattr(interp, "snippet_assignables", lambda *roots: walked.append(roots) or real(*roots))
+    monkeypatch.setattr(interp, "snippet_assignables", lambda info, *roots: walked.append(roots) or real(info, *roots))
     ev = ev_for("int f(int n) = local int a in a = n end;")
     body = ev.functions["f"].body
     assert ev._for_roots(body) is ev

@@ -1,8 +1,15 @@
+import sys
+
+import pytest
+
+from conftest import program_path
+from rascal_light import interp
 from rascal_light import syntax as sx
 from rascal_light import traversal as tv
-from rascal_light.interp import Evaluator
-from rascal_light.parser import parse_expr, parse_module
-from rascal_light.syntax import DUMMY_SPAN, constructor_table
+from rascal_light.interp import Evaluator, _UntracedEvaluator
+from rascal_light.parser import load_module, parse_expr, parse_module, parse_value
+from rascal_light.stackguard import HostStackGuard
+from rascal_light.syntax import DUMMY_SPAN, Strategy, constructor_table
 from rascal_light.values import (
     Basic,
     ERROR,
@@ -10,7 +17,8 @@ from rascal_light.values import (
     Store,
     Success,
     Throw,
-        UNDEF,
+    TIMEOUT,
+    UNDEF,
     VCons,
     VList,
     VMap,
@@ -40,6 +48,11 @@ def plus(x, y):
 
 def evaluator():
     return Evaluator(MODULE)
+
+
+def evaluators():
+    """A traced and an untraced evaluator of MODULE."""
+    return Evaluator(MODULE, trace=lambda entry: None), Evaluator(MODULE)
 
 
 def case(pattern_text_or_pat, body_text):
@@ -102,55 +115,56 @@ def test_reconstruct_children_roundtrip():
 
 
 # -- top-down -----------------------------------------------------------------
+# The passes are called directly on a traced and an untraced evaluator.
 
 
 def test_td_no_match_fails():
-    ev = evaluator()
-    res, out = tv.td_visit(ev, SIMPLIFY_CASES, b(42), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
-    assert res == FAIL
+    for ev in evaluators():
+        res, out = ev.td_visit(SIMPLIFY_CASES, b(42), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
+        assert res == FAIL
 
 
 def test_td_rewrites_children_and_reconstructs():
-    ev = evaluator()
-    cases = (case("intlit(0)", "intlit(9)"),)
-    v = plus(intlit(0), intlit(1))
-    res, _ = tv.td_visit(ev, cases, v, Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
-    assert res == Success(plus(intlit(9), intlit(1)))
+    for ev in evaluators():
+        cases = (case("intlit(0)", "intlit(9)"),)
+        v = plus(intlit(0), intlit(1))
+        res, _ = ev.td_visit(cases, v, Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
+        assert res == Success(plus(intlit(9), intlit(1)))
 
 
 def test_td_root_throw_skips_children():
-    ev = Evaluator(MODULE)
-    store = ev.init_globals()
-    cases = (
-        case("plus(a, c)", "throw 1"),
-        case("intlit(0)", "local in log = 99; intlit(1) end"),
-    )
-    v = plus(intlit(0), intlit(1))
-    res, out = tv.td_visit(ev, cases, v, store, tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
-    assert res == Throw(b(1))
-    assert out.get("log") == b(0)  # children were never traversed
+    for ev in evaluators():
+        store = ev.init_globals()
+        cases = (
+            case("plus(a, c)", "throw 1"),
+            case("intlit(0)", "local in log = 99; intlit(1) end"),
+        )
+        v = plus(intlit(0), intlit(1))
+        res, out = ev.td_visit(cases, v, store, tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
+        assert res == Throw(b(1))
+        assert out.get("log") == b(0)  # children were never traversed
 
 
 def test_td_star_empty_fails():
-    ev = evaluator()
-    res, out = tv.visit_star(tv.td_visit, ev, SIMPLIFY_CASES, (), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
-    assert res == FAIL
+    for ev in evaluators():
+        res, out = ev.visit_star("td_visit", SIMPLIFY_CASES, (), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
+        assert res == FAIL
 
 
 def test_td_star_mixed_results_use_originals():
-    ev = evaluator()
-    cases = (case("intlit(0)", "intlit(9)"),)
-    vals = (intlit(0), b(5))
-    res, _ = tv.visit_star(tv.td_visit, ev, cases, vals, Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
-    assert res == (intlit(9), b(5))
+    for ev in evaluators():
+        cases = (case("intlit(0)", "intlit(9)"),)
+        vals = (intlit(0), b(5))
+        res, _ = ev.visit_star("td_visit", cases, vals, Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
+        assert res == (intlit(9), b(5))
 
 
 def test_td_star_break_keeps_rest_verbatim():
-    ev = evaluator()
-    cases = (case("intlit(x)", "intlit(x + 1)"),)
-    vals = (intlit(0), intlit(5))
-    res, _ = tv.visit_star(tv.td_visit, ev, cases, vals, Store(), tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
-    assert res == (intlit(1), intlit(5))
+    for ev in evaluators():
+        cases = (case("intlit(x)", "intlit(x + 1)"),)
+        vals = (intlit(0), intlit(5))
+        res, _ = ev.visit_star("td_visit", cases, vals, Store(), tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
+        assert res == (intlit(1), intlit(5))
 
 
 def test_top_down_break_stops_at_root_match():
@@ -167,54 +181,53 @@ def test_top_down_break_stops_at_root_match():
 
 
 def test_bu_simplifier_examples():
-    ev = evaluator()
-    e = parse_expr(
-        "bottom-up visit (plus(intlit(0), plus(intlit(5), intlit(0)))) "
-        "{ case plus(intlit(0), y) => y case plus(x, intlit(0)) => x }",
-        MODULE,
-    )
-    assert ev.evaluate(e, Store())[0] == Success(intlit(5))
+    for ev in evaluators():
+        e = parse_expr(
+            "bottom-up visit (plus(intlit(0), plus(intlit(5), intlit(0)))) "
+            "{ case plus(intlit(0), y) => y case plus(x, intlit(0)) => x }",
+            MODULE,
+        )
+        assert ev.evaluate(e, Store())[0] == Success(intlit(5))
 
-    res, _ = tv.bu_visit(
-        ev,
-        SIMPLIFY_CASES,
-        plus(plus(intlit(0), intlit(2)), intlit(0)),
-        Store(),
-        tv.BreakMode.NO_BREAK,
-        budget(None),
-        DUMMY_SPAN,
-    )
-    assert res == Success(intlit(2))
+        res, _ = ev.bu_visit(
+            SIMPLIFY_CASES,
+            plus(plus(intlit(0), intlit(2)), intlit(0)),
+            Store(),
+            tv.BreakMode.NO_BREAK,
+            budget(None),
+            DUMMY_SPAN,
+        )
+        assert res == Success(intlit(2))
 
 
 def test_bu_leaf_no_match_fails():
-    ev = evaluator()
-    res, _ = tv.bu_visit(ev, SIMPLIFY_CASES, b(7), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
-    assert res == FAIL
+    for ev in evaluators():
+        res, _ = ev.bu_visit(SIMPLIFY_CASES, b(7), Store(), tv.BreakMode.NO_BREAK, budget(None), DUMMY_SPAN)
+        assert res == FAIL
 
 
 def test_bu_break_skips_parent_cases():
-    ev = Evaluator(MODULE)
-    store = ev.init_globals()
-    cases = (
-        case("intlit(0)", "intlit(9)"),
-        case("plus(a, c)", "local in log = 99; intlit(0) end"),
-    )
-    v = plus(intlit(0), intlit(1))
-    res, out = tv.bu_visit(ev, cases, v, store, tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
-    # The child rewrite succeeded, so the parent's cases never ran.
-    assert res == Success(plus(intlit(9), intlit(1)))
-    assert out.get("log") == b(0)
+    for ev in evaluators():
+        store = ev.init_globals()
+        cases = (
+            case("intlit(0)", "intlit(9)"),
+            case("plus(a, c)", "local in log = 99; intlit(0) end"),
+        )
+        v = plus(intlit(0), intlit(1))
+        res, out = ev.bu_visit(cases, v, store, tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
+        # The child rewrite succeeded, so the parent's cases never ran.
+        assert res == Success(plus(intlit(9), intlit(1)))
+        assert out.get("log") == b(0)
 
 
 def test_bus_break_threads_store_from_successful_child():
-    ev = Evaluator(MODULE)
-    store = ev.init_globals()
-    cases = (case("intlit(x)", "local in log = log + 1; intlit(x + 1) end"),)
-    vals = (intlit(0), intlit(5))
-    res, out = tv.visit_star(tv.bu_visit, ev, cases, vals, store, tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
-    assert res == (intlit(1), intlit(5))
-    assert out.get("log") == b(1)
+    for ev in evaluators():
+        store = ev.init_globals()
+        cases = (case("intlit(x)", "local in log = log + 1; intlit(x + 1) end"),)
+        vals = (intlit(0), intlit(5))
+        res, out = ev.visit_star("bu_visit", cases, vals, store, tv.BreakMode.BREAK_ON_FIRST, budget(None), DUMMY_SPAN)
+        assert res == (intlit(1), intlit(5))
+        assert out.get("log") == b(1)
 
 
 # -- strategies at the visit boundary -----------------------------------------
@@ -282,3 +295,67 @@ def test_visit_can_change_set_cardinality():
     e = parse_expr("bottom-up visit ({1, 2, 3}) { case int n : x => 9 }", MODULE)
     res, _ = ev.evaluate(e, Store())
     assert res == Success(VSet((b(9),)))
+
+
+# -- the judgment run on its own -----------------------------------------------
+
+
+def test_a_visit_run_on_its_own_is_a_boundary():
+    # Running out of fuel is a timeout result, as at every evaluation
+    # boundary, and not the evaluator's internal signal.
+    cases = (case("1", "2"),)
+    subject = VList((b(1), b(3)))
+    for ev in evaluators():
+        for fuel in (0, 3):
+            assert tv.eval_visit(ev, Strategy.TOP_DOWN, cases, subject, Store(), fuel, DUMMY_SPAN) == (TIMEOUT, Store())
+        res = tv.eval_visit(ev, Strategy.TOP_DOWN, cases, subject, Store(), None, DUMMY_SPAN)
+        assert res == (Success(VList((b(2), b(3)))), Store())
+
+
+def test_a_visit_run_on_its_own_knows_the_locals_of_cases_from_outside():
+    # As at run_cases, a block local assigned in a case from outside the
+    # module has its declared type, and the assignment is not stuck.
+    cases = (case("1", "local int c in c = 2 end"),)
+    for ev in evaluators():
+        res = tv.eval_visit(ev, Strategy.TOP_DOWN, cases, b(1), Store(), None, DUMMY_SPAN)
+        assert res == (Success(b(2)), Store()) == ev.run_cases(cases, b(1), Store())
+
+
+def test_a_visit_run_on_its_own_deeper_than_the_stack_is_a_host_stack_diagnostic():
+    subject = VList(())
+    for _ in range(sys.getrecursionlimit()):
+        subject = VList((subject,))
+    for ev in evaluators():
+        with pytest.raises(HostStackGuard):
+            tv.eval_visit(ev, Strategy.BOTTOM_UP, SIMPLIFY_CASES, subject, Store(), None, DUMMY_SPAN)
+
+
+# -- untraced ---------------------------------------------------------------
+
+
+def _visit_outcomes(ev, simplifier_ev):
+    """Each strategy's visit of one term, and ``simplify`` of it."""
+    subject = "plus(intlit(0), plus(intlit(5), intlit(0)))"
+    cases = "{ case plus(intlit(0), y) => y case plus(x, intlit(0)) => x }"
+    out = [ev.evaluate(parse_expr(f"{st.value} visit ({subject}) {cases}", MODULE), Store()) for st in Strategy]
+    out.append(simplifier_ev.call_function("simplify", (parse_value(subject),), Store()))
+    return out
+
+
+def test_an_untraced_visit_never_fires():
+    # Every method that fires has an untraced twin, so an untraced run
+    # reaches no ``fire`` at all; the one left on the class would raise.
+    assert set(interp._TWINNED) <= set(vars(_UntracedEvaluator))
+    simplifier = load_module(program_path("simplifier.rsl"))
+    want = _visit_outcomes(Evaluator(MODULE, trace=lambda entry: None), Evaluator(simplifier, trace=lambda entry: None))
+    ev, simplifier_ev = Evaluator(MODULE), Evaluator(simplifier)
+    # Taking the sink off makes an evaluator untraced however it was built.
+    ev.trace = simplifier_ev.trace = None
+    assert type(ev) is type(simplifier_ev) is _UntracedEvaluator
+
+    def fire(*args):
+        raise AssertionError(f"an untraced run fired {args[1]}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_UntracedEvaluator, "fire", fire)
+        assert _visit_outcomes(ev, simplifier_ev) == want

@@ -556,10 +556,10 @@ def _roots(m: ModuleDef) -> list[Expr]:
     return [f.body for f in m.functions] + [g.init for g in m.globals]
 
 
-def _assert_same_tables(roots) -> None:
+def _assert_same_tables(info, roots) -> None:
     for r in roots:
-        assert sx.snippet_assignables(r) == snippet_assignables(r), render(r)
-    assert sx.snippet_assignables(*roots) == snippet_assignables(*roots)
+        assert sx.snippet_assignables(info, r) == snippet_assignables(r), render(r)
+    assert sx.snippet_assignables(info, *roots) == snippet_assignables(*roots)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +580,9 @@ def test_analysis_agrees_with_the_previous_validator():
     checked = 0
     for m in spelled_modules() + list(generated_modules()):
         for case in (m, *mutants(m, rng)):
-            assert sx.analyze_module(case) == _Validator(case).run(), render(case)
-            _assert_same_tables(_roots(case))
+            info = sx.analyze_module(case)
+            assert info == _Validator(case).run(), render(case)
+            _assert_same_tables(info, _roots(case))
             checked += 1
     assert checked > 15_000
 
@@ -590,10 +591,11 @@ def test_case_bodies_get_the_previous_tables():
     rng = random.Random(3)
     gen = _ModuleGen(rng, GenBudget(seed=3), finite=False)
     gen.build_datatypes()
+    info = sx.analyze_module(ModuleDef(datatypes=tuple(gen.datatypes)))
     for _ in range(2000):
         cases, _, _ = gen_cases_triple(rng, gen)
-        _assert_same_tables([c.body for c in cases])
-    _assert_same_tables(list(harness._ADVERSARIAL_SNIPPETS))
+        _assert_same_tables(info, [c.body for c in cases])
+    _assert_same_tables(sx.analyze_module(ModuleDef()), list(harness._ADVERSARIAL_SNIPPETS))
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +612,7 @@ def test_an_inner_binder_hides_an_enclosing_local_from_an_assignment(binder):
     (assign,) = [x for x in sx.walk_exprs(e) if isinstance(x, Assign)]
     # The previous block-only walk gave the assignment the local's type.
     assert snippet_assignables(e) == {id(assign): INT}
-    assert sx.snippet_assignables(e) == {}
+    assert sx.snippet_assignables(sx.analyze_module(ModuleDef()), e) == {}
     fired = []
     res, _ = Evaluator(ModuleDef(), trace=fired.append).evaluate(e, Store())
     assert res == ERROR

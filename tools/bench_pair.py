@@ -21,8 +21,12 @@ both runs fail, count for neither side.  A gain is resolved when the change
 wins at least nine pairs in ten, the medians differ by more than the base's
 interquartile range, and in no pair does the change fail a larger share of
 its operations than the base (a failed run counts as failing them all).
-The exported commit, the seeds, the command and the machine are recorded
-with them.
+Each metric also records ``worse_by``, how much worse the change's median
+is than the base's as a fraction of the base's (negative when better),
+and ``within_bound``, whether that is at most the metric's ``bound`` in
+``BENCHMARK.json``; the metrics outside their bound are printed.  The
+exported commit, the seeds, the command and the machine are recorded with
+them.
 """
 
 from __future__ import annotations
@@ -119,15 +123,34 @@ def summarise(runs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
                 q1, med, q3 = quartiles(xs)
                 sides[side] = {"median": med, "q1": q1, "q3": q3, "values": xs}
         wins = sum(change_wins(b, c, name, higher) for b, c in runs)
-        entry = {"unit": m["unit"], "better": m["better"], **sides, "pairs": len(runs), "change_won": wins}
-        resolved = False
-        if len(sides) == 2 and not fails_more:
-            gap = sides["change"]["median"] - sides["base"]["median"]
+        entry = {"unit": m["unit"], "better": m["better"], "bound": m["bound"], **sides,
+                 "pairs": len(runs), "change_won": wins}
+        resolved, worse_by = False, None
+        if len(sides) == 2:
+            base, change = sides["base"]["median"], sides["change"]["median"]
+            worse = base - change if higher else change - base
+            worse_by = worse / base if base else worse
             spread = sides["base"]["q3"] - sides["base"]["q1"]
-            resolved = wins >= 0.9 * len(runs) and (gap if higher else -gap) > spread
+            resolved = not fails_more and wins >= 0.9 * len(runs) and -worse > spread
         entry["gain_resolved"] = resolved
+        entry["worse_by"] = worse_by
+        # A side without one successful run has no median to compare; a
+        # change without one is outside its bound.
+        entry["within_bound"] = "change" in sides if worse_by is None else worse_by <= m["bound"]
         out[name] = entry
     return out
+
+
+def outside_bound(workloads: dict) -> list[str]:
+    """A line for each workload's metric that is worse than its bound allows."""
+    return [
+        f"{w} {name}: "
+        + ("no successful run" if e["worse_by"] is None else f"worse by {e['worse_by']:.1%}")
+        + f", bound {e['bound']:.0%}"
+        for w, rec in workloads.items()
+        for name, e in rec["metrics"].items()
+        if not e["within_bound"]
+    ]
 
 
 def main(argv=None) -> int:
@@ -166,6 +189,9 @@ def main(argv=None) -> int:
         "rule": "gain_resolved: the change wins >= 9/10 of the pairs (a failed run loses its pair), "
                 "the medians differ by more than the base's interquartile range, and in no pair "
                 "does the change fail a larger share of operations than the base",
+        "bound_rule": "within_bound: worse_by, the change's median less the base's as a fraction of "
+                      "the base's (positive when worse in the metric's better direction), is at most "
+                      "the metric's bound",
         # The base is the export of this commit, made by git archive.
         "base": {"commit": base_commit},
         # The export of the working tree: its HEAD, plus any changes not yet
@@ -187,6 +213,8 @@ def main(argv=None) -> int:
         json.dump(record, fh, indent=1)
         fh.write("\n")
     print(path)
+    for line in outside_bound(record["workloads"]):
+        print(f"outside its bound: {line}")
     return 0
 
 
