@@ -63,9 +63,17 @@ def _render_result(res: Result) -> str:
     return result_kind(res)
 
 
-def _diag(source: SourceFile | None, span, message: str) -> None:
-    where = source.format_span(span) if source is not None else f"offset {span.start}"
-    print(f"{where}: {message}", file=sys.stderr)
+def _where(source: SourceFile | None, span) -> str:
+    """Where a diagnostic points: ``path:line:col`` in a file, ``offset N``
+    in text given on the command line."""
+    return source.format_span(span) if source is not None else f"offset {span.start}"
+
+
+def _refuse(*lines: str) -> int:
+    """Print ``lines`` to stderr and return the exit code of bad input."""
+    for line in lines:
+        print(line, file=sys.stderr)
+    return EXIT_BAD_INPUT
 
 
 def _argument_fault(arg: Value, constructors) -> str | None:
@@ -145,13 +153,11 @@ def _cmd_run(args) -> int:
         try:
             fuel = int(os.environ[FUEL_ENV_VAR])
         except ValueError:
-            print(f"invalid {FUEL_ENV_VAR} value", file=sys.stderr)
-            return EXIT_BAD_INPUT
+            return _refuse(f"invalid {FUEL_ENV_VAR} value")
     try:
         fuel = budget(fuel)
     except ValueError as exc:
-        print(f"invalid fuel {fuel}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _refuse(f"invalid fuel {fuel}: {exc}")
 
     # Every stage recurses over its input, so all of them run on the
     # large-stack worker: nesting deep enough to exhaust even its stack
@@ -163,35 +169,28 @@ def _cmd_run(args) -> int:
                 with open(args.file, "r", encoding="utf-8") as fh:
                     source = SourceFile(args.file, fh.read())
             except (OSError, UnicodeDecodeError) as exc:
-                print(f"cannot read {args.file}: {exc}", file=sys.stderr)
-                return EXIT_BAD_INPUT
+                return _refuse(f"cannot read {args.file}: {exc}")
             try:
                 module = parse_module(source)
             except ParseError as exc:
-                _diag(source, exc.span, f"parse error: {exc.message}")
-                return EXIT_BAD_INPUT
+                return _refuse(f"{_where(source, exc.span)}: parse error: {exc.message}")
         else:
             module = ModuleDef()
 
         try:
             ev = Evaluator(module, trace=_print_trace if args.trace else None)
         except IllFormedModule as exc:
-            for err in exc.errors:
-                _diag(source, err.span, err.message)
-            return EXIT_BAD_INPUT
+            return _refuse(*[f"{_where(source, err.span)}: {err.message}" for err in exc.errors])
 
         snippet = None
         if args.eval_expr is not None:
             try:
                 snippet = parse_expr(args.eval_expr, module)
             except ParseError as exc:
-                _diag(None, exc.span, f"parse error in --eval: {exc.message}")
-                return EXIT_BAD_INPUT
+                return _refuse(f"{_where(None, exc.span)}: parse error in --eval: {exc.message}")
             errs = validate_expr(snippet, ev.info)
             if errs:
-                for err in errs:
-                    _diag(None, err.span, err.message)
-                return EXIT_BAD_INPUT
+                return _refuse(*[f"{_where(None, err.span)}: {err.message}" for err in errs])
 
         call = None
         if args.call is not None:
@@ -204,25 +203,20 @@ def _cmd_run(args) -> int:
                 if not p.at("eof"):
                     raise p.error("trailing input after call")
             except ParseError as exc:
-                _diag(None, exc.span, f"bad --call: {exc.message}")
-                return EXIT_BAD_INPUT
+                return _refuse(f"{_where(None, exc.span)}: bad --call: {exc.message}")
             fd = ev.functions.get(call.name)
             if fd is None:
-                print(f"unknown function {call.name!r}", file=sys.stderr)
-                return EXIT_BAD_INPUT
+                return _refuse(f"unknown function {call.name!r}")
             if len(fd.params) != len(call.args):
-                print(
+                return _refuse(
                     f"function {call.name!r} expects {len(fd.params)} arguments, "
-                    f"given {len(call.args)}",
-                    file=sys.stderr,
+                    f"given {len(call.args)}"
                 )
-                return EXIT_BAD_INPUT
             for i, (arg, p) in enumerate(zip(call.args, fd.params), 1):
                 fault = _argument_fault(arg, ev.constructors)
                 if fault is not None:
                     where = f"argument {i} ({p.name}) of {call.name!r}"
-                    print(f"bad --call: {where}: {fault}", file=sys.stderr)
-                    return EXIT_BAD_INPUT
+                    return _refuse(f"bad --call: {where}: {fault}")
 
         store = ev.init_globals(fuel)
         res = None

@@ -287,8 +287,6 @@ class Evaluator:
         # globals by name (validation forbids shadowing them).
         self.local_types = info.assign_types
         self.global_types = {g.name: g.type for g in module.globals}
-        # Roots the validator walked; their block locals are in local_types.
-        self.module_roots = {id(fd.body) for fd in module.functions} | {id(g.init) for g in module.globals}
         self.trace = trace
 
     # -- plumbing ------------------------------------------------------
@@ -311,9 +309,9 @@ class Evaluator:
 
     def _for_roots(self, *roots: sx.Expr) -> Evaluator:
         """This evaluator, or a per-call copy that also knows the block
-        locals assigned in those ``roots`` that come from outside the module.
-        Module roots were walked by the validator and are not walked again."""
-        foreign = [r for r in roots if id(r) not in self.module_roots]
+        locals assigned in those ``roots`` that the validator did not walk.
+        A root it walked (``ModuleInfo.walked_roots``) is not walked again."""
+        foreign = [r for r in roots if id(r) not in self.info.walked_roots]
         if not foreign:
             return self
         local = snippet_assignables(self.info, *foreign)

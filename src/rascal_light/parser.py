@@ -1,7 +1,8 @@
 """Concrete syntax: tokenizer, recursive-descent parser, and module loading.
 
-The surface grammar is this project's own.  Files use the ``.rsl``
-extension, UTF-8, LF or CRLF line endings, and ``//`` line comments.
+The surface grammar is this project's own; its tables, the statement
+templates of ``STATEMENT_FORMS`` among them, are the renderer's too.  Files use
+the ``.rsl`` extension, UTF-8, LF or CRLF line endings, and ``//`` comments.
 """
 
 from __future__ import annotations
@@ -405,14 +406,12 @@ class Parser:
             raise self.error(f"expected a type, found {t.describe()}")
         name = t.value
         if word is not None and self.at("punct", "<", 1):
-            self.advance()
-            self.advance()
+            self.pos += 2
             elem = self.parse_type()
             self.expect("punct", ">")
             return word(elem)
         if name == "map" and self.at("punct", "<", 1):
-            self.advance()
-            self.advance()
+            self.pos += 2
             k = self.parse_type()
             self.expect("punct", ",")
             v = self.parse_type()
@@ -434,9 +433,11 @@ class Parser:
                 self.advance()
                 v = self.parse_expr()
                 return PREFIX_FORMS[kw](v, Span(t.start, v.span.end))
-            form = _STATEMENT_FORMS.get(kw)
-            if form is not None:
-                return form(self)
+            forms = _FORM_STARTS.get(kw)
+            if forms is not None:
+                return self.parse_form(forms)
+            if kw == "local":
+                return self.parse_local()
         if t.kind == "ident" and self.at("punct", "=", 1):
             self.advance()
             self.advance()
@@ -524,16 +525,29 @@ class Parser:
         self.expect("punct", ":")
         return k, item()
 
-    # -- statement-shaped expressions --------------------------------------
+    # -- statement forms ------------------------------------------------------
 
-    def parse_if(self) -> sx.Expr:
-        start = self.expect("kw", "if")
-        cond = self.parse_expr()
-        self.expect("kw", "then")
-        then = self.parse_expr()
-        self.expect("kw", "else")
-        els = self.parse_expr()
-        return sx.If(cond, then, els, Span(start.start, els.span.end))
+    def parse_form(self, forms: tuple) -> sx.Expr:
+        """One of ``forms``, the items of ``STATEMENT_FORMS`` whose template
+        starts with the next token.  Where templates part, the one whose
+        keyword comes next is read, or else the last one.  The span ends with
+        the sub-term of a final ``EXPR``, or else with the last token read."""
+        start = self.peek().start
+        node, template = forms[-1]
+        fields = []
+        i = 0
+        while i < len(template):
+            if len(forms) > 1 and len({t[i] for _, t in forms}) > 1:
+                forms = [f for f in forms if self.at("kw", f[1][i])] or forms[-1:]
+                node, template = forms[-1]
+            elem = template[i]
+            if isinstance(elem, str):
+                self.expect("kw" if elem in KEYWORDS else "punct", elem)
+            else:
+                fields.append(elem(self))
+            i += 1
+        end = fields[-1].span.end if template[-1] is EXPR else self.toks[self.pos - 1].end
+        return node(*fields, Span(start, end))
 
     def parse_cases(self) -> tuple[sx.Case, ...]:
         self.expect("punct", "{")
@@ -541,45 +555,13 @@ class Parser:
         while self.at("kw", "case"):
             start = self.advance()
             pat = self.parse_pattern()
-            if self.at("punct", "=>") or self.at("punct", ":"):
-                self.advance()
-            else:
+            if not (self.at("punct", "=>") or self.at("punct", ":")):
                 raise self.error("expected '=>' after case pattern")
+            self.advance()
             body = self.parse_expr()
             cases.append(sx.Case(pat, body, Span(start.start, body.span.end)))
         self.expect("punct", "}")
         return tuple(cases)
-
-    def parse_switch_or_visit(self) -> sx.Expr:
-        """``switch (e) cases``, or ``strategy visit (e) cases``."""
-        start = self.advance()
-        strategy = STRATEGIES.get(start.value)
-        if strategy is not None:
-            self.expect("kw", "visit")
-        self.expect("punct", "(")
-        subject = self.parse_expr()
-        self.expect("punct", ")")
-        cases = self.parse_cases()
-        span = Span(start.start, self.toks[self.pos - 1].end)
-        if strategy is None:
-            return sx.Switch(subject, cases, span)
-        return sx.Visit(strategy, subject, cases, span)
-
-    def parse_while(self) -> sx.Expr:
-        start = self.expect("kw", "while")
-        self.expect("punct", "(")
-        cond = self.parse_expr()
-        self.expect("punct", ")")
-        body = self.parse_expr()
-        return sx.While(cond, body, Span(start.start, body.span.end))
-
-    def parse_for(self) -> sx.Expr:
-        start = self.expect("kw", "for")
-        self.expect("punct", "(")
-        gen = self.parse_generator()
-        self.expect("punct", ")")
-        body = self.parse_expr()
-        return sx.For(gen, body, Span(start.start, body.span.end))
 
     def parse_generator(self) -> sx.Generator:
         t = self.peek()
@@ -590,9 +572,7 @@ class Parser:
             and self.at("punct", "-", 2)
             and self.peek(1).end == self.peek(2).start
         ):
-            self.advance()
-            self.advance()
-            self.advance()
+            self.pos += 3
             src = self.parse_expr()
             return sx.Enumerating(t.value, src, Span(t.start, src.span.end))
         pat = self.parse_pattern()
@@ -600,13 +580,15 @@ class Parser:
         src = self.parse_expr()
         return sx.Matching(pat, src, Span(t.start, src.span.end))
 
-    def parse_solve(self) -> sx.Expr:
-        start = self.expect("kw", "solve")
-        self.expect("punct", "(")
-        targets = [t.value for t in self.sep_list(lambda: self.expect("ident"), ",", None)]
-        self.expect("punct", ")")
-        body = self.parse_expr()
-        return sx.Solve(tuple(targets), body, Span(start.start, body.span.end))
+    def parse_name(self) -> str:
+        return self.expect("ident").value
+
+    def parse_names(self) -> tuple[str, ...]:
+        return tuple(self.sep_list(self.parse_name, ",", None))
+
+    def parse_strategy(self) -> sx.Strategy:
+        """The strategy keyword that `parse_expr` found next."""
+        return STRATEGIES[self.advance().value]
 
     def parse_local(self) -> sx.Expr:
         start = self.expect("kw", "local")
@@ -621,19 +603,6 @@ class Parser:
                 raise self.error("expected ';' or 'end' in block")
         end = self.expect("kw", "end")
         return sx.Block(tuple(decls), tuple(body), Span(start.start, end.end))
-
-    def parse_try(self) -> sx.Expr:
-        start = self.expect("kw", "try")
-        body = self.parse_expr()
-        if self.at("kw", "catch"):
-            self.advance()
-            var = self.expect("ident").value
-            self.expect("punct", "=>")
-            handler = self.parse_expr()
-            return sx.TryCatch(body, var, handler, Span(start.start, handler.span.end))
-        self.expect("kw", "finally")
-        fin = self.parse_expr()
-        return sx.TryFinally(body, fin, Span(start.start, fin.span.end))
 
     # -- patterns -------------------------------------------------------------
 
@@ -719,12 +688,29 @@ class Parser:
         raise self.error(f"expected a value literal, found {t.describe()}")
 
 
-# The statement-shaped forms, by the keyword they start with.
-_STATEMENT_FORMS = {
-    "if": Parser.parse_if, "while": Parser.parse_while, "for": Parser.parse_for,
-    "solve": Parser.parse_solve, "local": Parser.parse_local, "try": Parser.parse_try,
-    **dict.fromkeys(("switch", *STRATEGIES), Parser.parse_switch_or_visit),
+# The slots of a statement template, each the parser method that reads it.
+EXPR, GENERATOR, CASES = Parser.parse_expr, Parser.parse_generator, Parser.parse_cases
+NAME, NAMES, STRATEGY = Parser.parse_name, Parser.parse_names, Parser.parse_strategy
+
+# The statement forms: each node class's template of keywords,
+# punctuation and slots, which `Parser.parse_form` reads and the renderer
+# prints.  The slots fill the node's fields in order, and the span is last.
+STATEMENT_FORMS = {
+    sx.If: ("if", EXPR, "then", EXPR, "else", EXPR),
+    sx.Switch: ("switch", "(", EXPR, ")", CASES),
+    sx.Visit: (STRATEGY, "visit", "(", EXPR, ")", CASES),
+    sx.While: ("while", "(", EXPR, ")", EXPR),
+    sx.For: ("for", "(", GENERATOR, ")", EXPR),
+    sx.Solve: ("solve", "(", NAMES, ")", EXPR),
+    sx.TryCatch: ("try", EXPR, "catch", NAME, "=>", EXPR),
+    sx.TryFinally: ("try", EXPR, "finally", EXPR),
 }
+
+# The templates by the keyword they start with (any strategy for STRATEGY).
+_FORM_STARTS: dict[str, tuple] = {}
+for _form in STATEMENT_FORMS.items():
+    for _kw in STRATEGIES if _form[1][0] is STRATEGY else _form[1][:1]:
+        _FORM_STARTS[_kw] = _FORM_STARTS.get(_kw, ()) + (_form,)
 
 
 # ---------------------------------------------------------------------------

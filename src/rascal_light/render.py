@@ -1,15 +1,18 @@
 """Canonical text rendering of modules, expressions, patterns and values.
 
-Rendering is deterministic and reparses to a structurally equal tree:
-parenthesization follows the parser's precedence ladder, collection values
-print in canonical order, and multi-line layout is used only for blocks
-and case lists.
+Rendering is deterministic and reparses to a structurally equal tree: it
+prints from the parser's tables, each statement form by its template, and
+parenthesizes by the parser's precedence ladder.  Collection values print in
+canonical order, and only blocks and case lists take several lines.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 from . import syntax as sx
 from .parser import BINARY_LEVEL, BINARY_LEVELS, KEYWORD_FORMS, PREFIX_FORMS
+from .parser import CASES, EXPR, GENERATOR, NAME, NAMES, STATEMENT_FORMS, STRATEGY
 from .parser import EXPR_COLLECTIONS, PATTERN_COLLECTIONS
 from .types import Type, render_type
 from .values import CLOSERS, Value, basic_text, render_value
@@ -54,14 +57,14 @@ def render_pattern(p: sx.Pattern) -> str:
     if isinstance(p, sx.VarPat):
         return p.name
     if isinstance(p, sx.ConsPat):
-        return p.name + "(" + ", ".join(render_pattern(a) for a in p.args) + ")"
+        return p.name + "(" + ", ".join([render_pattern(a) for a in p.args]) + ")"
     if isinstance(p, sx.TypedPat):
         return f"{render_type(p.type)} {p.name} : {render_pattern(p.pattern)}"
     if isinstance(p, sx.Star):
         return "*" + p.name
     if type(p) in _BRACKETS:
         opener, closer = _BRACKETS[type(p)]
-        return opener + ", ".join(render_pattern(a) for a in p.elements) + closer
+        return opener + ", ".join([render_pattern(a) for a in p.elements]) + closer
     if isinstance(p, sx.NegPat):
         return "!" + render_pattern(p.pattern)
     if isinstance(p, sx.DeepPat):
@@ -81,6 +84,38 @@ def _render_cases(cases: tuple[sx.Case, ...], indent: int) -> str:
         lines.append(f"{_IND * (indent + 1)}case {render_pattern(c.pattern)} => {body}")
     lines.append(_IND * indent + "}")
     return "\n".join(lines)
+
+
+def _render_generator(g: sx.Generator, indent: int) -> str:
+    source = render_expr(g.source, _STMT, indent)
+    if isinstance(g, sx.Enumerating):
+        return f"{g.var} <- {source}"
+    return f"{render_pattern(g.pattern)} := {source}"
+
+
+# How each slot of a statement template prints the field it fills.
+_SLOT_PRINTERS = {
+    EXPR: lambda e, indent: render_expr(e, _STMT, indent),
+    GENERATOR: _render_generator,
+    NAME: lambda name, indent: name,
+    NAMES: lambda names, indent: ", ".join(names),
+    CASES: _render_cases,
+    STRATEGY: lambda strategy, indent: strategy.value,
+}
+
+# Each statement form's fields, in the order its template's slots fill them.
+_FORM_FIELDS = {node: [f.name for f in fields(node) if f.name != "span"] for node in STATEMENT_FORMS}
+
+
+def _render_form(e: sx.Expr, indent: int) -> str:
+    """``e`` by its template: elements one space apart, none after ``(`` or before ``)``."""
+    names = iter(_FORM_FIELDS[type(e)])
+    text = prev = ""
+    for elem in STATEMENT_FORMS[type(e)]:
+        word = elem if isinstance(elem, str) else _SLOT_PRINTERS[elem](getattr(e, next(names)), indent)
+        text += word if prev in ("", "(") or elem == ")" else " " + word
+        prev = elem
+    return text
 
 
 def render_expr(e: sx.Expr, min_prec: int = _STMT, indent: int = 0) -> str:
@@ -103,16 +138,16 @@ def _render_expr(e: sx.Expr, indent: int) -> str:
         right = render_expr(e.right, lvl + 1, indent)
         return f"{left} {e.op} {right}"
     if isinstance(e, (sx.Cons, sx.Call)):
-        args = ", ".join(render_expr(a, _STMT, indent) for a in e.args)
+        args = ", ".join([render_expr(a, _STMT, indent) for a in e.args])
         return f"{e.name}({args})"
     if type(e) in _BRACKETS:
         opener, closer = _BRACKETS[type(e)]
-        return opener + ", ".join(render_expr(a, _STMT, indent) for a in e.items) + closer
+        return opener + ", ".join([render_expr(a, _STMT, indent) for a in e.items]) + closer
     if isinstance(e, sx.MapExpr):
-        inner = ", ".join(
+        inner = ", ".join([
             f"{render_expr(k, _STMT, indent)} : {render_expr(v, _STMT, indent)}"
             for k, v in e.pairs
-        )
+        ])
         return "(" + inner + ")"
     if isinstance(e, sx.Lookup):
         return (
@@ -134,19 +169,8 @@ def _render_expr(e: sx.Expr, indent: int) -> str:
         return _PREFIXES[type(e)] + render_expr(e.value, _STMT, indent)
     if isinstance(e, sx.Assign):
         return f"{e.name} = " + render_expr(e.value, _STMT, indent)
-    if isinstance(e, sx.If):
-        return (
-            "if "
-            + render_expr(e.cond, _STMT, indent)
-            + " then "
-            + render_expr(e.then, _STMT, indent)
-            + " else "
-            + render_expr(e.els, _STMT, indent)
-        )
-    if isinstance(e, (sx.Switch, sx.Visit)):
-        head = "switch" if isinstance(e, sx.Switch) else e.strategy.value + " visit"
-        subject = render_expr(e.subject, _STMT, indent)
-        return f"{head} ({subject}) " + _render_cases(e.cases, indent)
+    if type(e) in STATEMENT_FORMS:
+        return _render_form(e, indent)
     if type(e) in _KEYWORDS:
         return _KEYWORDS[type(e)]
     if isinstance(e, sx.Block):
@@ -161,41 +185,6 @@ def _render_expr(e: sx.Expr, indent: int) -> str:
             lines.append(_IND * (indent + 1) + render_expr(sub, _STMT, indent + 1) + sep)
         lines.append(_IND * indent + "end")
         return "\n".join(lines)
-    if isinstance(e, sx.For):
-        g = e.generator
-        if isinstance(g, sx.Enumerating):
-            gen = f"{g.var} <- " + render_expr(g.source, _STMT, indent)
-        else:
-            gen = render_pattern(g.pattern) + " := " + render_expr(g.source, _STMT, indent)
-        return f"for ({gen}) " + render_expr(e.body, _STMT, indent)
-    if isinstance(e, sx.While):
-        return (
-            "while ("
-            + render_expr(e.cond, _STMT, indent)
-            + ") "
-            + render_expr(e.body, _STMT, indent)
-        )
-    if isinstance(e, sx.Solve):
-        return (
-            "solve ("
-            + ", ".join(e.targets)
-            + ") "
-            + render_expr(e.body, _STMT, indent)
-        )
-    if isinstance(e, sx.TryCatch):
-        return (
-            "try "
-            + render_expr(e.body, _STMT, indent)
-            + f" catch {e.var} => "
-            + render_expr(e.handler, _STMT, indent)
-        )
-    if isinstance(e, sx.TryFinally):
-        return (
-            "try "
-            + render_expr(e.body, _STMT, indent)
-            + " finally "
-            + render_expr(e.fin, _STMT, indent)
-        )
     raise TypeError(f"not an expression: {e!r}")
 
 

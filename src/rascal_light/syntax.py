@@ -536,6 +536,9 @@ class ModuleInfo:
     # ``id`` of its ``Assign`` node; globals are not listed, they resolve
     # by name.
     assign_types: dict[int, Type]
+    # The ``id`` of each function body, global initializer and case body:
+    # their block locals are in ``assign_types``, so none is walked again.
+    walked_roots: set[int] = field(default_factory=set, compare=False)
 
 
 # A lexical scope: name -> (kind, declared type or None).  A nested scope
@@ -562,6 +565,7 @@ class _Validator:
         self.constructors: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.functions: dict[str, FunDef] = {}
         self.assign_types: dict[int, Type] = {}
+        self.walked_roots: set[int] = set()
 
     def error(self, kind: str, name: str, span: Span, message: str) -> None:
         self.errors.append(WellFormednessError(kind, name, span, message))
@@ -659,6 +663,7 @@ class _Validator:
         for g in m.globals:
             # Global initializers run before any function; they see only
             # the globals themselves (plus their own block locals).
+            self.walked_roots.add(id(g.init))
             self.walk(g.init, dict(globals_scope))
 
         for f in m.functions:
@@ -676,6 +681,7 @@ class _Validator:
                         f"parameter {p.name!r} shadows an enclosing declaration",
                     )
                 scope[p.name] = ("param", p.type)
+            self.walked_roots.add(id(f.body))
             self.walk(f.body, scope)
 
         return ModuleInfo(
@@ -684,6 +690,7 @@ class _Validator:
             functions=self.functions,
             errors=self.errors,
             assign_types=self.assign_types,
+            walked_roots=self.walked_roots,
         )
 
     def check_type(self, t: Type, span: Span) -> None:
@@ -753,6 +760,7 @@ class _Validator:
             for c in e.cases:
                 inner = dict(scope)
                 self.check_pattern(c.pattern, inner)
+                self.walked_roots.add(id(c.body))
                 self.walk(c.body, inner)
             return
         if isinstance(e, For):

@@ -149,11 +149,11 @@ def _type_node(v: Value, constructors, type_child) -> Type:
                 )
         return DataType(at)
     if isinstance(v, _ELEM_VALUES):
-        return _ELEM_TYPE_OF[v.__class__](lub_seq(type_child(x, constructors) for x in v.items))
+        return _ELEM_TYPE_OF[v.__class__](lub_seq([type_child(x, constructors) for x in v.items]))
     if isinstance(v, VMap):
         return MapType(
-            lub_seq(type_child(k, constructors) for k, _ in v.pairs),
-            lub_seq(type_child(x, constructors) for _, x in v.pairs),
+            lub_seq([type_child(k, constructors) for k, _ in v.pairs]),
+            lub_seq([type_child(x, constructors) for _, x in v.pairs]),
         )
     raise IllFormedValue(f"unknown value {v!r}")
 

@@ -566,14 +566,14 @@ def render_value(v: Value) -> str:
     if isinstance(v, Basic):
         return basic_text(v.val)
     if isinstance(v, VCons):
-        return v.name + "(" + ", ".join(render_value(a) for a in v.args) + ")"
+        return v.name + "(" + ", ".join([render_value(a) for a in v.args]) + ")"
     if isinstance(v, (VList, VSet)):
         opener, closer = _BRACKETS[v.__class__.__name__]
-        return opener + ", ".join(render_value(x) for x in v.items) + closer
+        return opener + ", ".join([render_value(x) for x in v.items]) + closer
     if isinstance(v, VMap):
-        inner = ", ".join(
+        inner = ", ".join([
             render_value(k) + " : " + render_value(x) for k, x in v.pairs
-        )
+        ])
         return "(" + inner + ")"
     return "<undefined>"
 

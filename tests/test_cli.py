@@ -438,6 +438,7 @@ ADVERSARIAL = {
     "binary-chain-module": ("int f() = " + " + ".join(["1"] * 20000) + ";", ["--call", "f()"], 0),
     "binary-chain-eval": (None, ["--eval", " + ".join(["1"] * 20000)], 0),
     "call-value": (NAT + "Nat id(Nat n) = n;", ["--call", f"id({_nested('succ(', 'zero()', ')', 5000)})"], 0),
+    "call-list-value": ("int f(list<value> x) = 1;", ["--call", f"f({_nested('[', '', ']', 5000)})"], 0),
     "pattern": (
         NAT + f"int f() = switch (zero()) {{ case {_nested('succ(', 'zero()', ')')} => 1 case _ => 0 }};",
         ["--call", "f()"],

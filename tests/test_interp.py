@@ -627,10 +627,17 @@ def test_module_roots_are_not_walked_again(monkeypatch):
     walked = []
     real = interp.snippet_assignables
     monkeypatch.setattr(interp, "snippet_assignables", lambda info, *roots: walked.append(roots) or real(info, *roots))
-    ev = ev_for("int f(int n) = local int a in a = n end;")
+    ev = ev_for(
+        "int f(int n) = local int a in a = n end;"
+        " int h() = switch (1) { case x => local int c in c = x end };"
+    )
     body = ev.functions["f"].body
     assert ev._for_roots(body) is ev
     assert ev.evaluate(body, Store({"n": b(3)})) == (Success(b(3)), Store({"n": b(3)}))
+    # The module's own case bodies were walked too, though they assign a local.
+    own = ev.functions["h"].body.cases
+    assert ev._for_roots(own[0].body) is ev
+    assert ev.run_cases(own, b(1), Store())[0] == Success(b(1))
     assert walked == []
     cases = parse_module("int g() = switch (1) { case x => 1 };").functions[0].body.cases
     assert ev.run_cases(cases, b(1), Store())[0] == Success(b(1))
