@@ -12,9 +12,10 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import syntax as sx
+from .fieldtable import replace
 from .interp import Evaluator
 from .fuel import call_with_stack, eval_expr_fuel, min_sufficient_fuel
 from .parser import EXPR_COLLECTIONS, KEYWORD_FORMS, PREFIX_FORMS, parse_expr

@@ -27,10 +27,10 @@ import __future__
 import linecache
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from . import syntax as sx
+from .fieldtable import build
 from .patterns import match
 from .stackguard import stack_guarded
 from .syntax import ModuleDef, Span, WellFormednessError, analyze_module, snippet_assignables
@@ -90,12 +90,20 @@ class InitError(Exception):
         self.result = result
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class TraceEntry:
-    rule: str
-    span: Span
-    kind: str
-    changed: tuple[str, ...]
+    """One rule firing: the rule, the span of its expression, the kind of
+    its result, and the names it bound differently (``changed``).  Those
+    are computed from the stores before and after the firing when first
+    read, so a sink that reads only the rule pays nothing for them."""
+
+    @property
+    def changed(self) -> tuple[str, ...]:
+        if self._changed is None:
+            self._changed = self.pre.changed(self.post)
+        return self._changed
+
+
+build(globals(), "TraceEntry: rule span kind changed | pre post _changed=None", TraceEntry)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +312,7 @@ class Evaluator:
     def fire(self, rule: str, span: Span, pre: Store, res, post: Store):
         """Record a rule firing and return its conclusion."""
         kind = result_kind(res) if isinstance(res, Result) else "success"
-        self._trace(TraceEntry(rule, span, kind, pre.changed(post)))
+        self._trace(TraceEntry(rule, span, kind, pre, post))
         return res, post
 
     def _for_roots(self, *roots: sx.Expr) -> Evaluator:

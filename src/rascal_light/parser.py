@@ -8,20 +8,20 @@ the ``.rsl`` extension, UTF-8, LF or CRLF line endings, and ``//`` comments.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import syntax as sx
+from .fieldtable import build
 from .stackguard import stack_guarded
 from .syntax import Span
 from .types import TYPE_WORDS, DataType, MapType, Type
 from .values import CLOSERS, ESCAPES, VALUE_COLLECTIONS, Basic, UNDEF, Value, VCons, VMap
 
 
-@dataclass
 class SourceFile:
-    path: str
-    text: str
+    """A source text and the path that names it in diagnostics."""
+
+    __hash__ = None
 
     def line_col(self, offset: int) -> tuple[int, int]:
         """The line and column of ``offset``, both from 1.  They are
@@ -89,12 +89,9 @@ _PUNCT1 = "+-*/%<>=!()[]{},;:|"
 _UNESCAPES = {esc[1]: ch for ch, esc in ESCAPES.items()}
 
 
-@dataclass(slots=True, unsafe_hash=True)
 class Token:
-    kind: str  # int | str | ident | kw | punct | eof
-    value: object
-    start: int
-    end: int
+    """A token: its kind (int, str, ident, kw, punct or eof), its value and
+    its offsets in the text."""
 
     @property
     def span(self) -> Span:
@@ -103,6 +100,12 @@ class Token:
     def describe(self) -> str:
         """The token as a diagnostic names it."""
         return "end of input" if self.kind == "eof" else repr(self.value)
+
+
+build(globals(), """
+SourceFile: path text
+Token: kind value start end
+""", SourceFile, Token)
 
 
 # A string literal up to its closing quote or its first fault: characters

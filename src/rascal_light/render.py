@@ -8,9 +8,8 @@ canonical order, and only blocks and case lists take several lines.
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 from . import syntax as sx
+from .fieldtable import fields
 from .parser import BINARY_LEVEL, BINARY_LEVELS, KEYWORD_FORMS, PREFIX_FORMS
 from .parser import CASES, EXPR, GENERATOR, NAME, NAMES, STATEMENT_FORMS, STRATEGY
 from .parser import EXPR_COLLECTIONS, PATTERN_COLLECTIONS
@@ -104,7 +103,7 @@ _SLOT_PRINTERS = {
 }
 
 # Each statement form's fields, in the order its template's slots fill them.
-_FORM_FIELDS = {node: [f.name for f in fields(node) if f.name != "span"] for node in STATEMENT_FORMS}
+_FORM_FIELDS = {node: [name for name in fields(node) if name != "span"] for node in STATEMENT_FORMS}
 
 
 def _render_form(e: sx.Expr, indent: int) -> str:

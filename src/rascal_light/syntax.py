@@ -1,16 +1,18 @@
 """Abstract syntax of modules, expressions and patterns, plus the
 well-formedness checks every loaded module must satisfy.
 
-Nodes are slotted dataclasses, immutable by convention: nothing assigns a
-field after construction (only ``Lit._result``, a cache, is filled in
-later).  Equality and hash compare the fields and ignore a node's span."""
+The node classes are the rows of ``_CLASSES``, slotted classes that
+``fieldtable.build`` writes out.  Nodes are immutable by convention:
+nothing assigns a field after construction (only ``Lit._result``, a cache,
+is filled in later).  Equality and hash compare the fields and ignore a
+node's span."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterator
 
+from .fieldtable import build
 from .stackguard import stack_guarded
 from .types import (
     DataType,
@@ -22,206 +24,16 @@ from .types import (
 )
 
 
-# ---------------------------------------------------------------------------
-# Source spans
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Span:
-    start: int
-    end: int
-
-
-DUMMY_SPAN = Span(0, 0)
-
-
-def _span_field():
-    return field(default=DUMMY_SPAN, compare=False, repr=False)
-
-
-# ---------------------------------------------------------------------------
-# Declarations
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class GlobalDef:
-    name: str
-    type: Type
-    init: "Expr"
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Param:
-    type: Type
-    name: str
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class FunDef:
-    name: str
-    return_type: Type
-    params: tuple[Param, ...]
-    body: "Expr"
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class FieldDef:
-    type: Type
-    name: str
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ConsDef:
-    name: str
-    fields: tuple[FieldDef, ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class DataDef:
-    name: str
-    constructors: tuple[ConsDef, ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ModuleDef:
-    globals: tuple[GlobalDef, ...] = ()
-    functions: tuple[FunDef, ...] = ()
-    datatypes: tuple[DataDef, ...] = ()
-
-
-# Booleans and the nokey exception payload are built-in datatypes: the
-# evaluation rules match on true()/false() constructor values and throw
-# nokey(key) on failed map lookups.
-BUILTIN_DATATYPES: tuple[DataDef, ...] = (
-    DataDef("Bool", (ConsDef("true", ()), ConsDef("false", ()))),
-    DataDef("NoKey", (ConsDef("nokey", (FieldDef(VALUE, "key"),)),)),
-)
-
-
-# ---------------------------------------------------------------------------
-# Expressions
-
-
 class Expr:
     __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Lit(Expr):
-    value: int | str
-    span: Span = _span_field()
-    # E-Val's conclusion ``Success(Basic(value))``, recorded on the node by
-    # the evaluator on the first firing; equality and hash ignore it.
-    _result: object = field(default=None, init=False, compare=False, repr=False)
+class Generator:
+    __slots__ = ()
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Var(Expr):
-    name: str
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Unary(Expr):
-    op: str
-    operand: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Binary(Expr):
-    left: Expr
-    op: str
-    right: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Cons(Expr):
-    name: str
-    args: tuple[Expr, ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ListExpr(Expr):
-    items: tuple[Expr, ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class SetExpr(Expr):
-    items: tuple[Expr, ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class MapExpr(Expr):
-    pairs: tuple[tuple[Expr, Expr], ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Lookup(Expr):
-    map: Expr
-    key: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Update(Expr):
-    map: Expr
-    key: Expr
-    value: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Call(Expr):
-    name: str
-    args: tuple[Expr, ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ReturnExpr(Expr):
-    value: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Assign(Expr):
-    name: str
-    value: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class If(Expr):
-    cond: Expr
-    then: Expr
-    els: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Case:
-    pattern: "Pattern"
-    body: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Switch(Expr):
-    subject: Expr
-    cases: tuple[Case, ...]
-    span: Span = _span_field()
+class Pattern:
+    __slots__ = ()
 
 
 class Strategy(enum.Enum):
@@ -238,168 +50,96 @@ class Strategy(enum.Enum):
 FINITE_STRATEGIES = (Strategy.BOTTOM_UP, Strategy.BOTTOM_UP_BREAK)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class Visit(Expr):
-    strategy: Strategy
-    subject: Expr
-    cases: tuple[Case, ...]
-    span: Span = _span_field()
+# The parts written by hand of two classes of ``_CLASSES``; ``build`` adds
+# them to the classes it builds under these names.
+class WellFormednessError:
+    """A well-formedness violation: its kind, the name at fault, where,
+    and a message."""
+
+    def __str__(self) -> str:
+        return f"[{self.kind}] {self.message}"
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class BreakExpr(Expr):
-    span: Span = _span_field()
+class ModuleInfo:
+    """Static facts about a validated module used by the evaluator.
+
+    ``assign_types`` holds the declared type of each assignment to a block
+    local, keyed by the ``id`` of its ``Assign`` node; globals are not
+    listed, they resolve by name.  ``walked_roots`` holds the ``id`` of each
+    function body, global initializer and case body: their block locals
+    are in ``assign_types``, so none is walked again."""
+
+    __hash__ = None
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class ContinueExpr(Expr):
-    span: Span = _span_field()
+_CLASSES = """
+# Source spans
+Span: start end
+DUMMY_SPAN = Span(0, 0)
+# Declarations
+GlobalDef: name type init | span=DUMMY_SPAN
+Param: type name | span=DUMMY_SPAN
+FunDef: name return_type params body | span=DUMMY_SPAN
+FieldDef: type name | span=DUMMY_SPAN
+ConsDef: name fields | span=DUMMY_SPAN
+DataDef: name constructors | span=DUMMY_SPAN
+ModuleDef: globals=() functions=() datatypes=()
+# Expressions.  ``Lit._result`` is E-Val's conclusion Success(Basic(value)),
+# recorded on the node by the evaluator on the first firing.
+Lit(Expr): value | span=DUMMY_SPAN _result=None
+Var(Expr): name | span=DUMMY_SPAN
+Unary(Expr): op operand | span=DUMMY_SPAN
+Binary(Expr): left op right | span=DUMMY_SPAN
+Cons(Expr): name args | span=DUMMY_SPAN
+ListExpr(Expr): items | span=DUMMY_SPAN
+SetExpr(Expr): items | span=DUMMY_SPAN
+MapExpr(Expr): pairs | span=DUMMY_SPAN
+Lookup(Expr): map key | span=DUMMY_SPAN
+Update(Expr): map key value | span=DUMMY_SPAN
+Call(Expr): name args | span=DUMMY_SPAN
+ReturnExpr(Expr): value | span=DUMMY_SPAN
+Assign(Expr): name value | span=DUMMY_SPAN
+If(Expr): cond then els | span=DUMMY_SPAN
+Case: pattern body | span=DUMMY_SPAN
+Switch(Expr): subject cases | span=DUMMY_SPAN
+Visit(Expr): strategy subject cases | span=DUMMY_SPAN
+BreakExpr(Expr): | span=DUMMY_SPAN
+ContinueExpr(Expr): | span=DUMMY_SPAN
+FailExpr(Expr): | span=DUMMY_SPAN
+LocalDecl: type name | span=DUMMY_SPAN
+Block(Expr): locals body | span=DUMMY_SPAN
+Enumerating(Generator): var source | span=DUMMY_SPAN
+Matching(Generator): pattern source | span=DUMMY_SPAN
+For(Expr): generator body | span=DUMMY_SPAN
+While(Expr): cond body | span=DUMMY_SPAN
+Solve(Expr): targets body | span=DUMMY_SPAN
+ThrowExpr(Expr): value | span=DUMMY_SPAN
+TryCatch(Expr): body var handler | span=DUMMY_SPAN
+TryFinally(Expr): body fin | span=DUMMY_SPAN
+# Patterns.  A ``Star`` is an element ``*x`` of a list or set pattern.
+LitPat(Pattern): value | span=DUMMY_SPAN
+VarPat(Pattern): name | span=DUMMY_SPAN
+ConsPat(Pattern): name args | span=DUMMY_SPAN
+TypedPat(Pattern): type name pattern | span=DUMMY_SPAN
+Star(Pattern): name | span=DUMMY_SPAN
+ListPat(Pattern): elements | span=DUMMY_SPAN
+SetPat(Pattern): elements | span=DUMMY_SPAN
+NegPat(Pattern): pattern | span=DUMMY_SPAN
+DeepPat(Pattern): pattern | span=DUMMY_SPAN
+# Well-formedness: a diagnostic's span is one of its fields.
+WellFormednessError: kind name span message
+ModuleInfo: module constructors functions errors assign_types | walked_roots=frozenset()
+"""
+build(globals(), _CLASSES, WellFormednessError, ModuleInfo)
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FailExpr(Expr):
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class LocalDecl:
-    type: Type
-    name: str
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Block(Expr):
-    locals: tuple[LocalDecl, ...]
-    body: tuple[Expr, ...]
-    span: Span = _span_field()
-
-
-class Generator:
-    __slots__ = ()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Enumerating(Generator):
-    var: str
-    source: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Matching(Generator):
-    pattern: "Pattern"
-    source: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class For(Expr):
-    generator: Generator
-    body: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class While(Expr):
-    cond: Expr
-    body: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Solve(Expr):
-    targets: tuple[str, ...]
-    body: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ThrowExpr(Expr):
-    value: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class TryCatch(Expr):
-    body: Expr
-    var: str
-    handler: Expr
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class TryFinally(Expr):
-    body: Expr
-    fin: Expr
-    span: Span = _span_field()
-
-
-# ---------------------------------------------------------------------------
-# Patterns
-
-
-class Pattern:
-    __slots__ = ()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class LitPat(Pattern):
-    value: int | str
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class VarPat(Pattern):
-    name: str
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ConsPat(Pattern):
-    name: str
-    args: tuple[Pattern, ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class TypedPat(Pattern):
-    type: Type
-    name: str
-    pattern: Pattern
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Star(Pattern):
-    """A star element ``*x`` inside a list or set pattern."""
-
-    name: str
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class ListPat(Pattern):
-    elements: tuple[Pattern, ...]  # ordinary patterns or Star
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class SetPat(Pattern):
-    elements: tuple[Pattern, ...]
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class NegPat(Pattern):
-    pattern: Pattern
-    span: Span = _span_field()
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class DeepPat(Pattern):
-    pattern: Pattern
-    span: Span = _span_field()
+# Booleans and the nokey exception payload are built-in datatypes: the
+# evaluation rules match on true()/false() constructor values and throw
+# nokey(key) on failed map lookups.
+BUILTIN_DATATYPES: tuple[DataDef, ...] = (
+    DataDef("Bool", (ConsDef("true", ()), ConsDef("false", ()))),
+    DataDef("NoKey", (ConsDef("nokey", (FieldDef(VALUE, "key"),)),)),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -511,34 +251,6 @@ def constructor_table(m: ModuleDef) -> dict[str, tuple[str, tuple[Type, ...]]]:
 
 # ---------------------------------------------------------------------------
 # Well-formedness
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class WellFormednessError:
-    kind: str
-    name: str
-    span: Span
-    message: str
-
-    def __str__(self) -> str:
-        return f"[{self.kind}] {self.message}"
-
-
-@dataclass(slots=True)
-class ModuleInfo:
-    """Static facts about a validated module used by the evaluator."""
-
-    module: ModuleDef
-    constructors: dict[str, tuple[str, tuple[Type, ...]]]
-    functions: dict[str, FunDef]
-    errors: list[WellFormednessError]
-    # The declared type of each assignment to a block local, keyed by the
-    # ``id`` of its ``Assign`` node; globals are not listed, they resolve
-    # by name.
-    assign_types: dict[int, Type]
-    # The ``id`` of each function body, global initializer and case body:
-    # their block locals are in ``assign_types``, so none is walked again.
-    walked_roots: set[int] = field(default_factory=set, compare=False)
 
 
 # A lexical scope: name -> (kind, declared type or None).  A nested scope

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .fieldtable import build, fields
 from .values import Basic, Undefined, Value, VCons, VList, VMap, VSet
 
 
@@ -14,59 +14,26 @@ class Type:
     def __str__(self) -> str:
         return render_type(self)
 
-
-@dataclass(slots=True, unsafe_hash=True, repr=False)
-class BaseType(Type):
-    name: str  # "int" or "str"
-
     def __repr__(self) -> str:
-        return f"BaseType({self.name!r})"
+        """The expression that builds the type: a type without fields is a
+        constant named after its word (``VOID``), any other is its class
+        applied to its fields (``SetType(BaseType('int'))``)."""
+        names = fields(self.__class__)
+        if not names:
+            return _WORD_OF[self].upper()
+        return f"{self.__class__.__name__}({', '.join(repr(getattr(self, n)) for n in names)})"
 
 
-@dataclass(slots=True, unsafe_hash=True, repr=False)
-class DataType(Type):
-    name: str
-
-    def __repr__(self) -> str:
-        return f"DataType({self.name!r})"
-
-
-@dataclass(slots=True, unsafe_hash=True, repr=False)
-class SetType(Type):
-    elem: Type
-
-    def __repr__(self) -> str:
-        return f"SetType({self.elem!r})"
-
-
-@dataclass(slots=True, unsafe_hash=True, repr=False)
-class ListType(Type):
-    elem: Type
-
-    def __repr__(self) -> str:
-        return f"ListType({self.elem!r})"
-
-
-@dataclass(slots=True, unsafe_hash=True, repr=False)
-class MapType(Type):
-    key: Type
-    val: Type
-
-    def __repr__(self) -> str:
-        return f"MapType({self.key!r}, {self.val!r})"
-
-
-@dataclass(slots=True, unsafe_hash=True, repr=False)
-class VoidType(Type):
-    def __repr__(self) -> str:
-        return "VOID"
-
-
-@dataclass(slots=True, unsafe_hash=True, repr=False)
-class ValueType(Type):
-    def __repr__(self) -> str:
-        return "VALUE"
-
+# A base type's name is "int" or "str".
+build(globals(), """
+BaseType(Type): name
+DataType(Type): name
+SetType(Type): elem
+ListType(Type): elem
+MapType(Type): key val
+VoidType(Type):
+ValueType(Type):
+""")
 
 INT = BaseType("int")
 STR = BaseType("str")

@@ -200,15 +200,27 @@ def value_key(v: Value) -> tuple:
     if t is Basic:
         x = v.val
         return (0, 1, x) if type(x) is str else (0, 0, x)
+    # The keys of the parts are taken in Python loops: ``map`` or a
+    # generator would call ``value_key`` from C, and from 3.12 on CPython
+    # bounds that recursion apart from the recursion limit, so deep values
+    # would exhaust it.  (On 3.11 the loops are also faster than ``map``.)
     if t is VCons:
-        return (1, v.name, *map(value_key, v.args))
-    if t is VList:
-        return (2, *map(value_key, v.items))
-    if t is VSet:
-        return (3, *map(value_key, v.items))
-    if t is VMap:
-        return (4, *(value_key(x) for kv in v.pairs for x in kv))
-    return (5,)
+        key, parts = [1, v.name], v.args
+    elif t is VList:
+        key, parts = [2], v.items
+    elif t is VSet:
+        key, parts = [3], v.items
+    elif t is VMap:
+        key = [4]
+        for k, x in v.pairs:
+            key.append(value_key(k))
+            key.append(value_key(x))
+        return tuple(key)
+    else:
+        return (5,)
+    for x in parts:
+        key.append(value_key(x))
+    return tuple(key)
 
 
 def value_order(v1: Value, v2: Value) -> int:

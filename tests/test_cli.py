@@ -439,6 +439,11 @@ ADVERSARIAL = {
     "binary-chain-eval": (None, ["--eval", " + ".join(["1"] * 20000)], 0),
     "call-value": (NAT + "Nat id(Nat n) = n;", ["--call", f"id({_nested('succ(', 'zero()', ')', 5000)})"], 0),
     "call-list-value": ("int f(list<value> x) = 1;", ["--call", f"f({_nested('[', '', ']', 5000)})"], 0),
+    # Each level of a set or map literal keys its element, so building
+    # one costs the square of its depth; 1200 levels exit 70 on Python
+    # 3.12 when value_key calls itself through C.
+    "call-set-value": ("int f(value x) = 1;", ["--call", f"f({_nested('{', '', '}', 1200)})"], 0),
+    "call-map-value": ("int f(value x) = 1;", ["--call", f"f({_nested('(', '1', ': 1)', 1200)})"], 0),
     "pattern": (
         NAT + f"int f() = switch (zero()) {{ case {_nested('succ(', 'zero()', ')')} => 1 case _ => 0 }};",
         ["--call", "f()"],

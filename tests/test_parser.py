@@ -1,10 +1,9 @@
-import dataclasses
 import glob
 import os
 
 import pytest
 
-from rascal_light import syntax as sx
+from rascal_light import fieldtable, syntax as sx
 from rascal_light.harness import GenBudget, gen_program
 from rascal_light.parser import (
     ParseError,
@@ -412,10 +411,8 @@ def _old_parse_module(text: str) -> sx.ModuleDef:
 def _with_spans(x):
     """A syntax tree as nested tuples that keep each node's class and span,
     which the nodes' own equality ignores."""
-    if dataclasses.is_dataclass(x) and not isinstance(x, type):
-        return (type(x).__name__,) + tuple(
-            _with_spans(getattr(x, f.name)) for f in dataclasses.fields(x)
-        )
+    if type(x) in fieldtable.TABLE:
+        return (type(x).__name__,) + tuple(_with_spans(getattr(x, name)) for name in fieldtable.fields(type(x)))
     if isinstance(x, tuple):
         return tuple(_with_spans(y) for y in x)
     return x

@@ -2,11 +2,9 @@
 parser reads and the renderer prints: the table's shape, and the spans and
 errors of parses whose statement bodies are parenthesized."""
 
-import dataclasses
-
 import pytest
 
-from rascal_light import parser, syntax as sx
+from rascal_light import fieldtable, parser, syntax as sx
 from rascal_light.parser import KEYWORD_FORMS, PREFIX_FORMS, STATEMENT_FORMS, ParseError, parse_expr, tokenize
 from rascal_light.render import render
 
@@ -24,7 +22,7 @@ def test_each_template_fills_its_node_and_names_one_token_per_string():
     for node, template in STATEMENT_FORMS.items():
         slots = [elem for elem in template if not isinstance(elem, str)]
         assert all(slot in SLOTS for slot in slots), node
-        fields = [f.name for f in dataclasses.fields(node)]
+        fields = fieldtable.fields(node)
         assert fields[-1] == "span" and len(slots) == len(fields) - 1, node
         for word in (elem for elem in template if isinstance(elem, str)):
             tok, eof = tokenize(word)

@@ -1,26 +1,27 @@
 """Syntax objects are slotted classes whose equality, hash and repr are
 those the frozen dataclasses gave them."""
 
-import dataclasses
 import inspect
 
 import pytest
 
-from rascal_light import syntax as sx, types as ty
+from rascal_light import fieldtable, syntax as sx, types as ty
+from rascal_light.interp import TraceEntry
 from rascal_light.parser import Token
+from rascal_light.values import Basic, Store
 
 S = sx.Span
 
 
 def _syntax_classes():
-    """The dataclasses of ``syntax`` and ``types``, their abstract bases,
-    and the parser's ``Token``."""
+    """The field-table classes of ``syntax`` and ``types``, their abstract
+    bases, and the parser's ``Token``."""
     out = [sx.Expr, sx.Generator, sx.Pattern, ty.Type, Token]
     for module in (sx, ty):
         out += [
             c
             for _, c in inspect.getmembers(module, inspect.isclass)
-            if c.__module__ == module.__name__ and dataclasses.is_dataclass(c)
+            if c.__module__ == module.__name__ and c in fieldtable.TABLE
         ]
     return out
 
@@ -31,6 +32,14 @@ def test_syntax_objects_are_slotted():
     for cls in classes:
         assert "__slots__" in vars(cls), cls
         assert not hasattr(object.__new__(cls), "__dict__"), cls
+
+
+# A store binding ``y``, and two firings that each bind ``x`` from there.
+_Y = Store().updated("y", Basic(2))
+
+
+def _firing(pre, name):
+    return TraceEntry("E-Asgn", S(0, 5), "success", pre, pre.updated(name, Basic(1)))
 
 
 def _cached_lit():
@@ -161,6 +170,23 @@ PAIRS = [
         False,
         False,
     ),
+    # A firing's stores are not compared, the names they bind differently are.
+    (
+        _firing(Store(), "x"),
+        _firing(_Y, "x"),
+        "TraceEntry(rule='E-Asgn', span=Span(start=0, end=5), kind='success', changed=('x',))",
+        "TraceEntry(rule='E-Asgn', span=Span(start=0, end=5), kind='success', changed=('x',))",
+        True,
+        True,
+    ),
+    (
+        _firing(_Y, "x"),
+        _firing(_Y, "y"),
+        "TraceEntry(rule='E-Asgn', span=Span(start=0, end=5), kind='success', changed=('x',))",
+        "TraceEntry(rule='E-Asgn', span=Span(start=0, end=5), kind='success', changed=('y',))",
+        False,
+        False,
+    ),
 ]
 
 
@@ -170,6 +196,6 @@ def test_equality_hash_and_repr_are_the_frozen_dataclasses(a, b, repr_a, repr_b,
     assert (a == b, a != b, hash(a) == hash(b)) == (equal, not equal, same_hash)
     for x in (a, b):
         # A frozen dataclass hashes the tuple of its compared fields.
-        compared = tuple(getattr(x, f.name) for f in dataclasses.fields(x) if f.compare)
+        compared = tuple(getattr(x, name) for name in fieldtable.TABLE[type(x)][1])
         assert hash(x) == hash(compared)
 

@@ -23,15 +23,15 @@ import os
 import random
 import re
 import sys
-from dataclasses import fields, replace
 from typing import Iterator
 
 import pytest
 
 from conftest import PROGRAMS
-from rascal_light import harness
+from rascal_light import fieldtable, harness
 from rascal_light import syntax as sx
 from rascal_light.harness import GenBudget, _ModuleGen, gen_cases_triple, gen_program
+from rascal_light.fieldtable import replace
 from rascal_light.interp import Evaluator
 from rascal_light.parser import ParseError, parse_expr, parse_module
 from rascal_light.render import render
@@ -456,16 +456,16 @@ def generated_modules() -> Iterator[ModuleDef]:
 
 
 def _is_node(x) -> bool:
-    return type(x).__module__ == sx.__name__ and hasattr(x, "__dataclass_fields__") and not isinstance(x, Span)
+    return type(x).__module__ == sx.__name__ and type(x) in fieldtable.TABLE and not isinstance(x, Span)
 
 
 def sites(x, put=lambda new: new):
     """``(node, put)`` for ``x`` and every syntax node below it, where
     ``put(new)`` is the root with that node replaced by ``new``."""
     yield x, put
-    for f in fields(x):
-        if f.init and f.name != "span":
-            yield from _sites_in(getattr(x, f.name), lambda new, x=x, f=f, put=put: put(replace(x, **{f.name: new})))
+    for name in fieldtable.fields(type(x)):
+        if name != "span":
+            yield from _sites_in(getattr(x, name), lambda new, x=x, name=name, put=put: put(replace(x, **{name: new})))
 
 
 def _sites_in(val, put):
