@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import os
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 
 from . import syntax as sx
@@ -67,6 +68,57 @@ class GenBudget:
 
 
 # ---------------------------------------------------------------------------
+# Draws
+#
+# The generator reads the random stream as ``Random.randint``,
+# ``Random.choice`` and ``Random.choices`` read it, through the public
+# ``getrandbits`` and ``random``, but without their Python frames and
+# argument checks.  ``tests/test_draws.py`` checks each helper against its
+# counterpart, and the digest files in ``tests/`` pin what is drawn.
+
+
+def _randint(rng: random.Random, a: int, b: int) -> int:
+    """``rng.randint(a, b)``: as CPython's ``_randbelow_with_getrandbits``,
+    the bits of ``n = b - a + 1``, drawn again while they are not below ``n``."""
+    n = b - a + 1
+    if n <= 0:
+        # getrandbits(0) is 0, which is never below n: the loop would spin.
+        raise ValueError(f"empty range in randint({a}, {b})")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return a + r
+
+
+def _choice(rng: random.Random, seq):
+    """``rng.choice(seq)``: the element at an index drawn as ``_randint`` draws."""
+    n = len(seq)
+    if not n:
+        raise IndexError("cannot choose from an empty sequence")
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
+
+
+def _weights(pairs) -> tuple:
+    """What ``_weighted`` draws from, for ``(name, weight)`` pairs: the
+    names, the cumulative weights, their total and the last index."""
+    cum = list(itertools.accumulate(w for _, w in pairs))
+    return tuple(n for n, _ in pairs), cum, cum[-1] + 0.0, len(cum) - 1
+
+
+def _weighted(rng: random.Random, table) -> str:
+    """``rng.choices(names, weights=...)[0]`` for the pairs of ``table``
+    (``_weights``): the expression ``choices`` evaluates, on weights
+    accumulated once."""
+    names, cum, total, last = table
+    return names[bisect(cum, rng.random() * total, 0, last)]
+
+
+# ---------------------------------------------------------------------------
 # Values and their expression embeddings
 
 
@@ -74,8 +126,8 @@ def gen_value(rng: random.Random, t: Type, cons_by_type, depth: int) -> Value:
     """A random value of (a subtype of) ``t``."""
     if isinstance(t, BaseType):
         if t.name == "str":
-            return Basic(rng.choice(["", "a", "b", "ab", "zz"]))
-        return Basic(rng.randint(-3, 9))
+            return Basic(_choice(rng, ("", "a", "b", "ab", "zz")))
+        return Basic(_randint(rng, -3, 9))
     if isinstance(t, DataType):
         options = cons_by_type.get(t.name, [])
         if not options:
@@ -83,16 +135,16 @@ def gen_value(rng: random.Random, t: Type, cons_by_type, depth: int) -> Value:
         if depth <= 0:
             leafy = [o for o in options if not any(isinstance(ft, DataType) for ft in o[1])]
             options = leafy or options[:1]
-        name, fields = rng.choice(options)
+        name, fields = _choice(rng, options)
         return VCons(
             name, tuple(gen_value(rng, ft, cons_by_type, depth - 1) for ft in fields)
         )
     if isinstance(t, (ListType, SetType)):
-        k = rng.randint(0, 2 if depth <= 0 else 3)
+        k = _randint(rng, 0, 2 if depth <= 0 else 3)
         build = VList if t.__class__ is ListType else VSet
         return build(tuple(gen_value(rng, t.elem, cons_by_type, depth - 1) for _ in range(k)))
     if isinstance(t, MapType):
-        k = rng.randint(0, 2)
+        k = _randint(rng, 0, 2)
         return VMap(
             tuple(
                 (
@@ -104,7 +156,7 @@ def gen_value(rng: random.Random, t: Type, cons_by_type, depth: int) -> Value:
         )
     if rng.random() < 0.2:
         return UNDEF
-    return Basic(rng.randint(-3, 9))
+    return Basic(_randint(rng, -3, 9))
 
 
 def gen_any_value(rng: random.Random, cons_by_type, depth: int) -> Value:
@@ -115,11 +167,11 @@ def gen_any_value(rng: random.Random, cons_by_type, depth: int) -> Value:
 
 
 def gen_type(rng: random.Random, cons_by_type, depth: int = 1) -> Type:
-    kinds = ["int", "str", "adt", "list", "set", "map"] if depth > 0 else ["int", "str", "adt"]
-    kind = rng.choice(kinds)
+    kinds = ("int", "str", "adt", "list", "set", "map") if depth > 0 else ("int", "str", "adt")
+    kind = _choice(rng, kinds)
     if kind == "adt":
         names = sorted(cons_by_type)
-        return DataType(rng.choice(names)) if names else INT
+        return DataType(_choice(rng, names)) if names else INT
     if kind == "map":
         return MapType(gen_type(rng, cons_by_type, 0), gen_type(rng, cons_by_type, 0))
     word = TYPE_WORDS[kind]
@@ -190,12 +242,22 @@ _FORMS = [
     ("return", 3), ("break", 2), ("continue", 2), ("fail", 5),
 ]
 _FINITE_EXCLUDED = {"while", "solve", "call"}
+# The weighted form draw of each subset, by ``finite``.
+_FORM_DRAWS = {
+    finite: _weights([(f, w) for f, w in _FORMS if not (finite and f in _FINITE_EXCLUDED)])
+    for finite in (False, True)
+}
 # The operators each binary form draws from.
 _BINARY_FORMS = {
-    "binarith": ["+", "-", "*", "/", "%"],
-    "bincmp": ["==", "!=", "<", "<=", ">", ">=", "in"],
+    "binarith": ("+", "-", "*", "/", "%"),
+    "bincmp": ("==", "!=", "<", "<=", ">", ">=", "in"),
 }
 _COLLECTION_FORMS = {"list": sx.ListExpr, "set": sx.SetExpr}
+# The types and strategies draws pick from, built once.
+_FIELD_COLLECTION_TYPES = (ListType(INT), SetType(INT), MapType(INT, STR))
+_GLOBAL_TYPES = (INT, STR, ListType(INT))
+_SOURCE_TYPES = (ListType(INT), SetType(INT), MapType(INT, STR), ListType(STR))
+_STRATEGIES = tuple(sx.Strategy)
 
 
 class _ModuleGen:
@@ -209,9 +271,8 @@ class _ModuleGen:
         self.constructors: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.functions: list[sx.FunDef] = []
         self.globals: list[sx.GlobalDef] = []
-        self.forms = [(f, w) for f, w in _FORMS if not (finite and f in _FINITE_EXCLUDED)]
-        self.form_names = [f for f, _ in self.forms]
-        self.form_weights = [w for _, w in self.forms]
+        # Sorted once the datatypes are built, for the draws that pick by name.
+        self.constructor_names: list[str] = []
 
     def fresh(self, prefix: str) -> str:
         self.counter += 1
@@ -220,29 +281,28 @@ class _ModuleGen:
     # -- declarations --------------------------------------------------
 
     def build_datatypes(self) -> None:
-        n = self.rng.randint(1, 2)
+        rng = self.rng
+        n = _randint(rng, 1, 2)
         names = [self.fresh("D") for _ in range(n)]
         for name in names:
             self.cons_by_type[name] = []
         for name in names:
             cons: list[sx.ConsDef] = []
             base_fields = tuple(
-                sx.FieldDef(self.rng.choice([INT, STR]), self.fresh("f"))
-                for _ in range(self.rng.randint(0, 2))
+                sx.FieldDef(_choice(rng, (INT, STR)), self.fresh("f"))
+                for _ in range(_randint(rng, 0, 2))
             )
             cons.append(sx.ConsDef(self.fresh("c"), base_fields))
-            for _ in range(self.rng.randint(0, 2)):
+            for _ in range(_randint(rng, 0, 2)):
                 fields = []
-                for _ in range(self.rng.randint(1, 2)):
-                    choice = self.rng.random()
+                for _ in range(_randint(rng, 1, 2)):
+                    choice = rng.random()
                     if choice < 0.4:
-                        ft: Type = DataType(self.rng.choice(names))
+                        ft: Type = DataType(_choice(rng, names))
                     elif choice < 0.7:
-                        ft = self.rng.choice([INT, STR])
+                        ft = _choice(rng, (INT, STR))
                     else:
-                        ft = self.rng.choice(
-                            [ListType(INT), SetType(INT), MapType(INT, STR)]
-                        )
+                        ft = _choice(rng, _FIELD_COLLECTION_TYPES)
                     fields.append(sx.FieldDef(ft, self.fresh("f")))
                 cons.append(sx.ConsDef(self.fresh("c"), tuple(fields)))
             dd = sx.DataDef(name, tuple(cons))
@@ -251,22 +311,23 @@ class _ModuleGen:
                 sig = (name, tuple(f.type for f in cd.fields))
                 self.cons_by_type[name].append((cd.name, sig[1]))
                 self.constructors[cd.name] = sig
+        self.constructor_names = sorted(self.constructors)
 
     def build_globals(self) -> None:
-        for _ in range(self.rng.randint(0, 2)):
-            t = self.rng.choice([INT, STR, ListType(INT)])
+        for _ in range(_randint(self.rng, 0, 2)):
+            t = _choice(self.rng, _GLOBAL_TYPES)
             v = gen_value(self.rng, t, self.cons_by_type, 1)
             self.globals.append(sx.GlobalDef(self.fresh("g"), t, value_to_expr(v)))
 
     def build_module(self) -> sx.ModuleDef:
         self.build_datatypes()
         self.build_globals()
-        n = self.rng.randint(1, 3)  # functions in the module
+        n = _randint(self.rng, 1, 3)  # functions in the module
         for _ in range(n):
             name = self.fresh("fn")
             params = tuple(
                 sx.Param(gen_type(self.rng, self.cons_by_type, 1), self.fresh("p"))
-                for _ in range(self.rng.randint(0, 2))
+                for _ in range(_randint(self.rng, 0, 2))
             )
             ret = gen_type(self.rng, self.cons_by_type, 1)
             scope = _Scope(
@@ -289,11 +350,11 @@ class _ModuleGen:
         if r < 0.25:
             candidates = [n for n, rt in scope.readables.items() if rt == t]
             if candidates:
-                return sx.Var(self.rng.choice(candidates))
+                return sx.Var(_choice(self.rng, candidates))
         if t == INT and r < 0.45 and depth > 0:
             return sx.Binary(
                 self.typed_expr(INT, 0, scope),
-                self.rng.choice(["+", "-", "*"]),
+                _choice(self.rng, ("+", "-", "*")),
                 self.typed_expr(INT, 0, scope),
             )
         return value_to_expr(gen_value(self.rng, t, self.cons_by_type, min(depth, 2)))
@@ -303,32 +364,32 @@ class _ModuleGen:
         if r < 0.35:
             return sx.Binary(
                 self.typed_expr(INT, 0, scope),
-                self.rng.choice(["==", "!=", "<", "<=", ">", ">="]),
+                _choice(self.rng, ("==", "!=", "<", "<=", ">", ">=")),
                 self.typed_expr(INT, 0, scope),
             )
         if r < 0.6:
-            return sx.Cons(self.rng.choice(["true", "false"]), ())
+            return sx.Cons(_choice(self.rng, ("true", "false")), ())
         return self.expr(max(depth - 1, 0), scope)
 
     def expr(self, depth: int, scope: _Scope) -> sx.Expr:
         rng = self.rng
         if depth <= 0:
             return self.leaf(scope)
-        form = rng.choices(self.form_names, weights=self.form_weights)[0]
+        form = _weighted(rng, _FORM_DRAWS[self.finite])
         d1 = depth - 1
 
         if form == "lit":
             return self.leaf(scope)
         if form == "var":
             if scope.readables:
-                return sx.Var(rng.choice(sorted(scope.readables)))
+                return sx.Var(_choice(rng, sorted(scope.readables)))
             return self.leaf(scope)
         if form in _BINARY_FORMS:
-            return sx.Binary(self.expr(d1, scope), rng.choice(_BINARY_FORMS[form]), self.expr(d1, scope))
+            return sx.Binary(self.expr(d1, scope), _choice(rng, _BINARY_FORMS[form]), self.expr(d1, scope))
         if form == "binlogic":
-            return sx.Binary(self.bool_expr(d1, scope), rng.choice(["&&", "||"]), self.bool_expr(d1, scope))
+            return sx.Binary(self.bool_expr(d1, scope), _choice(rng, ("&&", "||")), self.bool_expr(d1, scope))
         if form == "unary":
-            return sx.Unary(rng.choice(["-", "!"]), self.expr(d1, scope))
+            return sx.Unary(_choice(rng, ("-", "!")), self.expr(d1, scope))
         if form == "cons":
             name, fields = self.pick_constructor()
             args = tuple(
@@ -337,11 +398,11 @@ class _ModuleGen:
             )
             return sx.Cons(name, args)
         if form in _COLLECTION_FORMS:
-            items = tuple(self.expr(d1, scope) for _ in range(rng.randint(0, 3)))
+            items = tuple(self.expr(d1, scope) for _ in range(_randint(rng, 0, 3)))
             return _COLLECTION_FORMS[form](items)
         if form == "map":
             return sx.MapExpr(
-                tuple((self.expr(d1, scope), self.expr(d1, scope)) for _ in range(rng.randint(0, 2)))
+                tuple((self.expr(d1, scope), self.expr(d1, scope)) for _ in range(_randint(rng, 0, 2)))
             )
         if form == "lookup":
             m = self.map_expr(d1, scope)
@@ -353,7 +414,7 @@ class _ModuleGen:
             targets = sorted(scope.assignables)
             if not targets:
                 return self.leaf(scope)
-            name = rng.choice(targets)
+            name = _choice(rng, targets)
             t = scope.assignables[name]
             value = self.typed_expr(t, d1, scope) if rng.random() < 0.6 else self.expr(d1, scope)
             return sx.Assign(name, value)
@@ -363,13 +424,13 @@ class _ModuleGen:
             subject = self.expr(d1, scope)
             return sx.Switch(subject, self.cases(d1, scope))
         if form == "visit":
-            strategies = sx.FINITE_STRATEGIES if self.finite else list(sx.Strategy)
+            strategies = sx.FINITE_STRATEGIES if self.finite else _STRATEGIES
             subject = self.expr(d1, scope)
-            return sx.Visit(rng.choice(strategies), subject, self.cases(d1, scope, contract=True))
+            return sx.Visit(_choice(rng, strategies), subject, self.cases(d1, scope, contract=True))
         if form == "block":
             inner = scope.child()
             decls = []
-            for _ in range(rng.randint(0, 2)):
+            for _ in range(_randint(rng, 0, 2)):
                 t = gen_type(rng, self.cons_by_type, 1)
                 name = self.fresh("x")
                 decls.append(sx.LocalDecl(t, name))
@@ -379,16 +440,14 @@ class _ModuleGen:
             for d in decls:
                 if rng.random() < 0.8:
                     body.append(sx.Assign(d.name, self.typed_expr(d.type, d1, inner)))
-            for _ in range(rng.randint(1, 2)):
+            for _ in range(_randint(rng, 1, 2)):
                 body.append(self.expr(d1, inner))
             return sx.Block(tuple(decls), tuple(body))
         if form == "for":
             inner = scope.child()
             if rng.random() < 0.5:
                 var = self.fresh("it")
-                src_t = rng.choice(
-                    [ListType(INT), SetType(INT), MapType(INT, STR), ListType(STR)]
-                )
+                src_t = _choice(rng, _SOURCE_TYPES)
                 source = (
                     self.typed_expr(src_t, d1, inner)
                     if rng.random() < 0.8
@@ -410,7 +469,7 @@ class _ModuleGen:
         if form == "call":
             if not self.functions:
                 return self.leaf(scope)
-            fd = rng.choice(self.functions)
+            fd = _choice(rng, self.functions)
             args = tuple(
                 self.typed_expr(p.type, d1, scope)
                 if rng.random() < 0.8
@@ -435,18 +494,18 @@ class _ModuleGen:
         rng = self.rng
         r = rng.random()
         if r < 0.3 and scope.readables:
-            return sx.Var(rng.choice(sorted(scope.readables)))
+            return sx.Var(_choice(rng, sorted(scope.readables)))
         if r < 0.55:
-            return sx.Lit(rng.randint(0, 9))
+            return sx.Lit(_randint(rng, 0, 9))
         if r < 0.65:
-            return sx.Lit(rng.choice(["", "a", "b"]))
+            return sx.Lit(_choice(rng, ("", "a", "b")))
         if r < 0.75:
-            return sx.Cons(rng.choice(["true", "false"]), ())
+            return sx.Cons(_choice(rng, ("true", "false")), ())
         if r < 0.85:
             return value_to_expr(gen_any_value(rng, self.cons_by_type, 1))
         if r < 0.9:
             return sx.FailExpr()
-        return sx.Lit(rng.randint(0, 3))
+        return sx.Lit(_randint(rng, 0, 3))
 
     def map_expr(self, depth: int, scope: _Scope) -> sx.Expr:
         if self.rng.random() < 0.6:
@@ -454,15 +513,15 @@ class _ModuleGen:
         return self.expr(depth, scope)
 
     def pick_constructor(self) -> tuple[str, tuple[Type, ...]]:
-        name = self.rng.choice(sorted(self.constructors))
+        name = _choice(self.rng, self.constructor_names)
         return name, self.constructors[name][1]
 
     def cases(self, depth: int, scope: _Scope, contract: bool = False) -> tuple[sx.Case, ...]:
         out = []
-        for _ in range(self.rng.randint(1, 2)):
+        for _ in range(_randint(self.rng, 1, 2)):
             inner, pat, bound = self.bound_pattern(scope)
             if contract and bound and self.rng.random() < 0.5:
-                body: sx.Expr = sx.Var(self.rng.choice(sorted(bound)))
+                body: sx.Expr = sx.Var(_choice(self.rng, sorted(bound)))
             elif self.rng.random() < 0.3:
                 body = sx.FailExpr()
             else:
@@ -489,14 +548,14 @@ class _ModuleGen:
 
         def patvar() -> sx.Pattern:
             if scope.readables and rng.random() < 0.15:
-                return sx.VarPat(rng.choice(sorted(scope.readables)))
+                return sx.VarPat(_choice(rng, sorted(scope.readables)))
             return sx.VarPat(self.fresh("v"))
 
         def go(d: int) -> sx.Pattern:
             r = rng.random()
             if d <= 0 or r < 0.2:
                 if rng.random() < 0.5:
-                    return sx.LitPat(rng.randint(0, 4))
+                    return sx.LitPat(_randint(rng, 0, 4))
                 return patvar()
             if r < 0.45:
                 name, fields = self.pick_constructor()
@@ -504,13 +563,13 @@ class _ModuleGen:
             if r < 0.6:
                 elems = []
                 star_budget = 2
-                for _ in range(rng.randint(0, 3)):
+                for _ in range(_randint(rng, 0, 3)):
                     if star_budget and rng.random() < 0.4:
                         elems.append(sx.Star(self.fresh("s")))
                         star_budget -= 1
                     else:
                         elems.append(go(d - 1))
-                kind = rng.choice([sx.ListPat, sx.SetPat])
+                kind = _choice(rng, (sx.ListPat, sx.SetPat))
                 return kind(tuple(elems))
             if r < 0.7:
                 return sx.TypedPat(
@@ -530,13 +589,13 @@ class _ModuleGen:
         cons = [(n, f) for n, (_, f) in self.constructors.items() if len(f) >= 2]
         if not cons:
             return None
-        n, fields = self.rng.choice(cons)
+        n, fields = _choice(self.rng, cons)
         name = self.fresh("v")
         return sx.ConsPat(n, tuple(sx.VarPat(name) for _ in fields))
 
     def bounded_while(self, depth: int, scope: _Scope) -> sx.Expr:
         i = self.fresh("i")
-        k = self.rng.randint(1, 3)
+        k = _randint(self.rng, 1, 3)
         inner = scope.child()
         # The counter is readable only: the body must not reset it.
         inner.readables[i] = INT
@@ -745,7 +804,7 @@ def pattern_for_value(rng: random.Random, v: Value, fresh, depth: int) -> sx.Pat
         items = v.items
         while consumed < len(items):
             if rng.random() < 0.35:
-                take = rng.randint(0, len(items) - consumed)
+                take = _randint(rng, 0, len(items) - consumed)
                 elems.append(sx.Star(fresh("ws")))
                 consumed += take
             else:
@@ -760,7 +819,7 @@ def pattern_for_value(rng: random.Random, v: Value, fresh, depth: int) -> sx.Pat
 
 def _scratch_store(rng: random.Random, cons_by_type) -> tuple[Store, _Scope]:
     """Up to two scratch variables ``sv<i>`` and a scope that may read them."""
-    store = Store({f"sv{i}": gen_any_value(rng, cons_by_type, 1) for i in range(rng.randint(0, 2))})
+    store = Store({f"sv{i}": gen_any_value(rng, cons_by_type, 1) for i in range(_randint(rng, 0, 2))})
     return store, _Scope(readables=dict.fromkeys(store.domain()))
 
 
@@ -883,7 +942,7 @@ def gen_cases_triple(rng: random.Random, gen: _ModuleGen):
     store, scope = _scratch_store(rng, cons_by_type)
     all_fail = rng.random() < 0.6
     cases = []
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(_randint(rng, 1, 3)):
         inner, pat, _ = gen.bound_pattern(scope)
         if all_fail:
             if rng.random() < 0.5:
@@ -1020,9 +1079,9 @@ def check_termination(case: Case) -> str | None:
 
 
 def _draw_case(rng: random.Random, subset: str) -> Case:
-    case_seed = rng.randrange(1 << 30)
+    case_seed = _randint(rng, 0, (1 << 30) - 1)
     module = gen_program(GenBudget(max_depth=3, seed=case_seed), subset)
-    fd = module.functions[rng.randrange(len(module.functions))]
+    fd = _choice(rng, module.functions)
     return Case(module, fd.name, gen_store(rng, module, fd.params))
 
 

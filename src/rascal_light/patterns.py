@@ -110,7 +110,12 @@ def match(
         if isinstance(v, VList if ordered else VSet):
             yield from match_all(p.elements, v.items, store, ordered, constructors)
     elif isinstance(p, sx.NegPat):
-        if next(match(p.pattern, v, store, constructors), None) is None:
+        # A loop, not ``next``: ``next`` would re-enter the matcher from C,
+        # and from 3.12 on CPython bounds that recursion apart from the
+        # recursion limit, so deeply negated patterns would exhaust it.
+        for _ in match(p.pattern, v, store, constructors):
+            break
+        else:
             yield {}
     elif isinstance(p, sx.DeepPat):
         yield from match(p.pattern, v, store, constructors)

@@ -67,7 +67,8 @@ class ModuleInfo:
     local, keyed by the ``id`` of its ``Assign`` node; globals are not
     listed, they resolve by name.  ``walked_roots`` holds the ``id`` of each
     function body, global initializer and case body: their block locals
-    are in ``assign_types``, so none is walked again."""
+    are in ``assign_types``, so none is walked again.  ``datatype_names``
+    holds every datatype a type may name, built-in or declared."""
 
     __hash__ = None
 
@@ -128,7 +129,7 @@ NegPat(Pattern): pattern | span=DUMMY_SPAN
 DeepPat(Pattern): pattern | span=DUMMY_SPAN
 # Well-formedness: a diagnostic's span is one of its fields.
 WellFormednessError: kind name span message
-ModuleInfo: module constructors functions errors assign_types | walked_roots=frozenset()
+ModuleInfo: module constructors functions errors assign_types | walked_roots=frozenset() datatype_names=frozenset()
 """
 build(globals(), _CLASSES, WellFormednessError, ModuleInfo)
 
@@ -269,15 +270,23 @@ def _type_refs(t: Type) -> Iterator[str]:
 
 
 class _Validator:
-    def __init__(self, m: ModuleDef):
+    def __init__(self, m: ModuleDef, info: ModuleInfo | None = None):
+        """A validator of ``m``, whose ``run`` builds its tables; or, given
+        ``info``, ``m``'s analysis, one that walks snippets against the
+        tables ``info`` holds.  A walk only reads them, so they are not
+        copied."""
         self.module = m
         self.errors: list[WellFormednessError] = []
-        # Every datatype a type may name, built-in or declared.
-        self.datatype_names = {d.name for d in all_datatypes(m)}
-        self.constructors: dict[str, tuple[str, tuple[Type, ...]]] = {}
-        self.functions: dict[str, FunDef] = {}
         self.assign_types: dict[int, Type] = {}
         self.walked_roots: set[int] = set()
+        if info is None:
+            self.datatype_names = {d.name for d in all_datatypes(m)}
+            self.constructors: dict[str, tuple[str, tuple[Type, ...]]] = {}
+            self.functions: dict[str, FunDef] = {}
+        else:
+            self.datatype_names = info.datatype_names
+            self.constructors = info.constructors
+            self.functions = info.functions
 
     def error(self, kind: str, name: str, span: Span, message: str) -> None:
         self.errors.append(WellFormednessError(kind, name, span, message))
@@ -403,6 +412,7 @@ class _Validator:
             errors=self.errors,
             assign_types=self.assign_types,
             walked_roots=self.walked_roots,
+            datatype_names=self.datatype_names,
         )
 
     def check_type(self, t: Type, span: Span) -> None:
@@ -560,9 +570,7 @@ def _walk_snippets(info: ModuleInfo, roots) -> _Validator:
     """The validator after walking ``roots`` as snippets of ``info``'s
     module: they see its declarations and globals (but no function's
     parameters or locals)."""
-    v = _Validator(info.module)
-    v.constructors.update(info.constructors)
-    v.functions.update(info.functions)
+    v = _Validator(info.module, info)
     scope = {g.name: ("global", g.type) for g in info.module.globals}
     for r in roots:
         v.walk(r, scope)
