@@ -63,6 +63,37 @@ def _render_result(res: Result) -> str:
     return result_kind(res)
 
 
+class _Raw(str):
+    """Text that ``_json_text`` copies as it stands."""
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc)`` of a tree of dicts with string keys, lists and
+    scalars, walked with a stack of its own.  ``json.dumps`` recurses on
+    the C stack, which Python 3.12 and later bound apart from the recursion
+    limit, so a deep value would not print; the pure-Python encoder resumes
+    every enclosing generator for each piece it yields, so its time grows
+    with the square of the depth."""
+    out: list[str] = []
+    todo = [doc]
+    while todo:
+        x = todo.pop()
+        if type(x) is _Raw:
+            out.append(x)
+        elif isinstance(x, dict):
+            out.append("{")
+            todo.append(_Raw("}"))
+            parts = [y for k, v in x.items() for y in (_Raw(", "), _Raw(json.dumps(k) + ": "), v)]
+            todo += reversed(parts[1:])
+        elif isinstance(x, list):
+            out.append("[")
+            todo.append(_Raw("]"))
+            todo += reversed([y for v in x for y in (_Raw(", "), v)][1:])
+        else:
+            out.append(json.dumps(x))
+    return "".join(out)
+
+
 def _where(source: SourceFile | None, span) -> str:
     """Where a diagnostic points: ``path:line:col`` in a file, ``offset N``
     in text given on the command line."""
@@ -233,7 +264,7 @@ def _cmd_run(args) -> int:
                 doc["globals"] = {
                     g.name: value_to_tree(store.get(g.name)) for g in module.globals
                 }
-            lines = [json.dumps(doc)]
+            lines = [_json_text(doc)]
         else:
             lines = [] if res is None else [_render_result(res)]
             if args.print_globals:

@@ -10,6 +10,16 @@ The expression judgment is a table of rule groups keyed by expression
 class (``_RULES``): one method per expression form, named ``_e_<Form>``,
 holding that form's rules in the order the semantics tries them.
 
+A judgment concludes with a result, ``success v`` or an exceptional one.
+Inside the evaluator ``success v`` is the bare value ``v`` (for the
+sequence judgments, a tuple of values or an iterator of bindings): no
+value is a ``Result``, so ``type(r) in EXRES`` tells the two apart, and a
+success rule builds nothing to carry its value.  Only the evaluation
+boundaries (``evaluate``, ``call_function``, ``run_cases`` and
+``traversal.eval_visit``) wrap a value as ``Success(v)``, through
+``values.as_result``, and the public operator functions ``apply_unary``
+and ``apply_binary`` do the same.
+
 There are two tables.  ``_RULES`` holds the rule groups as written; each
 rule of every judgment, visits included, returns through
 ``self.fire(rule, span, pre, res, post)``, in the order of the judgment
@@ -61,6 +71,7 @@ from .values import (
     VList,
     VMap,
     VSet,
+    as_result,
     budget,
     children,
     last,
@@ -112,17 +123,24 @@ build(globals(), "TraceEntry: rule span kind changed | pre post _changed=None", 
 # domain, give an error.
 
 
-def _neg(v: Value) -> Result:
+# Each returns its value, or ERROR.
+
+
+def _neg(v: Value):
     if isinstance(v, Basic) and isinstance(v.val, int):
-        return Success(Basic(-v.val))
+        return Basic(-v.val)
     return ERROR
 
 
-def _not(v: Value) -> Result:
+def _not(v: Value):
     if v == TRUE:
-        return Success(FALSE)
+        return FALSE
     if v == FALSE:
-        return Success(TRUE)
+        return TRUE
+    return ERROR
+
+
+def _no_operator(*vs: Value):
     return ERROR
 
 
@@ -131,20 +149,19 @@ _UNARY = {"-": _neg, "!": _not}
 
 def apply_unary(op: str, v: Value) -> Result:
     """Semantic unary operators; any argument outside the table is an error."""
-    f = _UNARY.get(op)
-    return ERROR if f is None else f(v)
+    return as_result(_UNARY.get(op, _no_operator)(v))
 
 
 def _comparison(rel: Callable[[object, object], bool]):
     """A comparison under the total value order.  On two integers the order
     is the integers' own, so they are compared directly."""
 
-    def compare(v1: Value, v2: Value) -> Result:
+    def compare(v1: Value, v2: Value) -> Value:
         if type(v1) is Basic and type(v2) is Basic:
             a, b = v1.val, v2.val
             if type(a) is int and type(b) is int:
-                return Success(TRUE if rel(a, b) else FALSE)
-        return Success(TRUE if rel(value_key(v1), value_key(v2)) else FALSE)
+                return TRUE if rel(a, b) else FALSE
+        return TRUE if rel(value_key(v1), value_key(v2)) else FALSE
 
     return compare
 
@@ -153,13 +170,13 @@ def _int_op(fn: Callable[[int, int], int | None]):
     """An operator on two integers; ``fn`` gives the integer result, or
     None where the operator is undefined."""
 
-    def apply(v1: Value, v2: Value) -> Result:
+    def apply(v1: Value, v2: Value):
         if type(v1) is Basic and type(v2) is Basic:
             a, b = v1.val, v2.val
             if isinstance(a, int) and isinstance(b, int):
                 c = fn(a, b)
                 if c is not None:
-                    return Success(Basic(c))
+                    return Basic(c)
         return ERROR
 
     return apply
@@ -178,52 +195,48 @@ def _rem(a: int, b: int) -> int | None:
     return None if q is None else a - b * q
 
 
-def _plus(v1: Value, v2: Value) -> Result:
+def _plus(v1: Value, v2: Value):
     t = type(v1)
     if t is not type(v2):
         return ERROR
     if t is Basic:
         a, b = v1.val, v2.val
         if (isinstance(a, int) and isinstance(b, int)) or (isinstance(a, str) and isinstance(b, str)):
-            return Success(Basic(a + b))
+            return Basic(a + b)
         return ERROR
     if t is VList:
-        return Success(VList(v1.items + v2.items))
+        return VList(v1.items + v2.items)
     if t is VSet:
-        return Success(set_union(v1, v2))
+        return set_union(v1, v2)
     if t is VMap:
-        return Success(VMap(v1.pairs + v2.pairs))
+        return VMap(v1.pairs + v2.pairs)
     return ERROR
 
 
 def _connective(rel: Callable[[bool, bool], bool]):
     """A strict logical connective: defined on two booleans only."""
 
-    def apply(v1: Value, v2: Value) -> Result:
+    def apply(v1: Value, v2: Value):
         if v1 not in (TRUE, FALSE) or v2 not in (TRUE, FALSE):
             return ERROR
-        return Success(vbool(rel(v1 == TRUE, v2 == TRUE)))
+        return vbool(rel(v1 == TRUE, v2 == TRUE))
 
     return apply
 
 
-def _member(v1: Value, v2: Value) -> Result:
+def _member(v1: Value, v2: Value):
     if isinstance(v2, VList):
-        return Success(vbool(any(v1 == x for x in v2.items)))
+        return vbool(any(v1 == x for x in v2.items))
     if isinstance(v2, VSet):
-        return Success(vbool(v2.contains(v1)))
+        return vbool(v2.contains(v1))
     if isinstance(v2, VMap):
-        return Success(vbool(v2.lookup(v1) is not None))
-    return ERROR
-
-
-def _no_operator(v1: Value, v2: Value) -> Result:
+        return vbool(v2.lookup(v1) is not None)
     return ERROR
 
 
 _BINARY = {
-    "==": lambda v1, v2: Success(vbool(v1 == v2)),
-    "!=": lambda v1, v2: Success(vbool(v1 != v2)),
+    "==": lambda v1, v2: vbool(v1 == v2),
+    "!=": lambda v1, v2: vbool(v1 != v2),
     "<": _comparison(operator.lt),
     "<=": _comparison(operator.le),
     ">": _comparison(operator.gt),
@@ -247,7 +260,7 @@ def apply_binary(op: str, v1: Value, v2: Value) -> Result:
     strict logical connectives on booleans, concatenation/union/membership
     on collections, string concatenation.  Everything else is an error.
     """
-    return _BINARY.get(op, _no_operator)(v1, v2)
+    return as_result(_BINARY.get(op, _no_operator)(v1, v2))
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +345,16 @@ class Evaluator:
     # -- boundaries ----------------------------------------------------
     # Each takes a budget (None is unbounded, see ``budget``); running out
     # of it is a timeout, and running out of host stack is HostStackGuard.
+    # Each returns a ``Result``: a bare value leaves as ``Success``.
 
     @stack_guarded
     def evaluate(self, e: sx.Expr, store: Store, fuel: int | None = None):
         """Evaluate a standalone expression."""
         try:
-            return self._for_roots(e).eval_expr(e, store, budget(fuel))
+            res, out = self._for_roots(e).eval_expr(e, store, budget(fuel))
         except TimeoutSignal as t:
             return TIMEOUT, t.store
+        return as_result(res), out
 
     @stack_guarded
     def init_globals(self, fuel: int | None = None) -> Store:
@@ -351,11 +366,11 @@ class Evaluator:
                 res, store = self.eval_expr(g.init, store, n)
             except TimeoutSignal:
                 raise InitError(g.name, TIMEOUT) from None
-            if not isinstance(res, Success):
+            if type(res) in EXRES:
                 raise InitError(g.name, res)
-            if not subtype(type_of(res.value, self.constructors), g.type):
+            if not subtype(type_of(res, self.constructors), g.type):
                 raise InitError(g.name, ERROR)
-            store = store.updated(g.name, res.value)
+            store = store.updated(g.name, res)
         return store
 
     @stack_guarded
@@ -363,17 +378,20 @@ class Evaluator:
         """Invoke a function on argument values at the call boundary."""
         span = self.functions[name].span if name in self.functions else sx.DUMMY_SPAN
         try:
-            return self._apply_function(name, tuple(args), store, budget(fuel), span)
+            res, out = self._apply_function(name, tuple(args), store, budget(fuel), span)
         except TimeoutSignal as t:
             return TIMEOUT, t.store
+        return as_result(res), out
 
     @stack_guarded
     def run_cases(self, cases, v: Value, store: Store, fuel: int | None = None):
         cases = tuple(cases)
         try:
-            return self._for_roots(*(c.body for c in cases)).eval_cases(cases, v, store, budget(fuel), sx.DUMMY_SPAN)
+            ev = self._for_roots(*(c.body for c in cases))
+            res, out = ev.eval_cases(cases, v, store, budget(fuel), sx.DUMMY_SPAN)
         except TimeoutSignal as t:
             return TIMEOUT, t.store
+        return as_result(res), out
 
     # -- the main judgment ----------------------------------------------
 
@@ -398,7 +416,7 @@ class Evaluator:
         # firing and keep it on the node.
         res = e._result
         if res is None:
-            res = Success(Basic(e.value))
+            res = Basic(e.value)
             e._result = res
         return self.fire("E-Val", e.span, store, res, store)
 
@@ -408,7 +426,7 @@ class Evaluator:
         v = store.get(e.name)
         if v is None:
             return self.fire("E-Var-Err", e.span, store, ERROR, store)
-        return self.fire("E-Var-Sucs", e.span, store, Success(v), store)
+        return self.fire("E-Var-Sucs", e.span, store, v, store)
 
     def _e_Unary(self, e: sx.Unary, store: Store, n: int):
         if n == 0:
@@ -417,7 +435,7 @@ class Evaluator:
         r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
             return self.fire("E-Un-Exc", e.span, store, r, s1)
-        return self.fire("E-Un-Sucs", e.span, store, apply_unary(e.op, r.value), s1)
+        return self.fire("E-Un-Sucs", e.span, store, _UNARY.get(e.op, _no_operator)(r), s1)
 
     def _e_Binary(self, e: sx.Binary, store: Store, n: int):
         if n == 0:
@@ -432,9 +450,9 @@ class Evaluator:
         if type(r2) in EXRES:
             return self.fire("E-Bin-Exc2", e.span, store, r2, s1)
         op = e.op
-        res = _BINARY.get(op, _no_operator)(r1.value, r2.value)
-        if op == "+" and type(res) is Success and isinstance(res.value, (VList, VSet, VMap)):
-            typed_join(res.value, r1.value, r2.value, self.constructors)
+        res = _BINARY.get(op, _no_operator)(r1, r2)
+        if op == "+" and isinstance(res, (VList, VSet, VMap)):
+            typed_join(res, r1, r2, self.constructors)
         return self.fire("E-Bin-Sucs", e.span, store, res, s1)
 
     def _e_Cons(self, e: sx.Cons, store: Store, n: int):
@@ -452,7 +470,7 @@ class Evaluator:
         )
         if not ok:
             return self.fire("E-Cons-Err", e.span, store, ERROR, s1)
-        return self.fire("E-Cons-Sucs", e.span, store, Success(VCons(e.name, rs)), s1)
+        return self.fire("E-Cons-Sucs", e.span, store, VCons(e.name, rs), s1)
 
     def _e_ListExpr(self, e: sx.ListExpr, store: Store, n: int):
         if n == 0:
@@ -462,7 +480,7 @@ class Evaluator:
             return self.fire("E-List-Exc", e.span, store, rs, s1)
         if any(v == UNDEF for v in rs):
             return self.fire("E-List-Err", e.span, store, ERROR, s1)
-        return self.fire("E-List-Sucs", e.span, store, Success(VList(rs)), s1)
+        return self.fire("E-List-Sucs", e.span, store, VList(rs), s1)
 
     def _e_SetExpr(self, e: sx.SetExpr, store: Store, n: int):
         if n == 0:
@@ -472,7 +490,7 @@ class Evaluator:
             return self.fire("E-Set-Exc", e.span, store, rs, s1)
         if any(v == UNDEF for v in rs):
             return self.fire("E-Set-Err", e.span, store, ERROR, s1)
-        return self.fire("E-Set-Sucs", e.span, store, Success(VSet(rs)), s1)
+        return self.fire("E-Set-Sucs", e.span, store, VSet(rs), s1)
 
     def _e_MapExpr(self, e: sx.MapExpr, store: Store, n: int):
         if n == 0:
@@ -484,7 +502,7 @@ class Evaluator:
         if any(v == UNDEF for v in rs):
             return self.fire("E-Map-Err", e.span, store, ERROR, s1)
         pairs = tuple((rs[i], rs[i + 1]) for i in range(0, len(rs), 2))
-        return self.fire("E-Map-Sucs", e.span, store, Success(VMap(pairs)), s1)
+        return self.fire("E-Map-Sucs", e.span, store, VMap(pairs), s1)
 
     def _e_Lookup(self, e: sx.Lookup, store: Store, n: int):
         if n == 0:
@@ -494,18 +512,18 @@ class Evaluator:
         r1, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r1) in EXRES:
             return self.fire("E-Lookup-Exc1", e.span, store, r1, s2)
-        m = r1.value
+        m = r1
         if not isinstance(m, VMap):
             return self.fire("E-Lookup-Err", e.span, store, ERROR, s2)
         x = e.key
         r2, s1 = _RULES[type(x)](self, x, s2, n1)
         if type(r2) in EXRES:
             return self.fire("E-Lookup-Exc2", e.span, store, r2, s1)
-        found = m.lookup(r2.value)
+        found = m.lookup(r2)
         if found is None:
-            thrown = Throw(VCons("nokey", (r2.value,)))
+            thrown = Throw(VCons("nokey", (r2,)))
             return self.fire("E-Lookup-NoKey", e.span, store, thrown, s1)
-        return self.fire("E-Lookup-Sucs", e.span, store, Success(found), s1)
+        return self.fire("E-Lookup-Sucs", e.span, store, found, s1)
 
     def _e_Update(self, e: sx.Update, store: Store, n: int):
         if n == 0:
@@ -515,7 +533,7 @@ class Evaluator:
         r1, s3 = _RULES[type(x)](self, x, store, n1)
         if type(r1) in EXRES:
             return self.fire("E-Update-Exc1", e.span, store, r1, s3)
-        m = r1.value
+        m = r1
         if not isinstance(m, VMap):
             return self.fire("E-Update-Err1", e.span, store, ERROR, s3)
         x = e.key
@@ -526,11 +544,11 @@ class Evaluator:
         r3, s1 = _RULES[type(x)](self, x, s2, n1)
         if type(r3) in EXRES:
             return self.fire("E-Update-Exc3", e.span, store, r3, s1)
-        if r2.value == UNDEF or r3.value == UNDEF:
+        if r2 == UNDEF or r3 == UNDEF:
             return self.fire("E-Update-Err2", e.span, store, ERROR, s1)
-        out = map_update(m, r2.value, r3.value)
-        typed_join(out, m, VMap(((r2.value, r3.value),)), self.constructors)
-        return self.fire("E-Update-Sucs", e.span, store, Success(out), s1)
+        out = map_update(m, r2, r3)
+        typed_join(out, m, VMap(((r2, r3),)), self.constructors)
+        return self.fire("E-Update-Sucs", e.span, store, out, s1)
 
     def _e_Call(self, e: sx.Call, store: Store, n: int):
         if n == 0:
@@ -548,7 +566,7 @@ class Evaluator:
         r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
             return self.fire("E-Ret-Exc", e.span, store, r, s1)
-        return self.fire("E-Ret-Sucs", e.span, store, Return(r.value), s1)
+        return self.fire("E-Ret-Sucs", e.span, store, Return(r), s1)
 
     def _e_Assign(self, e: sx.Assign, store: Store, n: int):
         if n == 0:
@@ -562,9 +580,9 @@ class Evaluator:
             decl = self.global_types.get(e.name)
         if decl is None:
             return self.fire("stuck", e.span, store, ERROR, s1)
-        if not subtype(type_of(r.value, self.constructors), decl):
+        if not subtype(type_of(r, self.constructors), decl):
             return self.fire("E-Asgn-Err", e.span, store, ERROR, s1)
-        return self.fire("E-Asgn-Sucs", e.span, store, Success(r.value), s1.updated(e.name, r.value))
+        return self.fire("E-Asgn-Sucs", e.span, store, r, s1.updated(e.name, r))
 
     def _e_If(self, e: sx.If, store: Store, n: int):
         if n == 0:
@@ -574,11 +592,11 @@ class Evaluator:
         rc, s2 = _RULES[type(x)](self, x, store, n1)
         if type(rc) in EXRES:
             return self.fire("E-If-Exc", e.span, store, rc, s2)
-        if rc.value == TRUE:
+        if rc == TRUE:
             x = e.then
             r, s1 = _RULES[type(x)](self, x, s2, n1)
             return self.fire("E-If-True", e.span, store, r, s1)
-        if rc.value == FALSE:
+        if rc == FALSE:
             x = e.els
             r, s1 = _RULES[type(x)](self, x, s2, n1)
             return self.fire("E-If-False", e.span, store, r, s1)
@@ -592,9 +610,9 @@ class Evaluator:
         r, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r) in EXRES:
             return self.fire("E-Switch-Exc1", e.span, store, r, s2)
-        rc, s1 = self.eval_cases(e.cases, r.value, s2, n1, e.span)
+        rc, s1 = self.eval_cases(e.cases, r, s2, n1, e.span)
         if type(rc) is Fail:
-            return self.fire("E-Switch-Fail", e.span, store, Success(UNDEF), s1)
+            return self.fire("E-Switch-Fail", e.span, store, UNDEF, s1)
         if type(rc) in EXRES:
             return self.fire("E-Switch-Exc2", e.span, store, rc, s1)
         return self.fire("E-Switch-Sucs", e.span, store, rc, s1)
@@ -607,9 +625,9 @@ class Evaluator:
         r, s2 = _RULES[type(x)](self, x, store, n1)
         if type(r) in EXRES:
             return self.fire("E-Visit-Exc1", e.span, store, r, s2)
-        rv, s1 = self.eval_visit(e.strategy, e.cases, r.value, s2, n1, e.span)
+        rv, s1 = self.eval_visit(e.strategy, e.cases, r, s2, n1, e.span)
         if type(rv) is Fail:
-            return self.fire("E-Visit-Fail", e.span, store, Success(r.value), s1)
+            return self.fire("E-Visit-Fail", e.span, store, r, s1)
         if type(rv) in EXRES:
             return self.fire("E-Visit-Exc2", e.span, store, rv, s1)
         return self.fire("E-Visit-Sucs", e.span, store, rv, s1)
@@ -636,7 +654,7 @@ class Evaluator:
         s1 = s1.without([d.name for d in e.locals])
         if type(rs) in EXRES:
             return self.fire("E-Block-Exc", e.span, store, rs, s1)
-        return self.fire("E-Block-Sucs", e.span, store, Success(last(rs)), s1)
+        return self.fire("E-Block-Sucs", e.span, store, last(rs), s1)
 
     def _e_For(self, e: sx.For, store: Store, n: int):
         if n == 0:
@@ -661,14 +679,14 @@ class Evaluator:
             rc, s2 = _RULES[type(x)](self, x, cur, n)
             if type(rc) in EXRES:
                 return self.fire("E-While-Exc1", e.span, cur, rc, s2)
-            if rc.value == FALSE:
-                return self.fire("E-While-False", e.span, cur, Success(UNDEF), s2)
-            if rc.value != TRUE:
+            if rc == FALSE:
+                return self.fire("E-While-False", e.span, cur, UNDEF, s2)
+            if rc != TRUE:
                 return self.fire("E-While-Err", e.span, cur, ERROR, s2)
             x = e.body
             rb, s3 = _RULES[type(x)](self, x, s2, n)
             if type(rb) is Break:
-                return self.fire("E-While-True-Break", e.span, cur, Success(UNDEF), s3)
+                return self.fire("E-While-True-Break", e.span, cur, UNDEF, s3)
             if type(rb) in EXRES and type(rb) is not Continue:
                 return self.fire("E-While-Exc2", e.span, cur, rb, s3)
             self.fire("E-While-True-Sucs", e.span, cur, rb, s3)
@@ -698,7 +716,7 @@ class Evaluator:
         r, s1 = _RULES[type(x)](self, x, store, n - 1)
         if type(r) in EXRES:
             return self.fire("E-Thr-Exc", e.span, store, r, s1)
-        return self.fire("E-Thr-Sucs", e.span, store, Throw(r.value), s1)
+        return self.fire("E-Thr-Sucs", e.span, store, Throw(r), s1)
 
     def _e_TryFinally(self, e: sx.TryFinally, store: Store, n: int):
         if n == 0:
@@ -738,7 +756,7 @@ class Evaluator:
             if type(r) in EXRES:
                 rule = "ES-Exc1" if i == 0 else "ES-Exc2"
                 return self.fire(rule, span, store, r, cur)
-            vals.append(r.value)
+            vals.append(r)
         if n == 0:
             raise TimeoutSignal(cur)
         return tuple(vals), cur
@@ -783,16 +801,16 @@ class Evaluator:
             n -= 1
             r, s2 = rule(self, body, cur.extended(env), n)
             stripped = s2.without(env.keys())
-            if type(r) is Success or type(r) is Continue:
+            if type(r) not in EXRES or type(r) is Continue:
                 self.fire("EE-More-Sucs", span, cur, r, stripped)
                 cur = stripped
                 continue
             if type(r) is Break:
-                return self.fire("EE-More-Break", span, cur, Success(UNDEF), stripped)
+                return self.fire("EE-More-Break", span, cur, UNDEF, stripped)
             return self.fire("EE-More-Exc", span, cur, r, stripped)
         if n == 0:
             raise TimeoutSignal(cur)
-        return self.fire("EE-Emp", span, cur, Success(UNDEF), cur)
+        return self.fire("EE-Emp", span, cur, UNDEF, cur)
 
     def eval_gen(self, g: sx.Generator, store: Store, n: int):
         if n == 0:
@@ -802,11 +820,11 @@ class Evaluator:
         if isinstance(g, sx.Matching):
             if type(r) in EXRES:
                 return self.fire("G-Pat-Exc", g.span, store, r, s1)
-            envs = match(g.pattern, r.value, s1, self.constructors)
+            envs = match(g.pattern, r, s1, self.constructors)
             return self.fire("G-Pat-Sucs", g.span, store, envs, s1)
         if type(r) in EXRES:
             return self.fire("G-Enum-Exc", g.span, store, r, s1)
-        v = r.value
+        v = r
         if isinstance(v, VList):
             envs = ({g.var: x} for x in v.items)
             return self.fire("G-Enum-List", g.span, store, envs, s1)
@@ -845,7 +863,7 @@ class Evaluator:
             # confirms the fixed point; rewrites done by earlier passes are kept.
             new_v = if_fail(res, cur_v)
             if new_v == cur_v:
-                return self.fire(eq, span, cur, Success(cur_v), out)
+                return self.fire(eq, span, cur, cur_v, out)
             self.fire(neq, span, cur, res, out)
             cur_v, cur = new_v, out
 
@@ -854,17 +872,19 @@ class Evaluator:
             raise TimeoutSignal(store)
         n1 = n - 1
         res, s2 = self.eval_cases(cases, v, store, n1, span)
-        if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
+        if br == BreakMode.BREAK_ON_FIRST and type(res) not in EXRES:
             return self.fire("ETV-Break-Sucs", span, store, res, s2)
         if type(res) in _EXC:
             return self.fire("ETV-Exc1", span, store, res, s2)
         v2 = if_fail(res, v)
         star, s1 = self.visit_star("td_visit", cases, children(v2), s2, br, n1, span)
-        if star == FAIL:
+        if type(star) is Fail:
             return self.fire("ETV-Ord-Sucs1", span, store, res, s1)
         if type(star) in EXRES:
             return self.fire("ETV-Exc2", span, store, star, s1)
         rc = reconstruct(v2, star, self.constructors)
+        if rc is not ERROR:
+            rc = rc.value
         return self.fire("ETV-Ord-Sucs2", span, store, rc, s1)
 
     def bu_visit(self, cases, v: Value, store: Store, br: BreakMode, n: int, span: Span):
@@ -874,21 +894,21 @@ class Evaluator:
         star, s2 = self.visit_star("bu_visit", cases, children(v), store, br, n1, span)
         if type(star) in _EXC:
             return self.fire("EBU-Exc", span, store, star, s2)
-        if star == FAIL:
+        if type(star) is Fail:
             res, s1 = self.eval_cases(cases, v, s2, n1, span)
             return self.fire("EBU-Fail-Sucs", span, store, res, s1)
         rc = reconstruct(v, star, self.constructors)
+        if rc is not ERROR:
+            rc = rc.value
         if br == BreakMode.BREAK_ON_FIRST:
             # A success below this node skips the cases at this node.
             return self.fire("EBU-Break-Sucs", span, store, rc, s2)
-        if rc == ERROR:
+        if rc is ERROR:
             return self.fire("EBU-No-Break-Err", span, store, ERROR, s2)
-        assert isinstance(rc, Success)
-        res, s1 = self.eval_cases(cases, rc.value, s2, n1, span)
+        res, s1 = self.eval_cases(cases, rc, s2, n1, span)
         if type(res) in _EXC:
             return self.fire("EBU-No-Break-Exc", span, store, res, s1)
-        out = Success(if_fail(res, rc.value))
-        return self.fire("EBU-No-Break-Sucs", span, store, out, s1)
+        return self.fire("EBU-No-Break-Sucs", span, store, if_fail(res, rc), s1)
 
     def visit_star(self, direction: str, cases, vals, store: Store, br: BreakMode, n: int, span: Span):
         """The sequence judgment of both directions: the pass of
@@ -906,13 +926,13 @@ class Evaluator:
             if type(res) in _EXC:
                 rule = exc1 if i == 0 else exc2
                 return self.fire(rule, span, store, res, cur)
-            if br == BreakMode.BREAK_ON_FIRST and isinstance(res, Success):
-                out = tuple(vals[:i]) + (res.value,) + tuple(vals[i + 1 :])
+            if br == BreakMode.BREAK_ON_FIRST and type(res) not in EXRES:
+                out = tuple(vals[:i]) + (res,) + tuple(vals[i + 1 :])
                 return self.fire(brk, span, store, out, cur)
             results.append(res)
         if n == 0:
             raise TimeoutSignal(cur)
-        if all(r == FAIL for r in results):
+        if all(type(r) is Fail for r in results):
             rule = more if vals else emp
             return self.fire(rule, span, store, FAIL, cur)
         out = tuple(if_fail(r, v) for r, v in zip(results, vals))
@@ -950,10 +970,11 @@ class Evaluator:
                 if (gv := s_out.get(y)) is not None and gv is not store.get(y)
             })
 
-        if type(res) is Success or type(res) is Return:
-            v2 = res.value
-            if subtype(type_of(v2, self.constructors), fd.return_type):
-                return self.fire("E-Call-Sucs", span, store, Success(v2), back)
+        if type(res) is Return:
+            res = res.value
+        if type(res) not in EXRES:
+            if subtype(type_of(res, self.constructors), fd.return_type):
+                return self.fire("E-Call-Sucs", span, store, res, back)
             return self.fire("E-Call-Res-Err1", span, store, ERROR, back)
         if type(res) is Throw:
             return self.fire("E-Call-Res-Exc", span, store, res, back)

@@ -85,8 +85,8 @@ FieldDef: type name | span=DUMMY_SPAN
 ConsDef: name fields | span=DUMMY_SPAN
 DataDef: name constructors | span=DUMMY_SPAN
 ModuleDef: globals=() functions=() datatypes=()
-# Expressions.  ``Lit._result`` is E-Val's conclusion Success(Basic(value)),
-# recorded on the node by the evaluator on the first firing.
+# Expressions.  ``Lit._result`` is E-Val's conclusion, the value
+# Basic(value), recorded on the node by the evaluator on the first firing.
 Lit(Expr): value | span=DUMMY_SPAN _result=None
 Var(Expr): name | span=DUMMY_SPAN
 Unary(Expr): op operand | span=DUMMY_SPAN

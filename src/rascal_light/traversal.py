@@ -3,9 +3,11 @@
 modes, the tables of each strategy's rules, and ``eval_visit``, the
 judgment run on its own.
 
-Sequence-shaped successes are represented as plain tuples of values;
-``FAIL`` and the other exceptional results are shared with the rest of the
-evaluator.
+As everywhere in the evaluator, a success is its bare value, and a
+sequence-shaped success a plain tuple of values; ``FAIL`` and the other
+exceptional results are shared with the rest of the evaluator.  Only
+``eval_visit``, a boundary, and ``reconstruct``, a public auxiliary, give
+``Success(v)``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .values import (
     Basic,
     ERROR,
     EXRES,
-    FAIL,
     Fail,
-    Result,
     Store,
     Success,
     TIMEOUT,
@@ -34,6 +34,7 @@ from .values import (
     VList,
     VMap,
     VSet,
+    as_result,
     budget,
 )
 
@@ -43,12 +44,12 @@ class BreakMode(enum.Enum):
     NO_BREAK = "no-break"
 
 
-def if_fail(r: Result, v: Value) -> Value:
-    """The payload of a success, or the fallback value on fail."""
-    if r == FAIL:
+def if_fail(r, v: Value) -> Value:
+    """The value of a success ``r``, or the fallback value ``v`` on fail."""
+    if type(r) is Fail:
         return v
-    assert isinstance(r, Success)
-    return r.value
+    assert type(r) not in EXRES
+    return r
 
 
 def reconstruct(
@@ -95,9 +96,10 @@ def eval_visit(ev, st: Strategy, cases: tuple[Case, ...], v: Value, store: Store
     running out of it is a timeout, and running out of host stack is
     HostStackGuard."""
     try:
-        return ev._for_roots(*(c.body for c in cases)).eval_visit(st, cases, v, store, budget(fuel), span)
+        res, out = ev._for_roots(*(c.body for c in cases)).eval_visit(st, cases, v, store, budget(fuel), span)
     except TimeoutSignal as t:
         return TIMEOUT, t.store
+    return as_result(res), out
 
 
 # The exceptional results that abort a traversal: all but fail.

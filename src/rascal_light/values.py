@@ -493,6 +493,12 @@ TIMEOUT = Timeout()
 EXRES = frozenset({Return, Throw, Break, Continue, Fail, Error})
 
 
+def as_result(res) -> Result:
+    """The result ``res`` as it leaves the evaluator.  Inside it, ``success
+    v`` is the bare value ``v``; every other result is a ``Result``."""
+    return res if isinstance(res, Result) else Success(res)
+
+
 # Each result class -> the name traces and result trees give it.
 _RESULT_KINDS = {
     Success: "success",

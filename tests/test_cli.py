@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 import threading
@@ -8,6 +9,8 @@ import pytest
 
 from rascal_light import cli, fuel, interp
 from rascal_light.cli import main
+from rascal_light.harness import GenBudget, _ModuleGen, gen_any_value
+from rascal_light.values import Throw, result_to_tree, value_to_tree
 
 from conftest import program_path
 
@@ -415,6 +418,20 @@ def test_deep_result_renders_in_both_formats(tmp_path, capsys):
     assert tree == (0, '{"version": 1, "result": "success", "value": ' + value + "}\n", "")
 
 
+def test_tree_text_is_the_text_of_json_dumps():
+    # The CLI prints a tree walking it with a stack of its own, since a deep
+    # tree exhausts the C stack that json.dumps recurses on (the
+    # tree-of-deep-list row of ADVERSARIAL); where json.dumps can print a
+    # tree, the two texts are the same.
+    gen = _ModuleGen(random.Random(3), GenBudget(seed=3), finite=False)
+    gen.build_datatypes()
+    rng = random.Random(3)
+    for _ in range(300):
+        v = gen_any_value(rng, gen.cons_by_type, 4)
+        doc = {"version": 1, **result_to_tree(Throw(v)), "globals": {"g": value_to_tree(v), "s": "\u00e9\"\\\n"}}
+        assert cli._json_text(doc) == json.dumps(doc)
+
+
 # -- exit-code contract ------------------------------------------------------
 
 CONTRACT_CODES = {0, 2, 3, 4, 5, 70}
@@ -444,6 +461,12 @@ ADVERSARIAL = {
     # 3.12 when value_key calls itself through C.
     "call-set-value": ("int f(value x) = 1;", ["--call", f"f({_nested('{', '', '}', 1200)})"], 0),
     "call-map-value": ("int f(value x) = 1;", ["--call", f"f({_nested('(', '1', ': 1)', 1200)})"], 0),
+    # json.dumps would recurse through C over the tree: exit 70 on 3.12+.
+    "tree-of-deep-list": (
+        "value g(value x) = x;",
+        ["--call", f"g({_nested('[', '', ']', 6000)})", "--format", "tree"],
+        0,
+    ),
     "pattern": (
         NAT + f"int f() = switch (zero()) {{ case {_nested('succ(', 'zero()', ')')} => 1 case _ => 0 }};",
         ["--call", "f()"],

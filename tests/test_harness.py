@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 
 import pytest
@@ -41,7 +42,7 @@ from rascal_light.parser import parse_expr, parse_module
 from rascal_light.patterns import match
 from rascal_light.render import render
 from rascal_light.syntax import constructor_table, is_finite_subset, validate_module, walk_exprs
-from rascal_light.values import FAIL, UNDEF, Basic, Fail, Store, Success, Throw, TimeoutSignal, VCons, VList, VMap, VSet
+from rascal_light.values import FAIL, UNDEF, Basic, Fail, Store, Throw, TimeoutSignal, VCons, VList, VMap, VSet
 
 CONS = constructor_table(parse_module("data P = pair(int a, int b);"))
 GENERATOR_DIGESTS = os.path.join(os.path.dirname(__file__), "generator_digests.json")
@@ -322,8 +323,8 @@ def _cons_dropping_last_arg(rule):
 
     def mutant(self, e, store, n):
         res, out = rule(self, e, store, n)
-        if type(res) is Success and len(res.value.args) > 1:
-            res = Success(VCons(res.value.name, res.value.args[:-1]))
+        if type(res) is VCons and len(res.args) > 1:
+            res = VCons(res.name, res.args[:-1])
         return res, out
 
     return mutant
@@ -334,7 +335,7 @@ def _lookup_raising_keyerror(rule):
 
     def mutant(self, e, store, n):
         res, out = rule(self, e, store, n)
-        if type(res) is Throw and res.value.name == "nokey":
+        if type(res) is Throw and type(res.value) is VCons and res.value.name == "nokey":
             raise KeyError(res.value.args[0])
         return res, out
 
@@ -347,24 +348,26 @@ def _lit_growing_with_fuel(rule):
 
     def mutant(self, e, store, n):
         res, out = rule(self, e, store, n)
-        if n is not None and n > 16 and type(res.value.val) is int:
-            res = Success(Basic(res.value.val + 1))
+        if n > 16 and type(res.val) is int:
+            res = Basic(res.val + 1)
         return res, out
 
     return mutant
 
 
+# Each suite must fail for the bug injected, not for a fault of the mutant
+# itself (an AttributeError in the wrapper would be caught as well).
 @pytest.mark.parametrize(
-    "suite, form, mutation, check, subsets",
+    "suite, form, mutation, check, subsets, reason",
     [
-        ("typing", sx.Cons, _cons_dropping_last_arg, check_typing, ("all",)),
-        ("progress", sx.Lookup, _lookup_raising_keyerror, check_progress, ("finite", "all", "all")),
-        ("termination", sx.Lit, _lit_growing_with_fuel, check_termination, ("finite",)),
+        ("typing", sx.Cons, _cons_dropping_last_arg, check_typing, ("all",), r"constructor 'c\d+' expects"),
+        ("progress", sx.Lookup, _lookup_raising_keyerror, check_progress, ("finite", "all", "all"), r"KeyError\("),
+        ("termination", sx.Lit, _lit_growing_with_fuel, check_termination, ("finite",), r"not monotone$"),
     ],
     ids=["typing", "progress", "termination"],
 )
 def test_artifacts_replay_the_case_that_failed(
-    tmp_path, monkeypatch, suite, form, mutation, check, subsets
+    tmp_path, monkeypatch, suite, form, mutation, check, subsets, reason
 ):
     cases, art = 300, str(tmp_path)
     # The cases the suite draws (progress draws fewer, after its adversarial
@@ -375,6 +378,7 @@ def test_artifacts_replay_the_case_that_failed(
         _install(mp, form, mutation)
         rep = run_suite(suite, cases=cases, seed=0, artifacts_dir=art)
     assert rep.failures and len(rep.artifacts) >= 6
+    assert all(re.search(reason, f.partition(": ")[2]) for f in rep.failures), rep.failures
     for path in rep.artifacts:
         text = open(path, encoding="utf-8").read()
         i = int(os.path.basename(path)[len(suite) + 1 : -len(".rsl")])

@@ -594,7 +594,7 @@ def test_literal_conclusion_is_built_once_per_node():
     e = parse_expr("7")
     first, _ = EMPTY.evaluate(e, Store())
     again, _ = EMPTY.evaluate(e, Store())
-    assert first == Success(b(7)) and again is first
+    assert first == Success(b(7)) and again.value is first.value
     # Not a field: the node still equals, and prints as, a fresh one.
     assert e == parse_expr("7") and repr(e) == repr(parse_expr("7"))
 
