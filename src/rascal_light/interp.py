@@ -20,6 +20,17 @@ boundaries (``evaluate``, ``call_function``, ``run_cases`` and
 ``values.as_result``, and the public operator functions ``apply_unary``
 and ``apply_binary`` do the same.
 
+Basic values and booleans are decided by identity first, then by class or
+equality.  The operators build an integer result through ``_int_value``,
+which gives the one shared value of each integer in [-1024, 1024) from a
+table built at import, and a boolean result is the shared ``TRUE`` or
+``FALSE``.  So ``==`` and ``!=`` settle identical operands, and ``if``,
+``while``, ``!`` and the connectives a shared boolean, without a call;
+a ``true()`` built elsewhere, or two equal integers outside the table,
+fall back to equality and decide alike.  The typing premises of
+assignment, construction and the call boundary are one call,
+``types.has_type``, which reads a basic value's type off its class.
+
 There are two tables.  ``_RULES`` holds the rule groups as written; each
 rule of every judgment, visits included, returns through
 ``self.fire(rule, span, pre, res, post)``, in the order of the judgment
@@ -45,7 +56,7 @@ from .patterns import match
 from .stackguard import stack_guarded
 from .syntax import ModuleDef, Span, WellFormednessError, analyze_module, snippet_assignables
 from .traversal import _EXC, _FIXPOINT, _ONE_PASS, _STAR_RULES, BreakMode, if_fail, reconstruct
-from .types import subtype, type_of, typed_join
+from .types import has_type, typed_join
 from .values import (
     BREAK,
     Basic,
@@ -74,7 +85,6 @@ from .values import (
     as_result,
     budget,
     children,
-    last,
     map_update,
     result_kind,
     set_union,
@@ -123,19 +133,50 @@ build(globals(), "TraceEntry: rule span kind changed | pre post _changed=None", 
 # domain, give an error.
 
 
-# Each returns its value, or ERROR.
+# Each returns its value, or ERROR.  An integer result is built by
+# ``_int_value``, and a boolean one is the shared ``TRUE`` or ``FALSE``.
+
+# The values of the small integers, [-1024, 1024), built once: a result in
+# that range is the table's object, so an equality test on it settles by
+# identity.  Values are immutable, so sharing them changes no result.
+_SMALL_INTS = tuple(Basic(i) for i in range(-1024, 1024))
+
+
+def _int_value(c: int) -> Basic:
+    """The value of the integer ``c``: the table's, or a fresh one built
+    without an ``__init__`` frame."""
+    if -1024 <= c < 1024:
+        return _SMALL_INTS[c + 1024]
+    v = object.__new__(Basic)
+    v.val = c
+    return v
+
+
+def _shared_bool(v: Value) -> Value:
+    """The shared ``TRUE`` or ``FALSE`` equal to ``v``, else ``v`` itself.
+    Identity first: only a boolean built elsewhere than ``vbool``, or a
+    value that is no boolean, is compared by equality.  The rule groups
+    test identity inline and call this only when it fails."""
+    if v is TRUE or v is FALSE:
+        return v
+    if v == TRUE:
+        return TRUE
+    if v == FALSE:
+        return FALSE
+    return v
 
 
 def _neg(v: Value):
-    if isinstance(v, Basic) and isinstance(v.val, int):
-        return Basic(-v.val)
+    if type(v) is Basic and type(v.val) is int:
+        return _int_value(-v.val)
     return ERROR
 
 
 def _not(v: Value):
-    if v == TRUE:
+    v = _shared_bool(v)
+    if v is TRUE:
         return FALSE
-    if v == FALSE:
+    if v is FALSE:
         return TRUE
     return ERROR
 
@@ -173,10 +214,10 @@ def _int_op(fn: Callable[[int, int], int | None]):
     def apply(v1: Value, v2: Value):
         if type(v1) is Basic and type(v2) is Basic:
             a, b = v1.val, v2.val
-            if isinstance(a, int) and isinstance(b, int):
+            if type(a) is int and type(b) is int:
                 c = fn(a, b)
                 if c is not None:
-                    return Basic(c)
+                    return _int_value(c)
         return ERROR
 
     return apply
@@ -201,7 +242,9 @@ def _plus(v1: Value, v2: Value):
         return ERROR
     if t is Basic:
         a, b = v1.val, v2.val
-        if (isinstance(a, int) and isinstance(b, int)) or (isinstance(a, str) and isinstance(b, str)):
+        if type(a) is int and type(b) is int:
+            return _int_value(a + b)
+        if isinstance(a, str) and isinstance(b, str):
             return Basic(a + b)
         return ERROR
     if t is VList:
@@ -217,9 +260,10 @@ def _connective(rel: Callable[[bool, bool], bool]):
     """A strict logical connective: defined on two booleans only."""
 
     def apply(v1: Value, v2: Value):
-        if v1 not in (TRUE, FALSE) or v2 not in (TRUE, FALSE):
-            return ERROR
-        return vbool(rel(v1 == TRUE, v2 == TRUE))
+        v1, v2 = _shared_bool(v1), _shared_bool(v2)
+        if (v1 is TRUE or v1 is FALSE) and (v2 is TRUE or v2 is FALSE):
+            return vbool(rel(v1 is TRUE, v2 is TRUE))
+        return ERROR
 
     return apply
 
@@ -234,9 +278,11 @@ def _member(v1: Value, v2: Value):
     return ERROR
 
 
+# Equality tests identity first: value equality is reflexive, and shared
+# values make the identical operands common.
 _BINARY = {
-    "==": lambda v1, v2: vbool(v1 == v2),
-    "!=": lambda v1, v2: vbool(v1 != v2),
+    "==": lambda v1, v2: TRUE if v1 is v2 or v1 == v2 else FALSE,
+    "!=": lambda v1, v2: FALSE if v1 is v2 or v1 == v2 else TRUE,
     "<": _comparison(operator.lt),
     "<=": _comparison(operator.le),
     ">": _comparison(operator.gt),
@@ -250,6 +296,10 @@ _BINARY = {
     "||": _connective(operator.or_),
     "in": _member,
 }
+
+
+# The collection classes, whose ``+`` records the join of its operands' types.
+_JOINED = frozenset({VList, VSet, VMap})
 
 
 def apply_binary(op: str, v1: Value, v2: Value) -> Result:
@@ -368,7 +418,7 @@ class Evaluator:
                 raise InitError(g.name, TIMEOUT) from None
             if type(res) in EXRES:
                 raise InitError(g.name, res)
-            if not subtype(type_of(res, self.constructors), g.type):
+            if not has_type(res, g.type, self.constructors):
                 raise InitError(g.name, ERROR)
             store = store.updated(g.name, res)
         return store
@@ -413,17 +463,18 @@ class Evaluator:
         if n == 0:
             raise TimeoutSignal(store)
         # The conclusion depends on the node alone: build it on the first
-        # firing and keep it on the node.
+        # firing and keep it on the node.  An integer's is ``_int_value``'s.
         res = e._result
         if res is None:
-            res = Basic(e.value)
+            x = e.value
+            res = _int_value(x) if type(x) is int else Basic(x)
             e._result = res
         return self.fire("E-Val", e.span, store, res, store)
 
     def _e_Var(self, e: sx.Var, store: Store, n: int):
         if n == 0:
             raise TimeoutSignal(store)
-        v = store.get(e.name)
+        v = store._m.get(e.name)
         if v is None:
             return self.fire("E-Var-Err", e.span, store, ERROR, store)
         return self.fire("E-Var-Sucs", e.span, store, v, store)
@@ -449,9 +500,9 @@ class Evaluator:
         r2, s1 = _RULES[type(x)](self, x, s2, n1)
         if type(r2) in EXRES:
             return self.fire("E-Bin-Exc2", e.span, store, r2, s1)
-        op = e.op
-        res = _BINARY.get(op, _no_operator)(r1, r2)
-        if op == "+" and isinstance(res, (VList, VSet, VMap)):
+        res = _BINARY.get(e.op, _no_operator)(r1, r2)
+        # Only ``+`` gives a collection.
+        if type(res) in _JOINED:
             typed_join(res, r1, r2, self.constructors)
         return self.fire("E-Bin-Sucs", e.span, store, res, s1)
 
@@ -464,12 +515,9 @@ class Evaluator:
         sig = self.constructors.get(e.name)
         if sig is None or len(sig[1]) != len(rs):
             return self.fire("stuck", e.span, store, ERROR, s1)
-        ok = all(
-            v != UNDEF and subtype(type_of(v, self.constructors), ft)
-            for v, ft in zip(rs, sig[1])
-        )
-        if not ok:
-            return self.fire("E-Cons-Err", e.span, store, ERROR, s1)
+        for v, ft in zip(rs, sig[1]):
+            if v == UNDEF or not has_type(v, ft, self.constructors):
+                return self.fire("E-Cons-Err", e.span, store, ERROR, s1)
         return self.fire("E-Cons-Sucs", e.span, store, VCons(e.name, rs), s1)
 
     def _e_ListExpr(self, e: sx.ListExpr, store: Store, n: int):
@@ -580,7 +628,7 @@ class Evaluator:
             decl = self.global_types.get(e.name)
         if decl is None:
             return self.fire("stuck", e.span, store, ERROR, s1)
-        if not subtype(type_of(r, self.constructors), decl):
+        if not has_type(r, decl, self.constructors):
             return self.fire("E-Asgn-Err", e.span, store, ERROR, s1)
         return self.fire("E-Asgn-Sucs", e.span, store, r, s1.updated(e.name, r))
 
@@ -592,11 +640,13 @@ class Evaluator:
         rc, s2 = _RULES[type(x)](self, x, store, n1)
         if type(rc) in EXRES:
             return self.fire("E-If-Exc", e.span, store, rc, s2)
-        if rc == TRUE:
+        if rc is not TRUE and rc is not FALSE:
+            rc = _shared_bool(rc)
+        if rc is TRUE:
             x = e.then
             r, s1 = _RULES[type(x)](self, x, s2, n1)
             return self.fire("E-If-True", e.span, store, r, s1)
-        if rc == FALSE:
+        if rc is FALSE:
             x = e.els
             r, s1 = _RULES[type(x)](self, x, s2, n1)
             return self.fire("E-If-False", e.span, store, r, s1)
@@ -651,10 +701,11 @@ class Evaluator:
         if n == 0:
             raise TimeoutSignal(store)
         rs, s1 = self.eval_expr_star(e.body, store, n - 1, e.span)
-        s1 = s1.without([d.name for d in e.locals])
+        if e.locals:
+            s1 = s1.without([d.name for d in e.locals])
         if type(rs) in EXRES:
             return self.fire("E-Block-Exc", e.span, store, rs, s1)
-        return self.fire("E-Block-Sucs", e.span, store, last(rs), s1)
+        return self.fire("E-Block-Sucs", e.span, store, rs[-1] if rs else UNDEF, s1)
 
     def _e_For(self, e: sx.For, store: Store, n: int):
         if n == 0:
@@ -679,9 +730,11 @@ class Evaluator:
             rc, s2 = _RULES[type(x)](self, x, cur, n)
             if type(rc) in EXRES:
                 return self.fire("E-While-Exc1", e.span, cur, rc, s2)
-            if rc == FALSE:
+            if rc is not TRUE and rc is not FALSE:
+                rc = _shared_bool(rc)
+            if rc is FALSE:
                 return self.fire("E-While-False", e.span, cur, UNDEF, s2)
-            if rc != TRUE:
+            if rc is not TRUE:
                 return self.fire("E-While-Err", e.span, cur, ERROR, s2)
             x = e.body
             rb, s3 = _RULES[type(x)](self, x, s2, n)
@@ -947,7 +1000,7 @@ class Evaluator:
         if fd is None or len(fd.params) != len(args):
             return self.fire("stuck", span, store, ERROR, store)
         for v, p in zip(args, fd.params):
-            if not subtype(type_of(v, self.constructors), p.type):
+            if not has_type(v, p.type, self.constructors):
                 return self.fire("E-Call-Arg-Err", span, store, ERROR, store)
         global_names = self.global_names
         callee: dict[str, Value] = {}
@@ -973,7 +1026,7 @@ class Evaluator:
         if type(res) is Return:
             res = res.value
         if type(res) not in EXRES:
-            if subtype(type_of(res, self.constructors), fd.return_type):
+            if has_type(res, fd.return_type, self.constructors):
                 return self.fire("E-Call-Sucs", span, store, res, back)
             return self.fire("E-Call-Res-Err1", span, store, ERROR, back)
         if type(res) is Throw:

@@ -27,7 +27,7 @@ import itertools
 from typing import Iterable, Iterator, Mapping
 
 from . import syntax as sx
-from .types import Type, subtype, type_of
+from .types import Type, has_type
 from .values import (
     Basic,
     Env,
@@ -103,7 +103,7 @@ def match(
             arg_envs = [match(q, a, store, constructors) for q, a in zip(p.args, v.args)]
             yield from functools.reduce(_product, arg_envs) if arg_envs else ({},)
     elif isinstance(p, sx.TypedPat):
-        if subtype(type_of(v, constructors), p.type):
+        if has_type(v, p.type, constructors):
             yield from _product(({p.name: v},), match(p.pattern, v, store, constructors))
     elif isinstance(p, (sx.ListPat, sx.SetPat)):
         ordered = p.__class__ is sx.ListPat

@@ -17,7 +17,7 @@ from typing import Mapping
 
 from .stackguard import stack_guarded
 from .syntax import Case, Span, Strategy
-from .types import Type, subtype, type_of
+from .types import Type, has_type
 from .values import (
     Basic,
     ERROR,
@@ -72,7 +72,7 @@ def reconstruct(
         if sig is None or len(sig[1]) != len(new_children):
             return ERROR
         for arg, ft in zip(new_children, sig[1]):
-            if arg == UNDEF or not subtype(type_of(arg, constructors), ft):
+            if arg == UNDEF or not has_type(arg, ft, constructors):
                 return ERROR
         return Success(VCons(v.name, tuple(new_children)))
     if isinstance(v, (VList, VSet)):

@@ -86,6 +86,16 @@ def type_of(v: Value, constructors: Mapping[str, tuple[str, tuple[Type, ...]]]) 
     return t
 
 
+def has_type(v: Value, t: Type, constructors) -> bool:
+    """The typing premise ``⊢ v : t'`` with ``t' <: t``, in one call: equal
+    to ``subtype(type_of(v, constructors), t)``.  A basic value's type is
+    read off the class of its contents, without a call."""
+    if v.__class__ is Basic:
+        vt = STR if isinstance(v.val, str) else INT
+        return vt is t or isinstance(t, ValueType) or vt == t
+    return subtype(type_of(v, constructors), t)
+
+
 def _type_of_walk(v: Value, constructors) -> Type:
     """``type_of`` that neither reads nor records types on values: every
     node is re-typed.  The reference that strong-typing checks use."""

@@ -1,12 +1,16 @@
 """Runtime values, stores, environments, and evaluation result variants.
 
 Values are structurally comparable and immutable by convention: they are
-slotted classes whose fields no code assigns after construction.  Sets and
-maps are canonicalized eagerly at construction (sorted under the total value
-order, duplicates removed) so that structural equality coincides with
-semantic value equality.  A constructor or collection value also carries a
-``_typed`` slot, where ``types.type_of`` records the value's type; it is
-not part of equality or hashing.
+slotted classes whose fields no code assigns after construction.  So a
+value's identity carries no meaning.  The evaluator shares the values of
+small integers and the booleans ``TRUE`` and ``FALSE``, and tests identity
+before equality, but shared values are not unique: an equal value built
+elsewhere behaves alike.  Sets and maps are canonicalized eagerly at
+construction (sorted under the total value order, duplicates removed) so
+that structural equality coincides with semantic value equality.  A
+constructor or collection value also carries a ``_typed`` slot, where
+``types.type_of`` records the value's type; it is not part of equality or
+hashing.
 """
 
 from __future__ import annotations
@@ -230,7 +234,14 @@ def value_order(v1: Value, v2: Value) -> int:
 
 
 def canonical_items(items: Iterable[Value]) -> tuple[Value, ...]:
-    """Sort under the value order and drop duplicates."""
+    """Sort under the value order and drop duplicates.
+
+    Fewer than two items are canonical as they are, and no key is computed
+    for them: a key walks its whole item, so keying every level of a nest
+    of singleton sets would cost the square of its depth."""
+    items = tuple(items)
+    if len(items) < 2:
+        return items
     out: list[Value] = []
     for v in sorted(items, key=value_key):
         if not out or out[-1] != v:
@@ -241,7 +252,11 @@ def canonical_items(items: Iterable[Value]) -> tuple[Value, ...]:
 def canonical_pairs(
     pairs: Iterable[tuple[Value, Value]],
 ) -> tuple[tuple[Value, Value], ...]:
-    """Key-sort entries; for duplicate keys the last binding wins."""
+    """Key-sort entries; for duplicate keys the last binding wins.  As in
+    ``canonical_items``, no key is computed for fewer than two entries."""
+    pairs = tuple(pairs)
+    if len(pairs) < 2:
+        return pairs
     out: list[tuple[Value, Value]] = []
     # The sort is stable, so of equal keys the last binding comes last.
     for kv in sorted(pairs, key=lambda kv: value_key(kv[0])):
@@ -332,6 +347,10 @@ class Store:
     All updates return a fresh store, which makes the state threading of
     the evaluation rules literal: restoring a store on backtracking is
     simply reusing the old object.
+
+    The evaluator's E-Var rule reads ``_m`` directly, sparing a ``get``
+    frame on the most frequent rule; like ``adopt``, it relies on ``_m``
+    being the plain dict of the bindings.
     """
 
     __slots__ = ("_m",)

@@ -456,11 +456,12 @@ ADVERSARIAL = {
     "binary-chain-eval": (None, ["--eval", " + ".join(["1"] * 20000)], 0),
     "call-value": (NAT + "Nat id(Nat n) = n;", ["--call", f"id({_nested('succ(', 'zero()', ')', 5000)})"], 0),
     "call-list-value": ("int f(list<value> x) = 1;", ["--call", f"f({_nested('[', '', ']', 5000)})"], 0),
-    # Each level of a set or map literal keys its element, so building
-    # one costs the square of its depth; 1200 levels exit 70 on Python
-    # 3.12 when value_key calls itself through C.
-    "call-set-value": ("int f(value x) = 1;", ["--call", f"f({_nested('{', '', '}', 1200)})"], 0),
-    "call-map-value": ("int f(value x) = 1;", ["--call", f"f({_nested('(', '1', ': 1)', 1200)})"], 0),
+    # A set or map of one element computes no key for it, so a nest of
+    # singletons builds in time linear in its depth; keying every level
+    # cost the square of the depth (7-12 s at 5000 levels), and a
+    # value_key that called itself through C exited 70 on Python 3.12.
+    "call-set-value": ("int f(value x) = 1;", ["--call", f"f({_nested('{', '', '}', 5000)})"], 0),
+    "call-map-value": ("int f(value x) = 1;", ["--call", f"f({_nested('(', '1', ': 1)', 5000)})"], 0),
     # json.dumps would recurse through C over the tree: exit 70 on 3.12+.
     "tree-of-deep-list": (
         "value g(value x) = x;",

@@ -315,3 +315,50 @@ def test_assignments_of_joined_collections(expr, want):
 def test_assignments_of_ill_typed_joins_are_errors(expr):
     assert _run("", expr) == ERROR
 
+
+
+# ---------------------------------------------------------------------------
+# has_type, the evaluator's one-call typing premise, against the pair it
+# replaces
+
+
+def _typing_outcome(check):
+    """``check()``, or IllFormedValue if it raises that."""
+    try:
+        return check()
+    except IllFormedValue:
+        return IllFormedValue
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_has_type_equals_subtype_of_type_of(seed):
+    rng = random.Random(seed)
+    gen = _ModuleGen(rng, GenBudget(seed=seed), finite=False)
+    gen.build_datatypes()
+    cons = gen.constructors
+    values = [gen_any_value(rng, gen.cons_by_type, 3) for _ in range(150)]
+    # The parser's shared types and equal ones built here (INT, STR), so
+    # both the identity and the equality test of a basic value's type run.
+    types = [gen_type(rng, gen.cons_by_type, 2) for _ in range(40)]
+    types += [ty.INT, ty.STR, INT, STR, VOID, VALUE, BOOL, ListType(INT), MapType(STR, VALUE)]
+    for v, t in itertools.product(values + [UNDEF, Basic(0), Basic(""), TRUE], types):
+        want = _typing_outcome(lambda: subtype(type_of(v, cons), t))
+        assert _typing_outcome(lambda: ty.has_type(v, t, cons)) == want, (v, t)
+
+
+def test_has_type_raises_where_type_of_does():
+    cons = Evaluator(parse_module("data Nat = zero() | succ(Nat pred);")).constructors
+    good = VCons("succ", (VCons("zero", ()),))
+    bad = [
+        VCons("succ", (Basic("x"),)),
+        VCons("succ", (good, good)),
+        VCons("ghost", ()),
+        VList((good, VCons("succ", (Basic(1),)))),
+        VMap(((Basic(1), VSet((VCons("zero", (good,)),))),)),
+    ]
+    for v in bad:
+        for t in (DataType("Nat"), VALUE, VOID, INT, ListType(DataType("Nat"))):
+            with pytest.raises(IllFormedValue):
+                subtype(type_of(v, cons), t)
+            with pytest.raises(IllFormedValue):
+                ty.has_type(v, t, cons)

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 from hypothesis import given, strategies as st
 
@@ -21,6 +22,7 @@ from rascal_light.values import (
     value_order,
 )
 from rascal_light.interp import apply_binary
+from rascal_light.parser import parse_value
 from test_value_order import old_order
 
 
@@ -75,6 +77,56 @@ def test_set_and_map_canonicalize_at_construction():
         (b(1), b(2)),
         (b(3), b(9)),
     )
+
+
+def _value_key_calls(build):
+    """How many times ``value_key`` is called during ``build()``."""
+    from rascal_light import values
+
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is values.value_key.__code__:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        build()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _singleton_set_nest(depth):
+    v = VSet(())
+    for _ in range(depth):
+        v = VSet((v,))
+    return v
+
+
+def _singleton_map_nest(depth):
+    # Nested through the keys: each level is the one key of the next.
+    v = VMap(((b(1), b(1)),))
+    for _ in range(depth):
+        v = VMap(((v, b(1)),))
+    return v
+
+
+def test_singleton_nests_build_in_linear_key_work():
+    # A key walks its whole value, so keying each level of a nest would
+    # make building it cost the square of its depth.
+    for nest in (_singleton_set_nest, _singleton_map_nest):
+        counts = [_value_key_calls(lambda: nest(depth)) for depth in (1000, 2000)]
+        assert counts[0] <= 1000 and counts[1] <= 2 * counts[0] + 2, (nest, counts)
+    text = "{" * 2000 + "}" * 2000
+    assert _value_key_calls(lambda: parse_value(text)) <= 2000
+    # Walked by a loop: deep equality recurses through C, which CPython
+    # bounds apart from the recursion limit from 3.12 on.
+    v, depth = parse_value(text), 0
+    while v.items:
+        v, depth = v.items[0], depth + 1
+    assert depth == 1999
 
 
 def test_map_update():
