@@ -22,11 +22,11 @@ from .render import render
 from .syntax import ModuleDef, validate_expr
 from .types import IllFormedValue, type_of
 from .values import (
-    UNDEF,
     Result,
     Success,
     Throw,
     Timeout,
+    Undefined,
     Value,
     budget,
     children,
@@ -114,7 +114,7 @@ def _argument_fault(arg: Value, constructors) -> str | None:
     stack = list(children(arg))
     while stack:
         v = stack.pop()
-        if v == UNDEF:
+        if type(v) is Undefined:
             return "<undefined> inside a value"
         stack.extend(children(v))
     try:

@@ -18,6 +18,9 @@ dataclass with ``unsafe_hash=True``:
   once, in the module's namespace, when the class is built;
 - a field whose name begins with ``_`` is a cache: no argument, it starts
   at its default and may be assigned later (``Lit._result``);
+- ``:`` after a field marks it as holding nodes of the kind its letter
+  names, each ``*`` after the letter one level of tuples (``args:E*``);
+  ``MARKS`` records the marks, for the table module's walks to read;
 - a line without ``:``, or a comment, is a statement, run where it
   stands.
 
@@ -34,14 +37,16 @@ from operator import attrgetter
 _OWN = {"__module__", "__qualname__", "__dict__", "__weakref__", "__firstlineno__", "__static_attributes__"}
 
 # Each built class -> (its arguments in order, the fields that ``==``,
-# ``hash`` and ``repr`` read).
+# ``hash`` and ``repr`` read), and -> the ``(field, mark)`` pairs of its
+# marked fields, in order.
 TABLE: dict[type, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+MARKS: dict[type, tuple[tuple[str, str], ...]] = {}
 
 
 def _fields(part: str) -> list[tuple[str, str]]:
     """``(name, default)`` of each field written in ``part``; the default
-    is empty where there is none."""
-    return [field.partition("=")[::2] for field in part.split()]
+    is empty where there is none.  A mark is not part of the name."""
+    return [field.partition(":")[0].partition("=")[::2] for field in part.split()]
 
 
 def _class_source(name: str, base: str, stored, args) -> str:
@@ -99,15 +104,16 @@ def build(namespace: dict, table: str, *bodies: type) -> None:
             source.append(line)
             continue
         name, _, base = head.strip().rstrip(")").partition("(")
+        marks = tuple(field.partition(":")[::2] for field in rest.split() if ":" in field)
         compared, _, hidden = rest.partition("|")
         shown = _fields(compared)
         defined = set(hand.get(name, ())) | set(vars(namespace[base]) if base else ())
         stored = [f for f in shown + _fields(hidden) if f[0] not in defined]
         args = tuple(n for n, _ in stored if not n.startswith("_"))
         source.append(_class_source(name, base, stored, args))
-        rows.append((name, args, tuple(n for n, _ in shown), defined))
+        rows.append((name, args, tuple(n for n, _ in shown), defined, marks))
     exec(compile("\n".join(source), f"<field table of {namespace['__name__']}>", "exec", dont_inherit=True), namespace)
-    for name, args, seen, defined in rows:
+    for name, args, seen, defined, marks in rows:
         cls = namespace[name]
         cls.__match_args__ = args
         for method in _compared(seen):
@@ -118,6 +124,7 @@ def build(namespace: dict, table: str, *bodies: type) -> None:
             if attr not in _OWN:
                 setattr(cls, attr, value)
         TABLE[cls] = (args, seen)
+        MARKS[cls] = marks
 
 
 def fields(cls: type) -> tuple[str, ...]:

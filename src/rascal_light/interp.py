@@ -77,6 +77,7 @@ from .values import (
     TIMEOUT,
     TimeoutSignal,
     UNDEF,
+    Undefined,
     Value,
     VCons,
     VList,
@@ -516,7 +517,7 @@ class Evaluator:
         if sig is None or len(sig[1]) != len(rs):
             return self.fire("stuck", e.span, store, ERROR, s1)
         for v, ft in zip(rs, sig[1]):
-            if v == UNDEF or not has_type(v, ft, self.constructors):
+            if type(v) is Undefined or not has_type(v, ft, self.constructors):
                 return self.fire("E-Cons-Err", e.span, store, ERROR, s1)
         return self.fire("E-Cons-Sucs", e.span, store, VCons(e.name, rs), s1)
 
@@ -526,7 +527,7 @@ class Evaluator:
         rs, s1 = self.eval_expr_star(e.items, store, n - 1, e.span)
         if type(rs) in EXRES:
             return self.fire("E-List-Exc", e.span, store, rs, s1)
-        if any(v == UNDEF for v in rs):
+        if Undefined in map(type, rs):
             return self.fire("E-List-Err", e.span, store, ERROR, s1)
         return self.fire("E-List-Sucs", e.span, store, VList(rs), s1)
 
@@ -536,7 +537,7 @@ class Evaluator:
         rs, s1 = self.eval_expr_star(e.items, store, n - 1, e.span)
         if type(rs) in EXRES:
             return self.fire("E-Set-Exc", e.span, store, rs, s1)
-        if any(v == UNDEF for v in rs):
+        if Undefined in map(type, rs):
             return self.fire("E-Set-Err", e.span, store, ERROR, s1)
         return self.fire("E-Set-Sucs", e.span, store, VSet(rs), s1)
 
@@ -547,7 +548,7 @@ class Evaluator:
         rs, s1 = self.eval_expr_star(flat, store, n - 1, e.span)
         if type(rs) in EXRES:
             return self.fire("E-Map-Exc", e.span, store, rs, s1)
-        if any(v == UNDEF for v in rs):
+        if Undefined in map(type, rs):
             return self.fire("E-Map-Err", e.span, store, ERROR, s1)
         pairs = tuple((rs[i], rs[i + 1]) for i in range(0, len(rs), 2))
         return self.fire("E-Map-Sucs", e.span, store, VMap(pairs), s1)
@@ -592,7 +593,7 @@ class Evaluator:
         r3, s1 = _RULES[type(x)](self, x, s2, n1)
         if type(r3) in EXRES:
             return self.fire("E-Update-Exc3", e.span, store, r3, s1)
-        if r2 == UNDEF or r3 == UNDEF:
+        if type(r2) is Undefined or type(r3) is Undefined:
             return self.fire("E-Update-Err2", e.span, store, ERROR, s1)
         out = map_update(m, r2, r3)
         typed_join(out, m, VMap(((r2, r3),)), self.constructors)

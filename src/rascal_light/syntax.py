@@ -10,9 +10,10 @@ node's span."""
 from __future__ import annotations
 
 import enum
+from operator import attrgetter
 from typing import Iterator
 
-from .fieldtable import build
+from .fieldtable import MARKS, build
 from .stackguard import stack_guarded
 from .types import (
     DataType,
@@ -73,6 +74,9 @@ class ModuleInfo:
     __hash__ = None
 
 
+# A field marked ``E`` holds an expression, ``P`` a pattern, and ``N`` a
+# part (a case, a generator) whose own marked fields count as the holder's;
+# each ``*`` is one level of tuples.  The structural walks read the marks.
 _CLASSES = """
 # Source spans
 Span: start end
@@ -89,44 +93,44 @@ ModuleDef: globals=() functions=() datatypes=()
 # Basic(value), recorded on the node by the evaluator on the first firing.
 Lit(Expr): value | span=DUMMY_SPAN _result=None
 Var(Expr): name | span=DUMMY_SPAN
-Unary(Expr): op operand | span=DUMMY_SPAN
-Binary(Expr): left op right | span=DUMMY_SPAN
-Cons(Expr): name args | span=DUMMY_SPAN
-ListExpr(Expr): items | span=DUMMY_SPAN
-SetExpr(Expr): items | span=DUMMY_SPAN
-MapExpr(Expr): pairs | span=DUMMY_SPAN
-Lookup(Expr): map key | span=DUMMY_SPAN
-Update(Expr): map key value | span=DUMMY_SPAN
-Call(Expr): name args | span=DUMMY_SPAN
-ReturnExpr(Expr): value | span=DUMMY_SPAN
-Assign(Expr): name value | span=DUMMY_SPAN
-If(Expr): cond then els | span=DUMMY_SPAN
-Case: pattern body | span=DUMMY_SPAN
-Switch(Expr): subject cases | span=DUMMY_SPAN
-Visit(Expr): strategy subject cases | span=DUMMY_SPAN
+Unary(Expr): op operand:E | span=DUMMY_SPAN
+Binary(Expr): left:E op right:E | span=DUMMY_SPAN
+Cons(Expr): name args:E* | span=DUMMY_SPAN
+ListExpr(Expr): items:E* | span=DUMMY_SPAN
+SetExpr(Expr): items:E* | span=DUMMY_SPAN
+MapExpr(Expr): pairs:E** | span=DUMMY_SPAN
+Lookup(Expr): map:E key:E | span=DUMMY_SPAN
+Update(Expr): map:E key:E value:E | span=DUMMY_SPAN
+Call(Expr): name args:E* | span=DUMMY_SPAN
+ReturnExpr(Expr): value:E | span=DUMMY_SPAN
+Assign(Expr): name value:E | span=DUMMY_SPAN
+If(Expr): cond:E then:E els:E | span=DUMMY_SPAN
+Case: pattern:P body:E | span=DUMMY_SPAN
+Switch(Expr): subject:E cases:N* | span=DUMMY_SPAN
+Visit(Expr): strategy subject:E cases:N* | span=DUMMY_SPAN
 BreakExpr(Expr): | span=DUMMY_SPAN
 ContinueExpr(Expr): | span=DUMMY_SPAN
 FailExpr(Expr): | span=DUMMY_SPAN
 LocalDecl: type name | span=DUMMY_SPAN
-Block(Expr): locals body | span=DUMMY_SPAN
-Enumerating(Generator): var source | span=DUMMY_SPAN
-Matching(Generator): pattern source | span=DUMMY_SPAN
-For(Expr): generator body | span=DUMMY_SPAN
-While(Expr): cond body | span=DUMMY_SPAN
-Solve(Expr): targets body | span=DUMMY_SPAN
-ThrowExpr(Expr): value | span=DUMMY_SPAN
-TryCatch(Expr): body var handler | span=DUMMY_SPAN
-TryFinally(Expr): body fin | span=DUMMY_SPAN
+Block(Expr): locals body:E* | span=DUMMY_SPAN
+Enumerating(Generator): var source:E | span=DUMMY_SPAN
+Matching(Generator): pattern:P source:E | span=DUMMY_SPAN
+For(Expr): generator:N body:E | span=DUMMY_SPAN
+While(Expr): cond:E body:E | span=DUMMY_SPAN
+Solve(Expr): targets body:E | span=DUMMY_SPAN
+ThrowExpr(Expr): value:E | span=DUMMY_SPAN
+TryCatch(Expr): body:E var handler:E | span=DUMMY_SPAN
+TryFinally(Expr): body:E fin:E | span=DUMMY_SPAN
 # Patterns.  A ``Star`` is an element ``*x`` of a list or set pattern.
 LitPat(Pattern): value | span=DUMMY_SPAN
 VarPat(Pattern): name | span=DUMMY_SPAN
-ConsPat(Pattern): name args | span=DUMMY_SPAN
-TypedPat(Pattern): type name pattern | span=DUMMY_SPAN
+ConsPat(Pattern): name args:P* | span=DUMMY_SPAN
+TypedPat(Pattern): type name pattern:P | span=DUMMY_SPAN
 Star(Pattern): name | span=DUMMY_SPAN
-ListPat(Pattern): elements | span=DUMMY_SPAN
-SetPat(Pattern): elements | span=DUMMY_SPAN
-NegPat(Pattern): pattern | span=DUMMY_SPAN
-DeepPat(Pattern): pattern | span=DUMMY_SPAN
+ListPat(Pattern): elements:P* | span=DUMMY_SPAN
+SetPat(Pattern): elements:P* | span=DUMMY_SPAN
+NegPat(Pattern): pattern:P | span=DUMMY_SPAN
+DeepPat(Pattern): pattern:P | span=DUMMY_SPAN
 # Well-formedness: a diagnostic's span is one of its fields.
 WellFormednessError: kind name span message
 ModuleInfo: module constructors functions errors assign_types | walked_roots=frozenset() datatype_names=frozenset()
@@ -147,43 +151,48 @@ BUILTIN_DATATYPES: tuple[DataDef, ...] = (
 # Structural helpers
 
 
+def _flat(value, mark: str, kind: str) -> Iterator:
+    """The children of ``kind`` (``"E"`` or ``"P"``) in ``value``, a field
+    marked ``mark``; a node's own are those of its marked fields."""
+    if mark == kind:
+        yield value
+    elif mark == "N":
+        for name, sub in MARKS[type(value)]:
+            yield from _flat(getattr(value, name), sub, kind)
+    elif mark[0] in (kind, "N"):
+        for item in value:
+            yield from _flat(item, mark[:-1], kind)
+
+
+def _getter(cls: type, kind: str):
+    """The function that gives a node of ``cls`` its children of ``kind``,
+    in the order of its row; an attrgetter where the row allows."""
+    marks = [mark for _, mark in MARKS[cls]]
+    if not marks:
+        return lambda node: ()
+    get = attrgetter(*(name for name, _ in MARKS[cls]))
+    if marks == [kind]:
+        return lambda node: (get(node),)
+    if marks == [kind + "*"] or set(marks) == {kind}:
+        return get
+    return lambda node: tuple(_flat(node, "N", kind))
+
+
+_EXPR_CHILDREN = {cls: _getter(cls, "E") for cls in MARKS if issubclass(cls, Expr)}
+_SUBPATTERNS = {cls: _getter(cls, "P") for cls in MARKS if issubclass(cls, Pattern)}
+
+
+def _not_an_expression(e) -> tuple:
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _not_a_pattern(p) -> tuple:
+    raise TypeError(f"not a pattern: {p!r}")
+
+
 def expr_children(e: Expr) -> tuple[Expr, ...]:
     """Direct sub-expressions, including case bodies and generator sources."""
-    if isinstance(e, (Lit, Var, BreakExpr, ContinueExpr, FailExpr)):
-        return ()
-    if isinstance(e, Unary):
-        return (e.operand,)
-    if isinstance(e, Binary):
-        return (e.left, e.right)
-    if isinstance(e, (Cons, Call)):
-        return e.args
-    if isinstance(e, (ListExpr, SetExpr)):
-        return e.items
-    if isinstance(e, MapExpr):
-        return tuple(x for kv in e.pairs for x in kv)
-    if isinstance(e, Lookup):
-        return (e.map, e.key)
-    if isinstance(e, Update):
-        return (e.map, e.key, e.value)
-    if isinstance(e, (ReturnExpr, ThrowExpr, Assign)):
-        return (e.value,)
-    if isinstance(e, If):
-        return (e.cond, e.then, e.els)
-    if isinstance(e, (Switch, Visit)):
-        return (e.subject,) + tuple(c.body for c in e.cases)
-    if isinstance(e, Block):
-        return e.body
-    if isinstance(e, For):
-        return (e.generator.source, e.body)
-    if isinstance(e, While):
-        return (e.cond, e.body)
-    if isinstance(e, Solve):
-        return (e.body,)
-    if isinstance(e, TryCatch):
-        return (e.body, e.handler)
-    if isinstance(e, TryFinally):
-        return (e.body, e.fin)
-    raise TypeError(f"not an expression: {e!r}")
+    return _EXPR_CHILDREN.get(e.__class__, _not_an_expression)(e)
 
 
 def walk_exprs(e: Expr) -> Iterator[Expr]:
@@ -196,23 +205,18 @@ def walk_exprs(e: Expr) -> Iterator[Expr]:
 
 
 def pattern_vars(p: Pattern) -> list[str]:
-    """All variable names occurring in a pattern, in preorder."""
+    """All variable names occurring in a pattern, in preorder (a label's
+    name before its pattern's)."""
     out: list[str] = []
 
     def go(q: Pattern) -> None:
         if isinstance(q, (VarPat, Star)):
             out.append(q.name)
-        elif isinstance(q, ConsPat):
-            for a in q.args:
-                go(a)
-        elif isinstance(q, TypedPat):
+            return
+        if isinstance(q, TypedPat):
             out.append(q.name)
-            go(q.pattern)
-        elif isinstance(q, (ListPat, SetPat)):
-            for a in q.elements:
-                go(a)
-        elif isinstance(q, (NegPat, DeepPat)):
-            go(q.pattern)
+        for sub in _SUBPATTERNS.get(q.__class__, _not_a_pattern)(q):
+            go(sub)
 
     go(p)
     return out
@@ -435,79 +439,78 @@ class _Validator:
         scope[name] = (kind, ty)
 
     def walk(self, e: Expr, scope: Scope) -> None:
-        if isinstance(e, Lit) or isinstance(e, (BreakExpr, ContinueExpr, FailExpr)):
+        """Check ``e`` in ``scope``.  A form that binds, resolves or applies a
+        name has an arm, ``_w_<Form>``, which returns True where the node's
+        children remain to be walked in ``scope``, as any other form's are."""
+        cls = e.__class__
+        arm = _ARMS.get(cls)
+        if arm is None or arm(self, e, scope):
+            for sub in _EXPR_CHILDREN.get(cls, _not_an_expression)(e):
+                self.walk(sub, scope)
+
+    def _w_Var(self, e: Var, scope: Scope) -> None:
+        self.resolve(scope, e.name, e.span, "variable")
+
+    def _w_Assign(self, e: Assign, scope: Scope) -> None:
+        self.walk(e.value, scope)
+        entry = self.resolve(scope, e.name, e.span, "assignment")
+        if entry is None or entry[0] == "global":
             return
-        if isinstance(e, Var):
-            self.resolve(scope, e.name, e.span, "variable")
-            return
-        if isinstance(e, Assign):
-            self.walk(e.value, scope)
-            entry = self.resolve(scope, e.name, e.span, "assignment")
-            if entry is None or entry[0] == "global":
-                return
-            if entry[0] == "local":
-                self.assign_types[id(e)] = entry[1]
-            else:
-                self.error(
-                    "not-assignable",
-                    e.name,
-                    e.span,
-                    f"{e.name!r} is a {entry[0]} and cannot be assigned",
-                )
-            return
-        if isinstance(e, Cons):
-            sig = self.constructors.get(e.name)
-            self.check_application(e, None if sig is None else sig[1], "constructor", "constructor")
-            for a in e.args:
-                self.walk(a, scope)
-            return
-        if isinstance(e, Call):
-            f = self.functions.get(e.name)
-            self.check_application(e, None if f is None else f.params, "function", "function")
-            for a in e.args:
-                self.walk(a, scope)
-            return
-        if isinstance(e, Block):
+        if entry[0] == "local":
+            self.assign_types[id(e)] = entry[1]
+        else:
+            self.error("not-assignable", e.name, e.span, f"{e.name!r} is a {entry[0]} and cannot be assigned")
+
+    def _w_Cons(self, e: Cons, scope: Scope) -> bool:
+        sig = self.constructors.get(e.name)
+        self.check_application(e, None if sig is None else sig[1], "constructor", "constructor")
+        return True
+
+    def _w_Call(self, e: Call, scope: Scope) -> bool:
+        f = self.functions.get(e.name)
+        self.check_application(e, None if f is None else f.params, "function", "function")
+        return True
+
+    def _w_Block(self, e: Block, scope: Scope) -> None:
+        inner = dict(scope)
+        seen: set[str] = set()
+        for d in e.locals:
+            self.check_type(d.type, d.span)
+            self.check_distinct(seen, d, "local", "block")
+            self.introduce(inner, d.name, "local", d.type, d.span)
+        for sub in e.body:
+            self.walk(sub, inner)
+
+    def _w_Switch(self, e: Switch | Visit, scope: Scope) -> None:
+        self.walk(e.subject, scope)
+        for c in e.cases:
             inner = dict(scope)
-            seen: set[str] = set()
-            for d in e.locals:
-                self.check_type(d.type, d.span)
-                self.check_distinct(seen, d, "local", "block")
-                self.introduce(inner, d.name, "local", d.type, d.span)
-            for sub in e.body:
-                self.walk(sub, inner)
-            return
-        if isinstance(e, (Switch, Visit)):
-            self.walk(e.subject, scope)
-            for c in e.cases:
-                inner = dict(scope)
-                self.check_pattern(c.pattern, inner)
-                self.walked_roots.add(id(c.body))
-                self.walk(c.body, inner)
-            return
-        if isinstance(e, For):
-            g = e.generator
-            self.walk(g.source, scope)
-            inner = dict(scope)
-            if isinstance(g, Enumerating):
-                self.introduce(inner, g.var, "range variable", None, g.span)
-            else:
-                self.check_pattern(g.pattern, inner)
-            self.walk(e.body, inner)
-            return
-        if isinstance(e, Solve):
-            for x in e.targets:
-                self.resolve(scope, x, e.span, "solve target")
-            self.walk(e.body, scope)
-            return
-        if isinstance(e, TryCatch):
-            self.walk(e.body, scope)
-            inner = dict(scope)
-            self.introduce(inner, e.var, "catch variable", None, e.span)
-            self.walk(e.handler, inner)
-            return
-        for sub in expr_children(e):
-            self.walk(sub, scope)
+            self.check_pattern(c.pattern, inner)
+            self.walked_roots.add(id(c.body))
+            self.walk(c.body, inner)
+
+    _w_Visit = _w_Switch
+
+    def _w_For(self, e: For, scope: Scope) -> None:
+        g = e.generator
+        self.walk(g.source, scope)
+        inner = dict(scope)
+        if isinstance(g, Enumerating):
+            self.introduce(inner, g.var, "range variable", None, g.span)
+        else:
+            self.check_pattern(g.pattern, inner)
+        self.walk(e.body, inner)
+
+    def _w_Solve(self, e: Solve, scope: Scope) -> bool:
+        for x in e.targets:
+            self.resolve(scope, x, e.span, "solve target")
+        return True
+
+    def _w_TryCatch(self, e: TryCatch, scope: Scope) -> None:
+        self.walk(e.body, scope)
+        inner = dict(scope)
+        self.introduce(inner, e.var, "catch variable", None, e.span)
+        self.walk(e.handler, inner)
 
     # -- patterns --------------------------------------------------------
 
@@ -526,33 +529,20 @@ class _Validator:
             return
         if isinstance(p, ConsPat):
             sig = self.constructors.get(p.name)
-            self.check_application(
-                p, None if sig is None else sig[1], "constructor", "deconstructor", " in pattern"
-            )
-            for a in p.args:
-                self.check_pattern(a, scope)
-            return
-        if isinstance(p, TypedPat):
+            self.check_application(p, None if sig is None else sig[1], "constructor", "deconstructor", " in pattern")
+        elif isinstance(p, TypedPat):
             self.check_type(p.type, p.span)
             entry = scope.get(p.name)
             if entry is not None and entry[0] != "pattern variable":
-                self.error(
-                    "shadowing",
-                    p.name,
-                    p.span,
-                    f"label variable {p.name!r} shadows an enclosing declaration",
-                )
+                message = f"label variable {p.name!r} shadows an enclosing declaration"
+                self.error("shadowing", p.name, p.span, message)
             scope[p.name] = ("pattern variable", None)
-            self.check_pattern(p.pattern, scope)
-            return
-        if isinstance(p, (ListPat, SetPat)):
-            for a in p.elements:
-                self.check_pattern(a, scope)
-            return
-        if isinstance(p, (NegPat, DeepPat)):
-            self.check_pattern(p.pattern, scope)
-            return
-        raise TypeError(f"not a pattern: {p!r}")
+        for q in _SUBPATTERNS.get(p.__class__, _not_a_pattern)(p):
+            self.check_pattern(q, scope)
+
+
+# The arms of ``_Validator.walk``, by the form they check.
+_ARMS = {globals()[name[len("_w_"):]]: fn for name, fn in vars(_Validator).items() if name.startswith("_w_")}
 
 
 @stack_guarded

@@ -27,7 +27,6 @@ from .values import (
     Success,
     TIMEOUT,
     TimeoutSignal,
-    UNDEF,
     Undefined,
     Value,
     VCons,
@@ -72,15 +71,15 @@ def reconstruct(
         if sig is None or len(sig[1]) != len(new_children):
             return ERROR
         for arg, ft in zip(new_children, sig[1]):
-            if arg == UNDEF or not has_type(arg, ft, constructors):
+            if type(arg) is Undefined or not has_type(arg, ft, constructors):
                 return ERROR
         return Success(VCons(v.name, tuple(new_children)))
     if isinstance(v, (VList, VSet)):
-        if any(x == UNDEF for x in new_children):
+        if Undefined in map(type, new_children):
             return ERROR
         return Success(type(v)(tuple(new_children)))
     if isinstance(v, VMap):
-        if len(new_children) != 2 * len(v.pairs) or any(x == UNDEF for x in new_children):
+        if len(new_children) != 2 * len(v.pairs) or Undefined in map(type, new_children):
             return ERROR
         half = len(new_children) // 2
         keys, vals = new_children[:half], new_children[half:]
