@@ -1,5 +1,5 @@
-"""Slotted classes built from a field table: the syntax, type, token and
-trace classes.
+"""Slotted classes built from a field table: the syntax, type, token,
+trace and result classes, and the harness's ``GenBudget`` and ``Case``.
 
 A table is text with one row per class::
 

@@ -13,10 +13,9 @@ import itertools
 import os
 import random
 from bisect import bisect
-from dataclasses import dataclass, field
 
 from . import syntax as sx
-from .fieldtable import replace
+from .fieldtable import build, replace
 from .interp import Evaluator
 from .fuel import call_with_stack, eval_expr_fuel, min_sufficient_fuel
 from .parser import EXPR_COLLECTIONS, KEYWORD_FORMS, PREFIX_FORMS, parse_expr
@@ -61,10 +60,7 @@ class BudgetExceeded(Exception):
     """An oracle input is too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class GenBudget:
-    max_depth: int = 4
-    seed: int = 0
+build(globals(), "GenBudget: max_depth=4 seed=0")
 
 
 # ---------------------------------------------------------------------------
@@ -882,13 +878,15 @@ def shrink_module(module: sx.ModuleDef, failing) -> sx.ModuleDef:
 # Suites
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    total: int = 0
-    passed: int = 0
-    failures: list[str] = field(default_factory=list)
-    artifacts: list[str] = field(default_factory=list)
+    """The tally of one suite run: cases, passes, failures and artifacts."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.total = 0
+        self.passed = 0
+        self.failures: list[str] = []
+        self.artifacts: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -1007,14 +1005,9 @@ def _check_typed(store: Store, res, constructors) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
 class Case:
     """One generated-program case: the body of ``function`` in ``module``,
     run from ``store`` (the module's globals and the function's parameters)."""
-
-    module: sx.ModuleDef
-    function: str
-    store: Store
 
     @property
     def fundef(self) -> sx.FunDef:
@@ -1023,6 +1016,9 @@ class Case:
     @property
     def body(self) -> sx.Expr:
         return self.fundef.body
+
+
+build(globals(), "Case: module function store", Case)
 
 
 def check_typing(case: Case) -> str | None:

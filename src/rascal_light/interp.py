@@ -65,6 +65,7 @@ from .values import (
     Continue,
     ERROR,
     EXRES,
+    Error,
     FAIL,
     FALSE,
     Fail,
@@ -937,7 +938,7 @@ class Evaluator:
         if type(star) in EXRES:
             return self.fire("ETV-Exc2", span, store, star, s1)
         rc = reconstruct(v2, star, self.constructors)
-        if rc is not ERROR:
+        if type(rc) is Success:
             rc = rc.value
         return self.fire("ETV-Ord-Sucs2", span, store, rc, s1)
 
@@ -952,12 +953,12 @@ class Evaluator:
             res, s1 = self.eval_cases(cases, v, s2, n1, span)
             return self.fire("EBU-Fail-Sucs", span, store, res, s1)
         rc = reconstruct(v, star, self.constructors)
-        if rc is not ERROR:
+        if type(rc) is Success:
             rc = rc.value
         if br == BreakMode.BREAK_ON_FIRST:
             # A success below this node skips the cases at this node.
             return self.fire("EBU-Break-Sucs", span, store, rc, s2)
-        if rc is ERROR:
+        if type(rc) is Error:
             return self.fire("EBU-No-Break-Err", span, store, ERROR, s2)
         res, s1 = self.eval_cases(cases, rc, s2, n1, span)
         if type(res) in _EXC:

@@ -475,6 +475,8 @@ class _Validator:
         inner = dict(scope)
         seen: set[str] = set()
         for d in e.locals:
+            if not isinstance(d, LocalDecl):
+                raise TypeError(f"not a local declaration: {d!r}")
             self.check_type(d.type, d.span)
             self.check_distinct(seen, d, "local", "block")
             self.introduce(inner, d.name, "local", d.type, d.span)
@@ -484,6 +486,8 @@ class _Validator:
     def _w_Switch(self, e: Switch | Visit, scope: Scope) -> None:
         self.walk(e.subject, scope)
         for c in e.cases:
+            if not isinstance(c, Case):
+                raise TypeError(f"not a case: {c!r}")
             inner = dict(scope)
             self.check_pattern(c.pattern, inner)
             self.walked_roots.add(id(c.body))
@@ -493,6 +497,8 @@ class _Validator:
 
     def _w_For(self, e: For, scope: Scope) -> None:
         g = e.generator
+        if not isinstance(g, Generator):
+            raise TypeError(f"not a generator: {g!r}")
         self.walk(g.source, scope)
         inner = dict(scope)
         if isinstance(g, Enumerating):

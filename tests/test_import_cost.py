@@ -1,6 +1,6 @@
-"""The syntax, type, token and trace classes are built from field tables,
-not by ``dataclasses``, and the table-driven ``replace`` that the shrinker
-uses rebuilds them field for field."""
+"""The syntax, type, token, trace, result and harness record classes are
+built from field tables, not by ``dataclasses``, and the table-driven
+``replace`` that the shrinker uses rebuilds them field for field."""
 
 import inspect
 import json
@@ -36,18 +36,26 @@ import rascal_light.cli, rascal_light.harness, rascal_light.render
 print(json.dumps(seen))
 """
 
-TABLE_MODULES = {f"rascal_light.{name}" for name in ("syntax", "types", "parser", "interp")}
+TABLE_MODULES = {
+    f"rascal_light.{name}" for name in ("syntax", "types", "parser", "interp", "values", "harness")
+}
+
+
+def _run(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
 
 
 def test_no_table_class_is_a_dataclass():
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
-    out = subprocess.run([sys.executable, "-c", RECORD], env=env, capture_output=True, text=True, check=True)
-    seen = [tuple(record) for record in json.loads(out.stdout)]
-    assert not {module for module, _ in seen} & TABLE_MODULES
-    # The harness's own records stay dataclasses, so the wrapper saw them.
-    assert sorted(seen) == [("rascal_light.harness", name) for name in ("Case", "GenBudget", "SuiteReport")]
+    seen = [tuple(record) for record in json.loads(_run(RECORD))]
+    assert seen == []
     built = {cls.__module__ for cls in fieldtable.TABLE}
     assert built == TABLE_MODULES
+
+
+def test_the_package_does_not_import_dataclasses():
+    code = "import sys, rascal_light.cli, rascal_light.harness; print('dataclasses' in sys.modules)"
+    assert _run(code).strip() == "False"
 
 
 def test_each_argument_is_a_parameter_and_replace_swaps_only_it():

@@ -18,7 +18,7 @@ import types
 
 import pytest
 
-from rascal_light import values
+from rascal_light import fieldtable, values
 from rascal_light.harness import GenBudget, _ModuleGen, gen_any_value, gen_type, gen_value
 from test_value_order import old_order
 
@@ -174,8 +174,12 @@ UNDEF = Undefined()
 def old():
     """A copy of ``rascal_light.values`` whose classes are the old ones."""
     mod = types.ModuleType("old_values")
+    # The copy's ``from .fieldtable import build`` resolves in the package.
+    mod.__package__ = "rascal_light"
     # ``dataclass`` looks up the module of the class it processes.
     sys.modules[mod.__name__] = mod
+    # The copy's result rows register in the field table: unregister them.
+    table, marks = dict(fieldtable.TABLE), dict(fieldtable.MARKS)
     try:
         exec(compile(inspect.getsource(values), "<values copy>", "exec"), vars(mod))
         exec(compile(OLD_CLASSES, "<old value classes>", "exec"), vars(mod))
@@ -183,6 +187,10 @@ def old():
         vars(mod).update(old_order(vars(mod)))
     finally:
         del sys.modules[mod.__name__]
+        fieldtable.TABLE.clear()
+        fieldtable.TABLE.update(table)
+        fieldtable.MARKS.clear()
+        fieldtable.MARKS.update(marks)
     return mod
 
 

@@ -17,8 +17,10 @@ reproduce them exactly.  To record the file afresh from a checkout, run
 ``PYTHONPATH=src python tests/test_walks.py``.
 
 The rejection tests put a non-expression into each field that the field
-table marks as holding expressions, and a non-pattern into each field
-marked as holding patterns: every walk boundary refuses them.
+table marks as holding expressions, a non-pattern into each field
+marked as holding patterns, and a part of the wrong class where a case, a
+generator or a local declaration belongs: every walk boundary refuses
+them.
 """
 
 from __future__ import annotations
@@ -260,6 +262,22 @@ def test_a_non_expression_in_an_expression_field_is_refused(cls, field):
 def test_a_non_pattern_in_a_pattern_field_is_refused(cls, field):
     planted = dict(_planted(_sample(cls), cls, "P", sx.Lit(1)))
     _refused(planted[field], "not a pattern")
+
+
+# A part of the wrong class in each field that holds parts: the cases of a
+# switch or visit, a loop's generator, a block's local declarations.
+WRONG_PARTS = {
+    "Switch.cases": (sx.Switch, "cases", (sx.VarPat("x"),), "not a case"),
+    "Visit.cases": (sx.Visit, "cases", (sx.VarPat("x"),), "not a case"),
+    "For.generator": (sx.For, "generator", sx.Lit(1), "not a generator"),
+    "Block.locals": (sx.Block, "locals", (sx.Lit(3),), "not a local declaration"),
+}
+
+
+@pytest.mark.parametrize("label", WRONG_PARTS)
+def test_a_part_of_the_wrong_class_is_refused(label):
+    cls, field, bad, message = WRONG_PARTS[label]
+    _refused(replace(_sample(cls), **{field: bad}), message)
 
 
 if __name__ == "__main__":
